@@ -19,7 +19,7 @@ print("basis: %d states (one boson sector, h=%.2g, box %g)"
 
 lams = (1.0, 2.0, 4.0, 8.0)
 for variant in (1, 2):
-    table = ib.cutoff_convergence_study(basis, lams, variant, params)
+    table = ib.cutoff_convergence_study(basis, lams, variant)
     print("\nvariant %d:" % variant)
     print("  cutoff   ground        control       resolvent diff   |T| diff")
     for row in table.rows:

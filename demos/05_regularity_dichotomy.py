@@ -24,7 +24,7 @@ for k_max in (4.0, 8.0, 16.0):
           % (k_max, bases[-1].total_dim))
 
 etas = (0.25, 0.5, 0.75)
-report = ib.regularity_diagnostic(bases, 1, etas, params)
+report = ib.regularity_diagnostic(bases, 1, etas)
 print("\nthreshold (gamma - D)/(2 gamma) = %.3f" % report.threshold)
 print("eta    growth slope   verdict")
 for eta in etas:

@@ -396,6 +396,24 @@ def _scaling_sweep(cfg: RunConfig, lam_list) -> list:
     return pts
 
 
+def _growth_sweep(params: ModelParams, p_sample, lam_ladder):
+    """Growth-condition integral at every sampled momentum over the
+    cutoff ladder: rows (|p|, value per cutoff) and whether every row
+    decays in the exterior cutoff."""
+    rows = []
+    monotone = True
+    for p in p_sample:
+        vals = [condition_b_lhs(p, lam, params).value for lam in lam_ladder]
+        monotone &= all(a >= b for a, b in zip(vals[:-1], vals[1:]))
+        rows.append((float(np.linalg.norm(p)),) + tuple(vals))
+    return rows, monotone
+
+
+def _envelope(rows) -> float:
+    """Envelope constant of the smallest-cutoff values against |p|^0.1."""
+    return max(r[1] / (r[0] ** 0.1 + 1.0) for r in rows)
+
+
 def _apply_gate(cfg: RunConfig, manifest: RunManifest,
                 override: bool) -> None:
     reports = _gate_reports(cfg)
@@ -418,15 +436,8 @@ def cmd_check(cfg: RunConfig, manifest: RunManifest, args) -> int:
     rng = np.random.default_rng(cfg.seed)
     n_p = max(3, min(cfg.n_p_samples, 8))
     p_sample = rng.standard_normal((n_p, cfg.params.d)) * 1.5
-    lam_ladder = (1.0, 2.0, 4.0)
-    rows = []
-    monotone = True
-    for p in p_sample:
-        vals = [condition_b_lhs(p, lam, cfg.params).value
-                for lam in lam_ladder]
-        monotone &= all(a >= b for a, b in zip(vals[:-1], vals[1:]))
-        rows.append((float(np.linalg.norm(p)), vals))
-    envelope = max(v[0] / (pn ** 0.1 + 1.0) for pn, v in rows)
+    rows, monotone = _growth_sweep(cfg.params, p_sample, (1.0, 2.0, 4.0))
+    envelope = _envelope(rows)
     reports["condition_growth_integral"] = {
         "holds": bool(monotone and np.isfinite(envelope)),
         "monotone_in_cutoff": bool(monotone),
@@ -474,13 +485,11 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     all_pass = True
     for lam in cfg.lambda_list:
         for variant in cfg.variants:
-            direct = assemble_H_direct(basis, lam, variant, "grid",
-                                       cfg.params)
+            direct = assemble_H_direct(basis, lam, variant, "grid")
             baseline = None
             for shift in cfg.lambda_shifts:
                 try:
-                    ibc = assemble_H_ibc(basis, lam, variant, shift,
-                                         "grid", cfg.params)
+                    ibc = assemble_H_ibc(basis, lam, variant, shift, "grid")
                 except MasslessWithoutShift as exc:
                     raise CommandError(
                         EXIT_CONDITION,
@@ -492,8 +501,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                     # block structurally empty (one nucleon, one boson
                     # sector) flip every off-diagonal entry instead so
                     # the control still bites
-                    t_od = assemble_T_od(basis, lam, "grid", cfg.params,
-                                         lambda_shift=shift)
+                    t_od = assemble_T_od(basis, lam, lambda_shift=shift)
                     if t_od.nnz:
                         bad = (ibc.matrix - 2 * t_od.matrix).tocsr()
                     else:
@@ -530,7 +538,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                      "tol": cfg.tol_identity})
     if cfg.dump_operators:
         op = assemble_H_direct(basis, max(cfg.lambda_list),
-                               cfg.variants[0], "grid", cfg.params)
+                               cfg.variants[0], "grid")
         export_triplets(op, manifest.out_dir / "hamiltonian_direct.triplets")
         manifest.register("hamiltonian_direct.triplets")
     if not all_pass:
@@ -552,7 +560,7 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     tables = {}
     for variant in cfg.variants:
         tab = cutoff_convergence_study(basis, cfg.lambda_list, variant,
-                                       cfg.params, lambda_shift=shift,
+                                       lambda_shift=shift,
                                        eig_tol=cfg.eig_tol,
                                        norm_tol=cfg.norm_tol)
         tables[variant] = tab
@@ -579,8 +587,8 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     # dispersion-shift lattice diagonal alone
     if set(cfg.variants) == {1, 2}:
         lam = max(cfg.lambda_list)
-        h1 = assemble_H_direct(basis, lam, 1, "grid", cfg.params)
-        h2 = assemble_H_direct(basis, lam, 2, "grid", cfg.params)
+        h1 = assemble_H_direct(basis, lam, 1, "grid")
+        h2 = assemble_H_direct(basis, lam, 2, "grid")
         diff = (h1.matrix - h2.matrix).tocoo()
         off_diag = float(np.abs(diff.data[diff.row != diff.col]).max()) \
             if np.any(diff.row != diff.col) else 0.0
@@ -590,8 +598,7 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
         for ell in range(cfg.params.n_nucleons):
             j_rows += integral_j_grid(table[:, ell], grid, lam, cfg.params,
                                       i_nucleon=ell)
-        j_diag = np.concatenate([np.repeat(j_rows, basis.bos_dim(n))
-                                 for n in range(basis.n_max + 1)])
+        j_diag = basis.nucleon_diagonal(j_rows)
         j_dev = float(np.abs(np.real(diff.tocsr().diagonal()) - j_diag).max())
         _write_json(manifest, "variant_difference_check.json",
                     {"lambda_uv": lam, "max_offdiagonal": off_diag,
@@ -646,7 +653,7 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
         except BasisTooLarge as exc:
             raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
     rep = regularity_diagnostic(bases, cfg.variants[0], cfg.eta_list,
-                                cfg.params, lambda_uv=None,
+                                lambda_uv=None,
                                 lambda_shift=cfg.lambda_shifts[0]
                                 if cfg.lambda_shifts else 0.0,
                                 eig_tol=cfg.eig_tol)
@@ -703,20 +710,11 @@ def cmd_bounds(cfg: RunConfig, manifest: RunManifest, args) -> int:
     # a refinement-stable envelope constant
     rng = np.random.default_rng(cfg.seed)
     lam_ladder = (1.0, 2.0, 4.0, 8.0)
-    rows = []
-    monotone = True
-    for _ in range(cfg.n_p_samples):
-        p = rng.standard_normal(cfg.params.d) * 2.0
-        vals = [condition_b_lhs(p, lam, cfg.params).value
-                for lam in lam_ladder]
-        monotone &= all(a >= b for a, b in zip(vals[:-1], vals[1:]))
-        rows.append((float(np.linalg.norm(p)),) + tuple(vals))
-
-    def envelope(sample_rows):
-        return max(r[1] / (r[0] ** 0.1 + 1.0) for r in sample_rows)
-
+    p_sample = [rng.standard_normal(cfg.params.d) * 2.0
+                for _ in range(cfg.n_p_samples)]
+    rows, monotone = _growth_sweep(cfg.params, p_sample, lam_ladder)
     half = rows[: max(2, len(rows) // 2)]
-    env_full, env_half = envelope(rows), envelope(half)
+    env_full, env_half = _envelope(rows), _envelope(half)
     stability = abs(env_full - env_half) / max(env_full, 1e-300)
     report["growth_condition"] = {
         "holds": bool(monotone and np.isfinite(env_full)),

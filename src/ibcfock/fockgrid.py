@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import BasisTooLarge, DimensionMismatch, EvenAxisCount
-from .model import ModelParams
+from .model import ModelParams, dispersion_boson, dispersion_nucleon
 
 #: default cap on the total basis dimension; desk-scale guard
 MAX_DIM_DEFAULT = 2_000_000
@@ -146,6 +147,8 @@ class FockBasis:
     The flat index of a state is
 
         offsets[n] + i_nucleon * bos_dims[n] + i_boson.
+
+    params is the model every operator on the basis is assembled for.
     """
 
     params: ModelParams
@@ -174,6 +177,28 @@ class FockBasis:
         for j in range(m - 1, -1, -1):
             idx, table[:, j] = np.divmod(idx, self.nucleon_grid.size)
         return table
+
+    def nucleon_diagonal(self, rows) -> np.ndarray:
+        """Diagonal over every state from a per-nucleon-configuration
+        vector: entry i_nucleon repeated over the boson states of each
+        sector."""
+        return np.concatenate([np.repeat(rows, self.bos_dim(n))
+                               for n in range(self.n_max + 1)])
+
+    @cached_property
+    def free_diagonal(self) -> np.ndarray:
+        """Free energy of every state: the nucleon plus the boson
+        dispersions of its configuration.  Computed once per basis and
+        read-only, since every assembly shares it."""
+        params = self.params
+
+        def free_energy(big_p, big_k):
+            return (dispersion_nucleon(big_p, params).sum(axis=-1)
+                    + dispersion_boson(big_k, params).sum(axis=-1))
+
+        values = diagonal_values(self, free_energy)
+        values.flags.writeable = False
+        return values
 
     def nucleon_momenta(self) -> np.ndarray:
         """(nuc_dim, M, d) nucleon momentum configurations."""

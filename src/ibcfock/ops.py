@@ -21,6 +21,12 @@ Conventions that make the equality exact:
   as the composition of truncated operators does.  The counterterm
   stays a plain diagonal at every sector.
 
+Every builder takes the basis and reads the model from basis.params.
+The pieces the two routes share have one definition each: the free
+diagonal is the basis's cached free_diagonal, the counterterm diagonal
+comes from _counterterm_rows, and both exchange families start from
+_exchange_tables.
+
 Assembly is vectorized over states per boson mode (pure per-target-row
 work, trivially parallelizable); assembled operators are treated as
 immutable and safe to share.
@@ -36,10 +42,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import BasisMismatch, MasslessWithoutShift
-from .fockgrid import FockBasis, MomentumGrid, diagonal_values
+from .errors import BasisMismatch, ConditionCViolated, MasslessWithoutShift
+from .fockgrid import FockBasis, MomentumGrid
 from .model import (
-    ModelParams,
     check_condition_c,
     dispersion_boson,
     dispersion_boson_norm,
@@ -54,8 +59,6 @@ from .quad import (
     integral_J,
     resolvent_sum_grid,
 )
-
-from .errors import ConditionCViolated  # noqa: F401  (re-raised from checks)
 
 
 @dataclass
@@ -167,33 +170,59 @@ def _remove_mode(modes: np.ndarray, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# shared pieces
+
+def _counterterm_rows(basis: FockBasis, lambda_uv, variant: int,
+                      quad_mode: str) -> np.ndarray:
+    """Counterterm of every nucleon configuration (boson independent):
+    the per-nucleon lattice twins or continuum integrals, summed over
+    nucleons.  The continuum integral depends on a nucleon only through
+    |p|, so it is memoized on that norm."""
+    if variant not in (1, 2):
+        raise ValueError("variant must be 1 or 2")
+    if quad_mode not in ("grid", "continuum"):
+        raise ValueError("quad_mode must be 'grid' or 'continuum'")
+    if quad_mode == "grid":
+        _require_shared_lattice(basis)
+    params = basis.params
+    nuc_table = basis.nucleon_mode_table().astype(np.int64)
+    e_rows = np.zeros(basis.nuc_dim)
+    if quad_mode == "grid":
+        for ell in range(params.n_nucleons):
+            e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
+                                       lambda_uv, variant, params,
+                                       i_nucleon=ell)
+        return e_rows
+    lam_cont = np.inf if lambda_uv is None else lambda_uv
+    points = basis.nucleon_grid.points
+    norms = np.linalg.norm(points, axis=-1)
+    memo = {}
+    for ell in range(params.n_nucleons):
+        p_idx = nuc_table[:, ell]
+        for flat in np.unique(p_idx):
+            key = (ell, round(float(norms[flat]), 12))
+            if key not in memo:
+                memo[key] = counterterm(points[flat], lam_cont, variant,
+                                        params, i_nucleon=ell).value
+        e_rows += np.array([memo[(ell, round(float(norms[f]), 12))]
+                            for f in p_idx])
+    return e_rows
+
+
+# ---------------------------------------------------------------------------
 # free diagonal
 
-def assemble_L(basis: FockBasis, params: ModelParams) -> SparseOperator:
+def assemble_L(basis: FockBasis) -> SparseOperator:
     """Free-energy diagonal: sum of nucleon dispersions plus boson
     dispersions of each configuration."""
-
-    def free_energy(big_p, big_k):
-        return (dispersion_nucleon(big_p, params).sum(axis=-1)
-                + dispersion_boson(big_k, params).sum(axis=-1))
-
-    vals = diagonal_values(basis, free_energy)
-    return _diag_op(basis, vals, {"path": "diag", "kind": "L"})
-
-
-def _free_diagonal(basis: FockBasis, params: ModelParams) -> np.ndarray:
-    def free_energy(big_p, big_k):
-        return (dispersion_nucleon(big_p, params).sum(axis=-1)
-                + dispersion_boson(big_k, params).sum(axis=-1))
-
-    return np.real(diagonal_values(basis, free_energy))
+    return _diag_op(basis, basis.free_diagonal, {"path": "diag", "kind": "L"})
 
 
 # ---------------------------------------------------------------------------
 # creation / annihilation
 
-def _creation_matrix(basis: FockBasis, lambda_uv,
-                     params: ModelParams) -> sparse.csr_array:
+def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
+    params = basis.params
     nuc, bos = basis.nucleon_grid, basis.boson_grid
     if lambda_uv is not None and lambda_uv > bos.k_max * (1 + 1e-12):
         warnings.warn("cutoff radius %.6g exceeds the boson box reach %.6g"
@@ -236,20 +265,18 @@ def _creation_matrix(basis: FockBasis, lambda_uv,
     return _csr(rows, cols, vals, basis.total_dim)
 
 
-def assemble_creation(basis: FockBasis, lambda_uv,
-                      params: ModelParams) -> SparseOperator:
+def assemble_creation(basis: FockBasis, lambda_uv) -> SparseOperator:
     """Cutoff creation operator: adds one boson below the cutoff radius
     with the emitting nucleon recoiling on the lattice (out-of-lattice
     recoils are dropped)."""
-    m = _creation_matrix(basis, lambda_uv, params)
+    m = _creation_matrix(basis, lambda_uv)
     return SparseOperator(basis, m, {"path": "direct", "kind": "creation",
                                      "lambda_uv": lambda_uv}, False)
 
 
-def assemble_annihilation(basis: FockBasis, lambda_uv,
-                          params: ModelParams) -> SparseOperator:
+def assemble_annihilation(basis: FockBasis, lambda_uv) -> SparseOperator:
     """Exact matrix adjoint of assemble_creation (the defining property)."""
-    m = _creation_matrix(basis, lambda_uv, params).conj().T.tocsr()
+    m = _creation_matrix(basis, lambda_uv).conj().T.tocsr()
     return SparseOperator(basis, m, {"path": "direct", "kind": "annihilation",
                                      "lambda_uv": lambda_uv}, False)
 
@@ -257,37 +284,45 @@ def assemble_annihilation(basis: FockBasis, lambda_uv,
 # ---------------------------------------------------------------------------
 # boundary map G and the virtual-boson block
 
-def assemble_G(basis: FockBasis, lambda_uv, lambda_shift: float,
-               params: ModelParams) -> SparseOperator:
-    """Boundary map G = -(L + lambda)^(-1) a*(V)."""
-    if params.m_boson == 0.0 and lambda_shift <= 0.0:
+def _check_shift(basis: FockBasis, lambda_shift: float) -> None:
+    if basis.params.m_boson == 0.0 and lambda_shift <= 0.0:
         raise MasslessWithoutShift(
             "massless bosons need a positive energy shift lambda")
     if lambda_shift < 0.0:
         raise ValueError("lambda_shift must be >= 0")
-    a_mat = _creation_matrix(basis, lambda_uv, params)
-    lv = _free_diagonal(basis, params) + lambda_shift
-    # scale rows of a*(V) directly: its range misses the states (if any)
-    # where L + lambda could vanish, so only positive energies divide
+
+
+def _boundary_map(a_mat: sparse.csr_array, lv: np.ndarray) -> sparse.csr_array:
+    """-(L + lambda)^(-1) a*(V) from the creation matrix and the shifted
+    free diagonal lv.  Rows of a*(V) are scaled directly: its range misses
+    the states (if any) where L + lambda could vanish, so only positive
+    energies divide."""
     coo = a_mat.tocoo()
-    g = sparse.coo_array((coo.data * (-1.0 / lv[coo.row]),
-                          (coo.row, coo.col)),
-                         shape=coo.shape).tocsr()
+    return sparse.coo_array((coo.data * (-1.0 / lv[coo.row]),
+                             (coo.row, coo.col)), shape=coo.shape).tocsr()
+
+
+def assemble_G(basis: FockBasis, lambda_uv,
+               lambda_shift: float) -> SparseOperator:
+    """Boundary map G = -(L + lambda)^(-1) a*(V)."""
+    _check_shift(basis, lambda_shift)
+    g = _boundary_map(_creation_matrix(basis, lambda_uv),
+                      basis.free_diagonal + lambda_shift)
     return SparseOperator(basis, g, {"path": "ibc", "kind": "G",
                                      "lambda_uv": lambda_uv,
                                      "lambda_shift": lambda_shift}, False)
 
 
-def assemble_T_cutoff(basis: FockBasis, lambda_uv, lambda_shift: float,
-                      params: ModelParams) -> SparseOperator:
+def assemble_T_cutoff(basis: FockBasis, lambda_uv,
+                      lambda_shift: float) -> SparseOperator:
     """Virtual-boson block T = -G*(L+lambda)G; the equal product a(V)G is
     also formed and the agreement recorded in the tags."""
-    g_op = assemble_G(basis, lambda_uv, lambda_shift, params)
-    g = g_op.matrix
-    lv = _free_diagonal(basis, params) + lambda_shift
+    _check_shift(basis, lambda_shift)
+    a_mat = _creation_matrix(basis, lambda_uv)
+    lv = basis.free_diagonal + lambda_shift
+    g = _boundary_map(a_mat, lv)
     w = sparse.diags_array(lv, format="csr")
     t_main = sparse.csr_array(-(g.conj().T @ (w @ g)))
-    a_mat = _creation_matrix(basis, lambda_uv, params)
     t_alt = sparse.csr_array(a_mat.conj().T @ g)
     diff = (t_main - t_alt).tocoo()
     agreement = float(np.abs(diff.data).max()) if diff.nnz else 0.0
@@ -301,9 +336,12 @@ def assemble_T_cutoff(basis: FockBasis, lambda_uv, lambda_shift: float,
 # ---------------------------------------------------------------------------
 # diagonal part of the renormalized block
 
+#: states per resolvent_sum_grid call; bounds the (states, modes) temporaries
+_TD_CHUNK = 40_000
+
+
 def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
-                params: ModelParams, lambda_shift: float = 0.0,
-                chunk: int = 40_000) -> SparseOperator:
+                lambda_shift: float = 0.0) -> SparseOperator:
     """Diagonal multiplier of the renormalized virtual-boson block.
 
     Equals counterterm(variant) minus the resolvent sum over one-boson
@@ -312,17 +350,12 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     sectors this is the familiar subtracted combination (variant 1 drops
     the dispersion-shift part, variant 2 includes it).
     """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    if quad_mode not in ("grid", "continuum"):
-        raise ValueError("quad_mode must be 'grid' or 'continuum'")
+    params = basis.params
     report = check_condition_c(params)
     if not report.holds:
         raise ConditionCViolated(
             "ultraviolet degree %.6g outside [0, %.6g)"
             % (report.uv_degree, report.bound))
-    if quad_mode == "grid":
-        _require_shared_lattice(basis)
     grid = basis.boson_grid
     m_nuc = params.n_nucleons
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
@@ -330,50 +363,27 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     theta_state = theta_pt[nuc_table].sum(axis=1)
     lam_cont = np.inf if lambda_uv is None else lambda_uv
 
-    # counterterm per nucleon configuration (boson independent)
-    e_diag = np.zeros(basis.nuc_dim)
-    memo_e = {}
-    for ell in range(m_nuc):
-        p_idx = nuc_table[:, ell]
-        if quad_mode == "grid":
-            e_diag += counterterm_grid(p_idx, grid, lambda_uv, variant,
-                                       params, i_nucleon=ell)
-        else:
-            norms = np.linalg.norm(basis.nucleon_grid.points, axis=-1)
-            for flat in np.unique(p_idx):
-                key = (ell, round(float(norms[flat]), 12))
-                if key not in memo_e:
-                    memo_e[key] = counterterm(
-                        basis.nucleon_grid.points[flat], lam_cont, variant,
-                        params, i_nucleon=ell).value
-            e_diag += np.array([memo_e[(ell, round(float(norms[f]), 12))]
-                                for f in p_idx])
-
-    diag = np.zeros(basis.total_dim)
+    diag = basis.nucleon_diagonal(
+        _counterterm_rows(basis, lambda_uv, variant, quad_mode))
     memo_j = {}
-    for n in range(basis.n_max + 1):
+    for n in range(basis.n_max):
         b_dim = basis.bos_dim(n)
         sl = basis.sector_slice(n)
-        if n == basis.n_max:
-            diag[sl] = np.repeat(e_diag, b_dim)
-            continue
         omega_b = np.real(
             dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1))
         if quad_mode == "grid":
-            sector = np.repeat(e_diag, b_dim)
             for ell in range(m_nuc):
                 p_rep = np.repeat(nuc_table[:, ell], b_dim)
                 rest = (np.repeat(theta_state - theta_pt[nuc_table[:, ell]],
                                   b_dim)
                         + np.tile(omega_b, basis.nuc_dim))
                 out = np.empty(p_rep.shape[0])
-                for lo in range(0, p_rep.shape[0], chunk):
-                    hi = min(lo + chunk, p_rep.shape[0])
+                for lo in range(0, p_rep.shape[0], _TD_CHUNK):
+                    hi = min(lo + _TD_CHUNK, p_rep.shape[0])
                     out[lo:hi] = resolvent_sum_grid(
                         p_rep[lo:hi], rest[lo:hi], grid, lambda_uv, params,
                         i_nucleon=ell, lambda_shift=lambda_shift)
-                sector -= out
-            diag[sl] = sector
+                diag[sl] -= out
         else:
             # the subtracted integral depends on the state only through
             # (|p_ell|, rest energy) -- the same rotation covariance the
@@ -414,28 +424,39 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
 # ---------------------------------------------------------------------------
 # off-diagonal exchange pieces
 
+def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
+    """Lattice tables both exchange families share, for a validated
+    nucleon pair: the active boson modes, the p - q and p + q shift
+    tables, the per-nucleon index table with its flat-index strides, the
+    nucleon dispersion per lattice point and per configuration, and the
+    boson dispersion per mode."""
+    params = basis.params
+    m_nuc = params.n_nucleons
+    if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
+        raise IndexError("nucleon index out of range")
+    nuc, bos = basis.nucleon_grid, basis.boson_grid
+    nuc_table = basis.nucleon_mode_table().astype(np.int64)
+    theta_pt = np.real(dispersion_nucleon(nuc.points, params))
+    strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
+    return (np.flatnonzero(grid_mode_mask(bos, lambda_uv, params)),
+            _shift_table(nuc, bos, sign=-1), _shift_table(nuc, bos, sign=+1),
+            nuc_table, strides, theta_pt, theta_pt[nuc_table].sum(axis=1),
+            np.real(dispersion_boson_norm(bos.norms(), params)))
+
+
 def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
-                   quad_mode: str, params: ModelParams,
                    lambda_shift: float = 0.0) -> SparseOperator:
     """Nucleon-exchange piece: the virtual boson is emitted by nucleon i
     and reabsorbed by nucleon ell (i != ell), the boson content of the
     state unchanged.  Always a lattice sum: continuum quadrature applies
-    only to diagonal multipliers, so quad_mode merely tags the output.
+    only to diagonal multipliers.
     """
-    m_nuc = params.n_nucleons
     if i == ell:
         raise IndexError("theta needs two distinct nucleon indices")
-    if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
-        raise IndexError("nucleon index out of range")
+    (active, tbl_minus, tbl_plus, nuc_table, strides, theta_pt, theta_state,
+     om) = _exchange_tables(basis, i, ell, lambda_uv)
+    params = basis.params
     nuc, bos = basis.nucleon_grid, basis.boson_grid
-    mask = grid_mode_mask(bos, lambda_uv, params)
-    tbl_minus = _shift_table(nuc, bos, sign=-1)
-    tbl_plus = _shift_table(nuc, bos, sign=+1)
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
-    theta_pt = np.real(dispersion_nucleon(nuc.points, params))
-    theta_state = theta_pt[nuc_table].sum(axis=1)
-    om = np.real(dispersion_boson_norm(bos.norms(), params))
     nuc_flat = np.arange(basis.nuc_dim, dtype=np.int64)
     rows, cols, vals = [], [], []
     for n in range(basis.n_max):           # intermediates live in sector n+1
@@ -443,7 +464,7 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
         all_bos = np.arange(b_dim, dtype=np.int64)
         omega_b = np.real(
             dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1))
-        for q in np.flatnonzero(mask):
+        for q in active:
             q_pt = bos.points[q]
             src_i = nuc_table[:, i]
             z_i = tbl_minus[src_i, q]
@@ -473,32 +494,21 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
     return SparseOperator(basis, m, {"path": "ibc", "kind": "theta",
                                      "i": i, "ell": ell,
                                      "lambda_uv": lambda_uv,
-                                     "lambda_shift": lambda_shift,
-                                     "quad_mode": quad_mode}, False)
+                                     "lambda_shift": lambda_shift}, False)
 
 
 def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
-                 quad_mode: str, params: ModelParams,
                  lambda_shift: float = 0.0) -> SparseOperator:
     """Boson-exchange piece: nucleon i emits a boson while nucleon ell
     absorbs one already present (i = ell allowed).  Vanishes on the
     vacuum sector and on the top sector (no room for the intermediate).
     Always a lattice sum, as for assemble_theta.
     """
-    m_nuc = params.n_nucleons
-    if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
-        raise IndexError("nucleon index out of range")
+    (active, tbl_minus, tbl_plus, nuc_table, strides, theta_pt, theta_state,
+     om) = _exchange_tables(basis, i, ell, lambda_uv)
+    params = basis.params
     nuc, bos = basis.nucleon_grid, basis.boson_grid
-    mask = grid_mode_mask(bos, lambda_uv, params)
-    tbl_minus = _shift_table(nuc, bos, sign=-1)
-    tbl_plus = _shift_table(nuc, bos, sign=+1)
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
-    theta_pt = np.real(dispersion_nucleon(nuc.points, params))
-    theta_state = theta_pt[nuc_table].sum(axis=1)
-    om = np.real(dispersion_boson_norm(bos.norms(), params))
     nuc_flat = np.arange(basis.nuc_dim, dtype=np.int64)
-    active = np.flatnonzero(mask)
     rows, cols, vals = [], [], []
     for n in range(1, basis.n_max):        # intermediates live in sector n+1
         modes = basis.bos_modes[n].astype(np.int64)
@@ -555,76 +565,42 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
     return SparseOperator(basis, m, {"path": "ibc", "kind": "tau",
                                      "i": i, "ell": ell,
                                      "lambda_uv": lambda_uv,
-                                     "lambda_shift": lambda_shift,
-                                     "quad_mode": quad_mode}, False)
+                                     "lambda_shift": lambda_shift}, False)
 
 
-def assemble_T_od(basis: FockBasis, lambda_uv, quad_mode: str,
-                  params: ModelParams,
+def assemble_T_od(basis: FockBasis, lambda_uv,
                   lambda_shift: float = 0.0) -> SparseOperator:
     """Off-diagonal renormalized block: minus the sum of all
 
     nucleon-exchange pieces (i != ell) and boson-exchange pieces (all
     pairs), with the explicit minus signs of the decomposition."""
-    m_nuc = params.n_nucleons
+    m_nuc = basis.params.n_nucleons
     total = sparse.csr_array((basis.total_dim, basis.total_dim), dtype=complex)
     for a in range(m_nuc):
         for b in range(m_nuc):
             if a != b:
                 total = total + assemble_theta(basis, a, b, lambda_uv,
-                                               quad_mode, params,
                                                lambda_shift).matrix
-            total = total + assemble_tau(basis, a, b, lambda_uv, quad_mode,
-                                         params, lambda_shift).matrix
+            total = total + assemble_tau(basis, a, b, lambda_uv,
+                                         lambda_shift).matrix
     return SparseOperator(basis, sparse.csr_array(-total),
                           {"path": "ibc", "kind": "T_od",
                            "lambda_uv": lambda_uv,
-                           "lambda_shift": lambda_shift,
-                           "quad_mode": quad_mode}, False)
+                           "lambda_shift": lambda_shift}, False)
 
 
 # ---------------------------------------------------------------------------
 # the two Hamiltonian assembly routes
 
 def assemble_H_direct(basis: FockBasis, lambda_uv, variant: int,
-                      quad_mode: str, params: ModelParams) -> SparseOperator:
+                      quad_mode: str) -> SparseOperator:
     """Direct route: free diagonal plus the cutoff interaction pair plus
     the counterterm diagonal."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    if quad_mode not in ("grid", "continuum"):
-        raise ValueError("quad_mode must be 'grid' or 'continuum'")
-    if quad_mode == "grid":
-        _require_shared_lattice(basis)
-    a_mat = _creation_matrix(basis, lambda_uv, params)
-    lv = _free_diagonal(basis, params)
-
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    e_diag = np.zeros(basis.nuc_dim)
-    lam_cont = np.inf if lambda_uv is None else lambda_uv
-    memo = {}
-    for ell in range(params.n_nucleons):
-        p_idx = nuc_table[:, ell]
-        if quad_mode == "grid":
-            e_diag += counterterm_grid(p_idx, basis.boson_grid, lambda_uv,
-                                       variant, params, i_nucleon=ell)
-        elif lam_cont == 0.0:
-            pass
-        else:
-            norms = np.linalg.norm(basis.nucleon_grid.points, axis=-1)
-            for flat in np.unique(p_idx):
-                key = (ell, round(float(norms[flat]), 12))
-                if key not in memo:
-                    memo[key] = counterterm(
-                        basis.nucleon_grid.points[flat], lam_cont, variant,
-                        params, i_nucleon=ell).value
-            e_diag += np.array([memo[(ell, round(float(norms[f]), 12))]
-                                for f in p_idx])
-
-    diag = np.concatenate([np.repeat(e_diag, basis.bos_dim(n))
-                           for n in range(basis.n_max + 1)])
+    e_rows = _counterterm_rows(basis, lambda_uv, variant, quad_mode)
+    a_mat = _creation_matrix(basis, lambda_uv)
+    diag = basis.free_diagonal + basis.nucleon_diagonal(e_rows)
     h = sparse.csr_array(
-        sparse.diags_array((lv + diag).astype(complex), format="csr")
+        sparse.diags_array(diag.astype(complex), format="csr")
         + a_mat + a_mat.conj().T)
     return SparseOperator(basis, h, {"path": "direct",
                                      "lambda_uv": lambda_uv,
@@ -633,25 +609,23 @@ def assemble_H_direct(basis: FockBasis, lambda_uv, variant: int,
 
 
 def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
-                   lambda_shift: float, quad_mode: str,
-                   params: ModelParams) -> SparseOperator:
+                   lambda_shift: float, quad_mode: str) -> SparseOperator:
     """Boundary route: (1-G)*(L+lambda)(1-G) + T_d + T_od - lambda.
 
     Algebraically equal to the direct route for every cutoff, variant
     and shift; the equality on the lattice is the package's central
     correctness check.
     """
-    g_op = assemble_G(basis, lambda_uv, lambda_shift, params)
-    lv = _free_diagonal(basis, params) + lambda_shift
+    g_op = assemble_G(basis, lambda_uv, lambda_shift)
+    lv = basis.free_diagonal + lambda_shift
     one = sparse.csr_array(sparse.eye_array(basis.total_dim, dtype=complex,
                                             format="csr"))
     one_minus_g = sparse.csr_array(one - g_op.matrix)
     w = sparse.diags_array(lv, format="csr")
     prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
-    td = assemble_Td(basis, lambda_uv, variant, quad_mode, params,
+    td = assemble_Td(basis, lambda_uv, variant, quad_mode,
                      lambda_shift=lambda_shift)
-    tod = assemble_T_od(basis, lambda_uv, quad_mode, params,
-                        lambda_shift=lambda_shift)
+    tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift)
     h = sparse.csr_array(prod + td.matrix + tod.matrix
                          - lambda_shift * one)
     return SparseOperator(basis, h, {"path": "ibc",
@@ -727,28 +701,23 @@ def export_triplets(op: SparseOperator, path) -> None:
                  for k, v in op.tags.items()},
         "basis_sha256": basis_digest(op.basis),
     }
+    # one float table formatted in a single pass; indices stay exact
+    # in float64 far beyond any basis dimension
+    table = np.column_stack((coo.row[order], coo.col[order],
+                             coo.data.real[order], coo.data.imag[order]))
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for k in order:
-            fh.write("%d %d %.17g %.17g\n"
-                     % (coo.row[k], coo.col[k],
-                        coo.data[k].real, coo.data[k].imag))
+        fh.write("%d %d %.17g %.17g\n" * coo.nnz
+                 % tuple(table.ravel().tolist()))
 
 
 def load_triplets(path):
     """Read back an exported operator: (header dict, csr matrix)."""
     with open(path) as fh:
         header = json.loads(fh.readline())
-        rows, cols, re_, im_ = [], [], [], []
-        for line in fh:
-            r, c, x, y = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            re_.append(float(x))
-            im_.append(float(y))
-    shape = tuple(header["shape"])
+        table = np.array(fh.read().split(), dtype=float).reshape(-1, 4)
+    idx = table[:, :2].astype(np.int64)
     m = sparse.coo_array(
-        (np.array(re_) + 1j * np.array(im_),
-         (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=shape).tocsr()
+        (table[:, 2] + 1j * table[:, 3], (idx[:, 0], idx[:, 1])),
+        shape=tuple(header["shape"])).tocsr()
     return header, m

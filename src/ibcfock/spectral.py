@@ -36,17 +36,17 @@ from .errors import (
     SolveNotConverged,
 )
 from .fockgrid import FockBasis
-from .model import ModelParams, ultraviolet_degree
+from .model import ultraviolet_degree
 from .ops import (
     SparseOperator,
+    _counterterm_rows,
     _creation_matrix,
-    _free_diagonal,
     assemble_G,
     assemble_H_direct,
     assemble_T_cutoff,
     basis_digest,
 )
-from .quad import counterterm_grid, loglog_slope
+from .quad import loglog_slope
 
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
 SPLU_DIM_MAX = 2_000_000     # sparse LU is fine for every desk-scale basis
@@ -263,7 +263,7 @@ class ConvergenceTable:
 
 
 def cutoff_convergence_study(basis: FockBasis, lambda_list, variant: int,
-                             params: ModelParams, lambda_shift: float = 0.0,
+                             lambda_shift: float = 0.0,
                              eig_tol: float = 1e-9, norm_tol: float = 1e-4,
                              weight_epsilon: float = 0.1,
                              z: complex = -1.0j) -> ConvergenceTable:
@@ -288,7 +288,8 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variant: int,
         raise ValueError("largest cutoff %.6g exceeds the grid reach %.6g"
                          % (max(lams), reach))
 
-    lv = _free_diagonal(basis, params)
+    params = basis.params
+    lv = basis.free_diagonal
     free = sparse.diags_array(lv.astype(complex), format="csr")
     exps = ultraviolet_degree(params)
     weight = (lv + 1.0) ** (-(max(exps.uv_degree, 0.0) / params.gamma
@@ -298,27 +299,22 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variant: int,
 
     hams, t_blocks, grounds, controls = [], [], [], []
     for lam in lams:
-        hd = assemble_H_direct(basis, lam, variant, "grid", params)
+        hd = assemble_H_direct(basis, lam, variant, "grid")
         hams.append(hd)
         grounds.append(float(lowest_eigenpairs(hd, 1, eig_tol).values[0]))
-        a_mat = _creation_matrix(basis, lam, params)
+        a_mat = _creation_matrix(basis, lam)
         h_bare = SparseOperator(
             basis, sparse.csr_array(free + a_mat + a_mat.conj().T),
             {"path": "direct", "lambda_uv": lam, "control": "no-counterterm"},
             True)
         controls.append(float(lowest_eigenpairs(h_bare, 1, eig_tol).values[0]))
-        t_op = assemble_T_cutoff(basis, lam, lambda_shift, params)
-        e_rows = np.zeros(basis.nuc_dim)
-        nuc_table = basis.nucleon_mode_table().astype(np.int64)
-        for ell in range(params.n_nucleons):
-            e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
-                                       lam, variant, params, i_nucleon=ell)
+        t_op = assemble_T_cutoff(basis, lam, lambda_shift)
+        e_diag = basis.nucleon_diagonal(
+            _counterterm_rows(basis, lam, variant, "grid"))
         # the cutoff block lives on sectors below the top (its
         # intermediates carry one extra boson), so the counterterm is
         # paired with it on those sectors only
-        e_diag = np.zeros(basis.total_dim)
-        for n in range(basis.n_max):
-            e_diag[basis.sector_slice(n)] = np.repeat(e_rows, basis.bos_dim(n))
+        e_diag[basis.sector_slice(basis.n_max)] = 0.0
         t_blocks.append(sparse.csr_array(
             t_op.matrix + sparse.diags_array(e_diag.astype(complex),
                                              format="csr")))
@@ -454,8 +450,8 @@ class RegularityReport:
             fh.write("\n")
 
 
-def regularity_diagnostic(bases, variant: int, eta_list, params: ModelParams,
-                          lambda_uv=None, lambda_shift: float = 0.0,
+def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
+                          lambda_shift: float = 0.0,
                           eig_tol: float = 1e-8) -> RegularityReport:
     """Growth of ||L^eta G psi|| across refinements of the momentum box.
 
@@ -464,10 +460,14 @@ def regularity_diagnostic(bases, variant: int, eta_list, params: ModelParams,
     split psi = (1-G)psi + G psi uses the boundary map at the same
     cutoff.  Below the threshold exponent the singular norm stabilizes;
     at and above it the norms grow without bound as the box widens.
+    Every refinement must carry the same model.
     """
     bases = list(bases)
     if len(bases) < 3:
         raise InsufficientPoints("need at least 3 refinements")
+    params = bases[0].params
+    if any(b.params != params for b in bases[1:]):
+        raise ValueError("refinements must share one model")
     k_maxes = [b.boson_grid.k_max for b in bases]
     if any(b <= a for a, b in zip(k_maxes, k_maxes[1:])):
         raise ValueError("refinements must have strictly increasing k_max")
@@ -478,15 +478,15 @@ def regularity_diagnostic(bases, variant: int, eta_list, params: ModelParams,
     rows, energies, digests = [], [], []
     singular = {e: [] for e in etas}
     for basis in bases:
-        hd = assemble_H_direct(basis, lambda_uv, variant, "grid", params)
+        hd = assemble_H_direct(basis, lambda_uv, variant, "grid")
         eig = lowest_eigenpairs(hd, 1, eig_tol)
         psi = eig.vectors[:, 0]
         psi = psi / np.linalg.norm(psi)
         energies.append(float(eig.values[0]))
         digests.append(basis_digest(basis))
-        g_psi = assemble_G(basis, lambda_uv, lambda_shift, params).matrix @ psi
+        g_psi = assemble_G(basis, lambda_uv, lambda_shift).matrix @ psi
         reg = psi - g_psi
-        lv = _free_diagonal(basis, params)
+        lv = basis.free_diagonal
         for e in etas:
             w = lv ** e
             ns = float(np.linalg.norm(w * g_psi))

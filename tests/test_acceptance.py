@@ -44,9 +44,9 @@ def test_direct_and_boundary_assemblies_match_on_presets():
             for lam in (1.0, 2.0, 4.0):
                 for variant in (1, 2):
                     direct = ib.assemble_H_direct(basis, lam, variant,
-                                                  "grid", params)
+                                                  "grid")
                     ibc = ib.assemble_H_ibc(basis, lam, variant, 0.0,
-                                            "grid", params)
+                                            "grid")
                     rep = ib.verify_identity(direct, ibc, tol=1e-10)
                     assert rep.passed, (params.kind, lam, variant,
                                         rep.max_rel_diff)
@@ -65,7 +65,7 @@ def test_energy_shift_invariance_and_massless_guard():
             warnings.simplefilter("ignore")
             for variant in (1, 2):
                 ops = [ib.assemble_H_ibc(basis, 4.0, variant, shift,
-                                         "grid", params)
+                                         "grid")
                        for shift in (0.0, 1.0, 10.0)]
                 for other in ops[1:]:
                     rep = ib.verify_identity(ops[0], other, tol=1e-10)
@@ -76,10 +76,10 @@ def test_energy_shift_invariance_and_massless_guard():
     massless = ib.eckmann_model(delta=0.0, coupling=1.0, mu=1.0,
                                 m_boson=0.0)
     basis = preset_basis(massless, 1.0, 3, 1)
-    shifted = ib.assemble_H_ibc(basis, 1.0, 1, 1.0, "grid", massless)
+    shifted = ib.assemble_H_ibc(basis, 1.0, 1, 1.0, "grid")
     assert shifted.nnz > 0
     with pytest.raises(MasslessWithoutShift):
-        ib.assemble_H_ibc(basis, 1.0, 1, 0.0, "grid", massless)
+        ib.assemble_H_ibc(basis, 1.0, 1, 0.0, "grid")
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +114,14 @@ def test_vacuum_sector_counterterm_cancellation():
     for lam in (1.0, 2.0):
         # the virtual-boson block restricted to the vacuum sector is
         # exactly minus the momentum-dependent lattice counterterm
-        t_cut = ib.assemble_T_cutoff(basis, lam, 0.0, params)
+        t_cut = ib.assemble_T_cutoff(basis, lam, 0.0)
         block = t_cut.matrix[s0, s0].toarray()
         e2 = ib.counterterm_grid(nuc_table[:, 0], basis.boson_grid, lam,
                                  2, params, i_nucleon=0)
         assert np.abs(block + np.diag(e2)).max() <= 1e-12
 
         # the boson-exchange piece has no vacuum-sector matrix elements
-        tau = ib.assemble_tau(basis, 0, 0, lam, "grid", params)
+        tau = ib.assemble_tau(basis, 0, 0, lam)
         assert tau.nnz > 0
         dense_rows = np.abs(tau.matrix[s0, :].toarray())
         dense_cols = np.abs(tau.matrix[:, s0].toarray())
@@ -129,7 +129,7 @@ def test_vacuum_sector_counterterm_cancellation():
 
         # the diagonal renormalized block is a real multiplier
         for variant in (1, 2):
-            td = ib.assemble_Td(basis, lam, variant, "grid", params)
+            td = ib.assemble_Td(basis, lam, variant, "grid")
             coo = td.matrix.tocoo()
             assert np.all(coo.row == coo.col), "off-diagonal entries"
             assert np.abs(coo.data.imag).max() <= 1e-15
@@ -161,31 +161,27 @@ def test_adjoint_identities_on_random_bases():
         lam = float(rng.choice((1.0, 2.0)))
         shift = float(rng.choice((0.0, 0.7)))
 
-        a_up = ib.assemble_creation(basis, lam, params)
-        a_dn = ib.assemble_annihilation(basis, lam, params)
+        a_up = ib.assemble_creation(basis, lam)
+        a_dn = ib.assemble_annihilation(basis, lam)
         d = a_dn.matrix - a_up.matrix.conj().T
         assert (np.abs(d.data).max() if d.nnz else 0.0) <= 1e-12
 
         for i in range(m_nuc):
             for ell in range(m_nuc):
-                tau_il = ib.assemble_tau(basis, i, ell, lam, "grid",
-                                         params, shift)
-                tau_li = ib.assemble_tau(basis, ell, i, lam, "grid",
-                                         params, shift)
+                tau_il = ib.assemble_tau(basis, i, ell, lam, shift)
+                tau_li = ib.assemble_tau(basis, ell, i, lam, shift)
                 d = tau_il.matrix.conj().T - tau_li.matrix
                 assert (np.abs(d.data).max() if d.nnz else 0.0) <= 1e-12
                 seen_tau |= tau_il.nnz > 0
                 if i != ell:
-                    th_il = ib.assemble_theta(basis, i, ell, lam, "grid",
-                                              params, shift)
-                    th_li = ib.assemble_theta(basis, ell, i, lam, "grid",
-                                              params, shift)
+                    th_il = ib.assemble_theta(basis, i, ell, lam, shift)
+                    th_li = ib.assemble_theta(basis, ell, i, lam, shift)
                     d = th_il.matrix.conj().T - th_li.matrix
                     assert (np.abs(d.data).max()
                             if d.nnz else 0.0) <= 1e-12
                     seen_theta |= th_il.nnz > 0
 
-        t_cut = ib.assemble_T_cutoff(basis, lam, shift, params)
+        t_cut = ib.assemble_T_cutoff(basis, lam, shift)
         assert t_cut.tags["product_agreement"] <= 1e-12
         assert t_cut.hermiticity_defect() <= 1e-12
     assert seen_theta and seen_tau, "randomization never hit a nonzero case"
@@ -280,7 +276,7 @@ def test_cutoff_convergence_desk_study():
     basis = preset_basis(params, 8.0, 17, 1)
     lams = (1.0, 2.0, 4.0, 8.0)
     for variant in (1, 2):
-        table = ib.cutoff_convergence_study(basis, lams, variant, params)
+        table = ib.cutoff_convergence_study(basis, lams, variant)
         rdiff = table.column("resolvent_diff_to_finest")
         assert rdiff[-1] == 0.0
         assert all(a > b for a, b in zip(rdiff[:-1], rdiff[1:])), rdiff
@@ -302,7 +298,7 @@ def test_cutoff_convergence_desk_study():
 def test_regularity_dichotomy_across_refinements():
     params = ib.gross_model(coupling=0.3, mu=0.1875, m_boson=0.1875)
     bases = [preset_basis(params, k, int(2 * k) + 1, 1) for k in (4, 8, 16)]
-    report = ib.regularity_diagnostic(bases, 1, (0.25, 0.5, 0.75), params)
+    report = ib.regularity_diagnostic(bases, 1, (0.25, 0.5, 0.75))
     assert report.threshold == pytest.approx(0.5, abs=1e-12)
     assert report.slopes[0.25] < 0.05, report.slopes
     assert report.slopes[0.75] > 0.2, report.slopes

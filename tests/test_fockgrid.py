@@ -156,6 +156,11 @@ def test_apply_diag_free_energy_value():
                    (fg.point_index(grid, [0.0, 0.0]), fg.point_index(grid, [0.0, 0.0])))
     assert vals[i] == pytest.approx(3.0)  # rest masses: 1 + 2*1
     assert np.all(vals >= 1.0)  # free operator bounded below by 1 here
+    # the basis carries the same diagonal, built once and read-only
+    assert np.array_equal(b.free_diagonal, vals)
+    assert b.free_diagonal is b.free_diagonal
+    with pytest.raises(ValueError):
+        b.free_diagonal[0] = 0.0
 
 
 def test_manifest_is_json_serializable():

@@ -76,35 +76,35 @@ def test_single_mode_hand_values():
     basis = single_mode_basis()
     assert basis.total_dim == 3
 
-    lv = assemble_L(basis, GROSS1).matrix.diagonal().real
+    lv = assemble_L(basis).matrix.diagonal().real
     assert np.allclose(lv, [1.0, 2.0, 3.0], atol=1e-15)
 
-    a_op = assemble_creation(basis, None, GROSS1)
+    a_op = assemble_creation(basis, None)
     a = a_op.to_dense().real
     assert abs(a[1, 0] - 1.0) < 1e-15
     assert abs(a[2, 1] - np.sqrt(2.0)) < 1e-15
     assert np.count_nonzero(a) == 2
 
-    g = assemble_G(basis, None, 0.0, GROSS1).to_dense().real
+    g = assemble_G(basis, None, 0.0).to_dense().real
     assert abs(g[1, 0] + 0.5) < 1e-15
     assert abs(g[2, 1] + np.sqrt(2.0) / 3.0) < 1e-15
 
-    t = assemble_T_cutoff(basis, None, 0.0, GROSS1)
+    t = assemble_T_cutoff(basis, None, 0.0)
     assert np.allclose(t.matrix.diagonal().real, [-0.5, -2.0 / 3.0, 0.0],
                        atol=1e-15)
     assert t.tags["product_agreement"] < 1e-14
 
-    td = assemble_Td(basis, None, 1, "grid", GROSS1)
+    td = assemble_Td(basis, None, 1, "grid")
     assert np.allclose(td.matrix.diagonal().real, [0.0, 1.0 / 6.0, 0.5],
                        atol=1e-15)
 
-    tau = assemble_tau(basis, 0, 0, None, "grid", GROSS1).to_dense().real
+    tau = assemble_tau(basis, 0, 0, None).to_dense().real
     expect = np.zeros((3, 3))
     expect[1, 1] = 1.0 / 3.0
     assert np.allclose(tau, expect, atol=1e-15)
 
-    hd = assemble_H_direct(basis, None, 1, "grid", GROSS1).to_dense().real
-    hi = assemble_H_ibc(basis, None, 1, 0.0, "grid", GROSS1).to_dense().real
+    hd = assemble_H_direct(basis, None, 1, "grid").to_dense().real
+    hi = assemble_H_ibc(basis, None, 1, 0.0, "grid").to_dense().real
     expect = np.array([[1.5, 1.0, 0.0],
                        [1.0, 2.5, np.sqrt(2.0)],
                        [0.0, np.sqrt(2.0), 3.5]])
@@ -183,7 +183,7 @@ def test_ordered_tuple_equivalence(params):
     g = build_grid(1, 1.0, 3)
     basis = enumerate_basis(params, g, g, n_max=2)
     blocks, sym = _ordered_creation_blocks(basis, params)
-    a = assemble_creation(basis, None, params).to_dense()
+    a = assemble_creation(basis, None).to_dense()
     for n in range(basis.n_max):
         rows = basis.sector_slice(n + 1)
         cols = basis.sector_slice(n)
@@ -200,22 +200,22 @@ def test_ordered_tuple_equivalence(params):
 
 def test_annihilation_is_exact_adjoint():
     basis = small_basis(GROSS2)
-    a_up = assemble_creation(basis, None, GROSS2)
-    a_dn = assemble_annihilation(basis, None, GROSS2)
+    a_up = assemble_creation(basis, None)
+    a_dn = assemble_annihilation(basis, None)
     assert (a_dn.matrix - a_up.matrix.conj().T).nnz == 0
 
 
 def test_exchange_adjoint_pairs():
     basis = small_basis(GROSS2, n_max=2)
-    th01 = assemble_theta(basis, 0, 1, None, "grid", GROSS2).matrix
-    th10 = assemble_theta(basis, 1, 0, None, "grid", GROSS2).matrix
+    th01 = assemble_theta(basis, 0, 1, None).matrix
+    th10 = assemble_theta(basis, 1, 0, None).matrix
     d = (th01 - th10.conj().T).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) < 1e-15
-    t01 = assemble_tau(basis, 0, 1, None, "grid", GROSS2).matrix
-    t10 = assemble_tau(basis, 1, 0, None, "grid", GROSS2).matrix
+    t01 = assemble_tau(basis, 0, 1, None).matrix
+    t10 = assemble_tau(basis, 1, 0, None).matrix
     d = (t01 - t10.conj().T).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) < 1e-15
-    t00 = assemble_tau(basis, 0, 0, None, "grid", GROSS2)
+    t00 = assemble_tau(basis, 0, 0, None)
     assert t00.hermiticity_defect() < 1e-15
     assert th01.nnz > 0 and t01.nnz > 0
 
@@ -224,10 +224,10 @@ def test_g_adjoint_relation():
     # G*(L+lambda) = -a(V) exactly, the weak boundary identity
     basis = small_basis(GROSS1)
     lam = 0.7
-    g = assemble_G(basis, None, lam, GROSS1).matrix
-    lv = assemble_L(basis, GROSS1).matrix.diagonal().real + lam
+    g = assemble_G(basis, None, lam).matrix
+    lv = assemble_L(basis).matrix.diagonal().real + lam
     lhs = g.conj().T.multiply(lv[None, :]).tocsr()
-    rhs = -assemble_creation(basis, None, GROSS1).matrix.conj().T
+    rhs = -assemble_creation(basis, None).matrix.conj().T
     d = (lhs - rhs).tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) < 1e-13
 
@@ -240,8 +240,8 @@ def test_g_adjoint_relation():
 def test_central_identity_gross_two_nucleons(variant, lam_uv):
     basis = small_basis(GROSS2)
     for lam in (0.0, 1.0, 10.0):
-        hd = assemble_H_direct(basis, lam_uv, variant, "grid", GROSS2)
-        hi = assemble_H_ibc(basis, lam_uv, variant, lam, "grid", GROSS2)
+        hd = assemble_H_direct(basis, lam_uv, variant, "grid")
+        hi = assemble_H_ibc(basis, lam_uv, variant, lam, "grid")
         rep = verify_identity(hd, hi, tol=1e-13)
         assert rep.passed, rep
         assert rep.max_abs_diff < 1e-13
@@ -251,8 +251,8 @@ def test_central_identity_gross_two_nucleons(variant, lam_uv):
 def test_central_identity_eckmann(variant):
     params = eckmann_model(delta=0.25, coupling=0.7, mu=1.0, m_boson=1.0)
     basis = small_basis(params, d=3, n_max=1)
-    hd = assemble_H_direct(basis, None, variant, "grid", params)
-    hi = assemble_H_ibc(basis, None, variant, 0.5, "grid", params)
+    hd = assemble_H_direct(basis, None, variant, "grid")
+    hi = assemble_H_ibc(basis, None, variant, 0.5, "grid")
     rep = verify_identity(hd, hi, tol=1e-13)
     assert rep.passed, rep
 
@@ -261,8 +261,8 @@ def test_central_identity_complex_couplings():
     params = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
                          n_nucleons=2)
     basis = small_basis(params)
-    hd = assemble_H_direct(basis, None, 1, "grid", params)
-    hi = assemble_H_ibc(basis, None, 1, 1.0, "grid", params)
+    hd = assemble_H_direct(basis, None, 1, "grid")
+    hi = assemble_H_ibc(basis, None, 1, 1.0, "grid")
     assert hd.hermiticity_defect() < 1e-14
     rep = verify_identity(hd, hi, tol=1e-13)
     assert rep.passed, rep
@@ -270,8 +270,8 @@ def test_central_identity_complex_couplings():
 
 def test_shift_independence_of_h_ibc():
     basis = small_basis(GROSS1)
-    h1 = assemble_H_ibc(basis, None, 1, 0.5, "grid", GROSS1)
-    h2 = assemble_H_ibc(basis, None, 1, 7.0, "grid", GROSS1)
+    h1 = assemble_H_ibc(basis, None, 1, 0.5, "grid")
+    h2 = assemble_H_ibc(basis, None, 1, 7.0, "grid")
     rep = verify_identity(h1, h2, tol=1e-13)
     assert rep.passed, rep
 
@@ -280,17 +280,17 @@ def test_identity_with_massless_bosons_and_shift():
     params = nelson_model(coupling=1.0, mu=1.0, m_boson=0.0)
     basis = small_basis(params, d=3, n_max=1)
     with pytest.raises(MasslessWithoutShift):
-        assemble_G(basis, None, 0.0, params)
-    hd = assemble_H_direct(basis, None, 1, "grid", params)
-    hi = assemble_H_ibc(basis, None, 1, 0.7, "grid", params)
+        assemble_G(basis, None, 0.0)
+    hd = assemble_H_direct(basis, None, 1, "grid")
+    hi = assemble_H_ibc(basis, None, 1, 0.7, "grid")
     rep = verify_identity(hd, hi, tol=1e-13)
     assert rep.passed, rep
 
 
 def test_identity_on_vacuum_only_truncation():
     basis = small_basis(GROSS1, n_max=0)
-    hd = assemble_H_direct(basis, None, 2, "grid", GROSS1)
-    hi = assemble_H_ibc(basis, None, 2, 0.3, "grid", GROSS1)
+    hd = assemble_H_direct(basis, None, 2, "grid")
+    hi = assemble_H_ibc(basis, None, 2, 0.3, "grid")
     assert verify_identity(hd, hi, tol=1e-14).passed
 
 
@@ -299,7 +299,7 @@ def test_identity_on_vacuum_only_truncation():
 
 def test_t_cutoff_vacuum_diagonal_is_minus_variant2_counterterm():
     basis = small_basis(GROSS1, n_max=1)
-    t = assemble_T_cutoff(basis, 1.0, 0.0, GROSS1)
+    t = assemble_T_cutoff(basis, 1.0, 0.0)
     vac = t.matrix.diagonal().real[:basis.nuc_dim]
     p_idx = basis.nucleon_mode_table()[:, 0]
     ct2 = counterterm_grid(p_idx, basis.boson_grid, 1.0, 2, GROSS1)
@@ -308,7 +308,7 @@ def test_t_cutoff_vacuum_diagonal_is_minus_variant2_counterterm():
 
 def test_td_is_real_diagonal_and_vacuum_values():
     basis = small_basis(GROSS1, n_max=1)
-    td1 = assemble_Td(basis, 1.0, 1, "grid", GROSS1)
+    td1 = assemble_Td(basis, 1.0, 1, "grid")
     m = td1.matrix.tocoo()
     assert np.all(m.row == m.col)
     assert np.abs(m.data.imag).max() == 0.0
@@ -317,21 +317,21 @@ def test_td_is_real_diagonal_and_vacuum_values():
     jg = integral_j_grid(p_idx, basis.boson_grid, 1.0, GROSS1)
     assert np.abs(td1.matrix.diagonal().real[:basis.nuc_dim] - jg).max() < 1e-15
     # variant 2 vacuum diagonal vanishes identically at zero shift
-    td2 = assemble_Td(basis, 1.0, 2, "grid", GROSS1)
+    td2 = assemble_Td(basis, 1.0, 2, "grid")
     assert np.abs(td2.matrix.diagonal().real[:basis.nuc_dim]).max() < 1e-15
 
 
 def test_t_od_matches_sum_of_pieces():
     basis = small_basis(GROSS2, n_max=2)
-    tod = assemble_T_od(basis, 1.0, "grid", GROSS2, lambda_shift=0.4).matrix
+    tod = assemble_T_od(basis, 1.0, lambda_shift=0.4).matrix
     acc = None
     for i in range(2):
         for ell in range(2):
             if i != ell:
-                piece = assemble_theta(basis, i, ell, 1.0, "grid", GROSS2,
+                piece = assemble_theta(basis, i, ell, 1.0,
                                        lambda_shift=0.4).matrix
                 acc = piece if acc is None else acc + piece
-            piece = assemble_tau(basis, i, ell, 1.0, "grid", GROSS2,
+            piece = assemble_tau(basis, i, ell, 1.0,
                                  lambda_shift=0.4).matrix
             acc = piece if acc is None else acc + piece
     d = (tod + acc).tocoo()
@@ -341,10 +341,10 @@ def test_t_od_matches_sum_of_pieces():
 def test_exchange_pieces_vanish_on_top_sector():
     basis = small_basis(GROSS2, n_max=1)
     top = basis.sector_slice(1)
-    th = assemble_theta(basis, 0, 1, None, "grid", GROSS2).matrix.tocoo()
+    th = assemble_theta(basis, 0, 1, None).matrix.tocoo()
     assert not np.any((th.row >= top.start) | (th.col >= top.start))
     # tau needs a boson in the state and an intermediate above it
-    tau = assemble_tau(basis, 0, 0, None, "grid", GROSS2)
+    tau = assemble_tau(basis, 0, 0, None)
     assert tau.nnz == 0
 
 
@@ -352,7 +352,7 @@ def test_g_norm_decreases_with_shift_and_is_contractive():
     basis = small_basis(GROSS1, nax=3)
     norms = []
     for lam in (0.0, 1.0, 10.0, 100.0):
-        g = assemble_G(basis, None, lam, GROSS1).matrix
+        g = assemble_G(basis, None, lam).matrix
         norms.append(svds(g, k=1, return_singular_vectors=False,
                           random_state=0)[0])
     assert all(a > b for a, b in zip(norms, norms[1:]))
@@ -363,7 +363,7 @@ def test_one_minus_g_stays_invertible_under_refinement():
     vals = []
     for nax in (3, 5):
         basis = small_basis(GROSS1, nax=nax)
-        g = assemble_G(basis, None, 0.0, GROSS1).matrix
+        g = assemble_G(basis, None, 0.0).matrix
         vals.append(svds(g, k=1, return_singular_vectors=False,
                          random_state=0)[0])
     # contraction bound: smallest singular value of (1-G) >= 1 - ||G||
@@ -373,13 +373,13 @@ def test_one_minus_g_stays_invertible_under_refinement():
 
 def test_cutoff_zero_gives_free_hamiltonian():
     basis = small_basis(GROSS1)
-    assert assemble_creation(basis, 0.0, GROSS1).nnz == 0
-    hd = assemble_H_direct(basis, 0.0, 1, "grid", GROSS1)
-    lv = assemble_L(basis, GROSS1).matrix.diagonal()
-    d = hd.matrix - assemble_L(basis, GROSS1).matrix
+    assert assemble_creation(basis, 0.0).nnz == 0
+    hd = assemble_H_direct(basis, 0.0, 1, "grid")
+    lv = assemble_L(basis).matrix.diagonal()
+    d = hd.matrix - assemble_L(basis).matrix
     d = d.tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) == 0.0
-    hi = assemble_H_ibc(basis, 0.0, 1, 1.0, "grid", GROSS1)
+    hi = assemble_H_ibc(basis, 0.0, 1, 1.0, "grid")
     assert verify_identity(hd, hi, tol=1e-14).passed
     assert np.abs(hi.matrix.diagonal() - lv).max() < 1e-14
 
@@ -387,9 +387,9 @@ def test_cutoff_zero_gives_free_hamiltonian():
 def test_cutoff_growth_adds_only_annulus_modes():
     basis = small_basis(GROSS1)
     lam1, lam2 = 1.0, 1.5
-    a1 = assemble_creation(basis, lam1, GROSS1).matrix
+    a1 = assemble_creation(basis, lam1).matrix
     with pytest.warns(UserWarning, match="exceeds"):
-        a2 = assemble_creation(basis, lam2, GROSS1).matrix
+        a2 = assemble_creation(basis, lam2).matrix
     # entries at the smaller cutoff persist unchanged at the larger one
     c1 = a1.tocoo()
     same = np.asarray(a2[c1.row, c1.col]).ravel()
@@ -416,9 +416,8 @@ def test_continuum_td_agrees_in_the_interior():
     lam_uv = 0.5
     g = build_grid(2, 1.0, 9)
     basis = enumerate_basis(params, g, g, n_max=1)
-    tg = assemble_Td(basis, lam_uv, 1, "grid", params).matrix.diagonal().real
-    tc = assemble_Td(basis, lam_uv, 1, "continuum",
-                     params).matrix.diagonal().real
+    tg = assemble_Td(basis, lam_uv, 1, "grid").matrix.diagonal().real
+    tc = assemble_Td(basis, lam_uv, 1, "continuum").matrix.diagonal().real
     diff = np.abs(tg - tc)[:basis.nuc_dim]
     norms = np.linalg.norm(g.points, axis=-1)
     interior = norms <= g.k_max - lam_uv - 1e-9
@@ -432,7 +431,7 @@ def test_continuum_td_agrees_in_the_interior():
 def test_continuum_variant2_vacuum_zero():
     params = GROSS1
     basis = small_basis(params, nax=5, n_max=1)
-    td2 = assemble_Td(basis, 1.0, 2, "continuum", params)
+    td2 = assemble_Td(basis, 1.0, 2, "continuum")
     vac = td2.matrix.diagonal().real[:basis.nuc_dim]
     assert np.abs(vac).max() < 1e-8
 
@@ -443,11 +442,11 @@ def test_continuum_variant2_vacuum_zero():
 def test_theta_index_validation():
     basis = small_basis(GROSS2, n_max=1)
     with pytest.raises(IndexError):
-        assemble_theta(basis, 1, 1, None, "grid", GROSS2)
+        assemble_theta(basis, 1, 1, None)
     with pytest.raises(IndexError):
-        assemble_theta(basis, 0, 2, None, "grid", GROSS2)
+        assemble_theta(basis, 0, 2, None)
     with pytest.raises(IndexError):
-        assemble_tau(basis, 2, 0, None, "grid", GROSS2)
+        assemble_tau(basis, 2, 0, None)
 
 
 def test_condition_violation_blocks_renormalized_diagonal():
@@ -455,7 +454,7 @@ def test_condition_violation_blocks_renormalized_diagonal():
     params = custom_model(3, alpha=0.3, beta=1.0, gamma=1.0, mu=1.0)
     basis = small_basis(params, d=3, n_max=1)
     with pytest.raises(ConditionCViolated):
-        assemble_Td(basis, 1.0, 1, "grid", params)
+        assemble_Td(basis, 1.0, 1, "grid")
 
 
 def test_grid_mode_requires_shared_lattice():
@@ -463,15 +462,15 @@ def test_grid_mode_requires_shared_lattice():
     g_b = build_grid(2, 0.9, 3)
     basis = enumerate_basis(GROSS1, g_n, g_b, n_max=1)
     with pytest.raises(ValueError):
-        assemble_Td(basis, 0.5, 1, "grid", GROSS1)
+        assemble_Td(basis, 0.5, 1, "grid")
     with pytest.raises(ValueError):
-        assemble_H_direct(basis, 0.5, 1, "grid", GROSS1)
+        assemble_H_direct(basis, 0.5, 1, "grid")
 
 
 def test_cutoff_beyond_reach_warns():
     basis = small_basis(GROSS1, n_max=1)
     with pytest.warns(UserWarning, match="exceeds"):
-        assemble_creation(basis, 5.0, GROSS1)
+        assemble_creation(basis, 5.0)
 
 
 def test_verify_identity_rejects_mismatched_bases():
@@ -479,12 +478,12 @@ def test_verify_identity_rejects_mismatched_bases():
     g = build_grid(2, 2.0, 3)
     b2 = enumerate_basis(GROSS1, g, g, n_max=1)
     with pytest.raises(BasisMismatch):
-        verify_identity(assemble_L(b1, GROSS1), assemble_L(b2, GROSS1))
+        verify_identity(assemble_L(b1), assemble_L(b2))
 
 
 def test_verify_identity_flags_perturbation():
     basis = small_basis(GROSS1, n_max=1)
-    h1 = assemble_H_direct(basis, None, 1, "grid", GROSS1)
+    h1 = assemble_H_direct(basis, None, 1, "grid")
     m = h1.matrix.tolil(copy=True)
     m[0, 0] += 1e-6
     h2 = type(h1)(basis, m.tocsr(), dict(h1.tags), h1.hermitian_flag)
@@ -499,7 +498,7 @@ def test_verify_identity_flags_perturbation():
 
 def test_triplet_export_roundtrip(tmp_path):
     basis = small_basis(GROSS1, n_max=1)
-    h = assemble_H_ibc(basis, None, 1, 0.5, "grid", GROSS1)
+    h = assemble_H_ibc(basis, None, 1, 0.5, "grid")
     path = tmp_path / "h.triplets"
     export_triplets(h, path)
     header, m = load_triplets(path)
@@ -515,3 +514,28 @@ def test_triplet_export_roundtrip(tmp_path):
     path2 = tmp_path / "h2.triplets"
     export_triplets(h, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_triplet_export_exact_text(tmp_path):
+    # the single-mode direct Hamiltonian of the hand-value test, byte for
+    # byte: diag(1.5, 2.5, 3.5) with couplings 1 and sqrt(2)
+    basis = single_mode_basis()
+    path = tmp_path / "h.triplets"
+    export_triplets(assemble_H_direct(basis, None, 1, "grid"), path)
+    assert path.read_text() == (
+        '{"basis_sha256": "3e946289e90626d516507ab8ec112deb1cc474a9cf65fec26f'
+        'c373704cb099c7", "format": "sparse-triplets-v1", "hermitian": true, '
+        '"nnz": 7, "shape": [3, 3], "tags": {"lambda_uv": null, "path": '
+        '"direct", "quad_mode": "grid", "variant": 1}}\n'
+        "0 0 1.5 0\n"
+        "0 1 1 0\n"
+        "1 0 1 0\n"
+        "1 1 2.5 0\n"
+        "1 2 1.4142135623730951 0\n"
+        "2 1 1.4142135623730951 0\n"
+        "2 2 3.5 0\n")
+    # an operator without stored entries round-trips too
+    empty = tmp_path / "a.triplets"
+    export_triplets(assemble_creation(basis, 0.0), empty)
+    header, m = load_triplets(empty)
+    assert header["nnz"] == 0 and m.nnz == 0 and m.shape == (3, 3)

@@ -38,7 +38,7 @@ def test_lowest_eigenpairs_diagonal_exact():
     # dense regime: a diagonal operator's lowest eigenvalues are the
     # sorted diagonal, degeneracies included
     basis = small_basis()                       # dim 90
-    op = assemble_L(basis, GROSS1)
+    op = assemble_L(basis)
     lv = np.sort(np.real(op.matrix.diagonal()))
     res = lowest_eigenpairs(op, count=3)
     assert res.method == "dense"
@@ -48,7 +48,7 @@ def test_lowest_eigenpairs_diagonal_exact():
 
 def test_lowest_eigenpairs_lanczos_ground():
     basis = small_basis(n_max=2)                # dim 495 -> iterative path
-    op = assemble_L(basis, GROSS1)
+    op = assemble_L(basis)
     res = lowest_eigenpairs(op, count=1, tol=1e-10)
     assert res.method == "lanczos"
     assert abs(res.values[0] - np.real(op.matrix.diagonal()).min()) < 1e-9
@@ -56,7 +56,7 @@ def test_lowest_eigenpairs_lanczos_ground():
 
 def test_lowest_eigenpairs_deterministic():
     basis = small_basis(nax=5, n_max=1)         # dim 650 -> iterative path
-    op = assemble_H_direct(basis, 1.0, 1, "grid", GROSS1)
+    op = assemble_H_direct(basis, 1.0, 1, "grid")
     a = lowest_eigenpairs(op, count=1)
     b = lowest_eigenpairs(op, count=1)
     assert a.values[0] == b.values[0]
@@ -65,7 +65,7 @@ def test_lowest_eigenpairs_deterministic():
 
 def test_lowest_eigenpairs_matches_dense_on_coupled_operator():
     basis = small_basis(nax=5, n_max=1)
-    op = assemble_H_direct(basis, 1.0, 1, "grid", GROSS1)
+    op = assemble_H_direct(basis, 1.0, 1, "grid")
     res = lowest_eigenpairs(op, count=2, tol=1e-12)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     assert res.method == "lanczos"
@@ -74,7 +74,7 @@ def test_lowest_eigenpairs_matches_dense_on_coupled_operator():
 
 def test_lowest_eigenpairs_requires_hermitian_tag():
     basis = small_basis()
-    a = assemble_creation(basis, 0.5, GROSS1)
+    a = assemble_creation(basis, 0.5)
     with pytest.raises(ValueError):
         lowest_eigenpairs(a, count=1)
 
@@ -83,7 +83,7 @@ def test_free_hamiltonian_ground_is_vacuum():
     # cutoff 0 leaves the free operator; its ground state is the vacuum
     # with the nucleon at rest and energy mu = 1
     basis = small_basis(nax=5)
-    op = assemble_H_direct(basis, 0.0, 1, "grid", GROSS1)
+    op = assemble_H_direct(basis, 0.0, 1, "grid")
     res = lowest_eigenpairs(op, count=1)
     assert abs(res.values[0] - 1.0) < 1e-12
     rest_mode = int(np.argmin(basis.nucleon_grid.norms()))
@@ -96,7 +96,7 @@ def test_free_hamiltonian_ground_is_vacuum():
 
 def test_resolvent_apply_round_trip():
     basis = small_basis(nax=5)
-    op = assemble_H_direct(basis, 1.0, 1, "grid", GROSS1)
+    op = assemble_H_direct(basis, 1.0, 1, "grid")
     rng = np.random.default_rng(3)
     v = rng.standard_normal(basis.total_dim) \
         + 1j * rng.standard_normal(basis.total_dim)
@@ -110,7 +110,7 @@ def test_resolvent_apply_round_trip():
 
 def test_resolvent_apply_diagonal_entrywise():
     basis = small_basis()
-    op = assemble_L(basis, GROSS1)
+    op = assemble_L(basis)
     lv = np.real(op.matrix.diagonal())
     rng = np.random.default_rng(4)
     v = rng.standard_normal(basis.total_dim).astype(complex)
@@ -120,14 +120,14 @@ def test_resolvent_apply_diagonal_entrywise():
 
 def test_resolvent_apply_rejects_bad_vector():
     basis = small_basis()
-    op = assemble_L(basis, GROSS1)
+    op = assemble_L(basis)
     with pytest.raises(ValueError):
         resolvent_apply(op, 1.0j, np.ones(3))
 
 
 def test_resolvent_at_eigenvalue_fails_loudly():
     basis = small_basis()
-    op = assemble_L(basis, GROSS1)
+    op = assemble_L(basis)
     z = complex(np.real(op.matrix.diagonal())[0])
     with pytest.raises(SolveNotConverged):
         resolvent_apply(op, z, np.ones(basis.total_dim, dtype=complex))
@@ -138,7 +138,7 @@ def test_resolvent_at_eigenvalue_fails_loudly():
 
 def test_opnorm_diff_identical_is_zero():
     basis = small_basis()
-    op = assemble_H_direct(basis, 1.0, 1, "grid", GROSS1)
+    op = assemble_H_direct(basis, 1.0, 1, "grid")
     assert opnorm_diff(op, op) == 0.0
 
 
@@ -149,7 +149,7 @@ def test_opnorm_diff_rank_one():
     rng = np.random.default_rng(11)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a = assemble_L(basis, GROSS1)
+    a = assemble_L(basis)
     b = SparseOperator(basis, sparse.csr_array(a.matrix + np.outer(u, v.conj())),
                        {}, False)
     got = opnorm_diff(a, b, tol=1e-10)
@@ -159,8 +159,8 @@ def test_opnorm_diff_rank_one():
 
 def test_opnorm_diff_nontrivial_matches_dense():
     basis = small_basis()
-    a = assemble_H_direct(basis, 1.0, 1, "grid", GROSS1)
-    b = assemble_L(basis, GROSS1)
+    a = assemble_H_direct(basis, 1.0, 1, "grid")
+    b = assemble_L(basis)
     got = opnorm_diff(a, b, tol=1e-9)
     want = np.linalg.norm((a.matrix - b.matrix).toarray(), 2)
     assert abs(got - want) < 1e-4 * want
@@ -184,8 +184,8 @@ def test_power_norm_budget_exhaustion_raises():
 
 
 def test_opnorm_diff_rejects_mismatched_bases():
-    a = assemble_L(small_basis(), GROSS1)
-    b = assemble_L(small_basis(nax=5), GROSS1)
+    a = assemble_L(small_basis())
+    b = assemble_L(small_basis(nax=5))
     with pytest.raises(BasisMismatch):
         opnorm_diff(a, b)
 
@@ -200,7 +200,7 @@ def study_basis():
 
 
 def test_convergence_study_structure(study_basis, tmp_path):
-    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 1, GROSS1)
+    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 1)
     lams = tab.lambda_values()
     assert np.all(np.diff(lams) > 0)
     rd = tab.column("resolvent_diff_to_finest")
@@ -232,19 +232,19 @@ def test_convergence_study_variant2_block_cancels_for_single_nucleon(study_basis
     # with one nucleon, no spectator bosons (n_max = 1) and no shift,
     # the nu = 2 lattice counterterm cancels the cutoff block exactly,
     # so its weighted difference column is identically zero
-    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 2, GROSS1)
+    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 2)
     assert np.all(tab.column("opnorm_t_diff") < 1e-10)
-    tab1 = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 1, GROSS1)
+    tab1 = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 1)
     assert tab1.column("opnorm_t_diff")[0] > 1e-3
 
 
 def test_convergence_study_validates_ladder(study_basis):
     with pytest.raises(ValueError):
-        cutoff_convergence_study(study_basis, [1.0, 0.5], 1, GROSS1)
+        cutoff_convergence_study(study_basis, [1.0, 0.5], 1)
     with pytest.raises(ValueError):
-        cutoff_convergence_study(study_basis, [1.0, 50.0], 1, GROSS1)
+        cutoff_convergence_study(study_basis, [1.0, 50.0], 1)
     with pytest.raises(ValueError):
-        cutoff_convergence_study(study_basis, [], 1, GROSS1)
+        cutoff_convergence_study(study_basis, [], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_regularity_zero_cutoff_family(tmp_path):
     # at every refinement and all growth slopes are exactly 0; the
     # regular part of the free vacuum has unit weighted norm (mu = 1)
     rep = regularity_diagnostic(ladder(GROSS1), 1, [0.0, 0.25, 0.75],
-                                GROSS1, lambda_uv=0.0)
+                                lambda_uv=0.0)
     assert all(v == 0.0 for v in rep.slopes.values())
     for row in rep.rows:
         assert row.norm_singular == 0.0
@@ -304,7 +304,7 @@ def test_regularity_zero_cutoff_family(tmp_path):
 
 def test_regularity_ladder_dichotomy_trend():
     params = gross_model(coupling=0.3, mu=0.1875, m_boson=0.1875)
-    rep = regularity_diagnostic(ladder(params), 1, [0.25, 0.75], params)
+    rep = regularity_diagnostic(ladder(params), 1, [0.25, 0.75])
     # the singular norm grows faster at the larger exponent; the
     # threshold for this family sits exactly at 1/2
     assert rep.threshold == 0.5
@@ -316,8 +316,12 @@ def test_regularity_ladder_dichotomy_trend():
 def test_regularity_input_validation():
     bases = ladder(GROSS1)
     with pytest.raises(InsufficientPoints):
-        regularity_diagnostic(bases[:2], 1, [0.25], GROSS1)
+        regularity_diagnostic(bases[:2], 1, [0.25])
     with pytest.raises(ValueError):
-        regularity_diagnostic(bases[::-1], 1, [0.25], GROSS1)
+        regularity_diagnostic(bases[::-1], 1, [0.25])
     with pytest.raises(ValueError):
-        regularity_diagnostic(bases, 1, [-0.5], GROSS1)
+        regularity_diagnostic(bases, 1, [-0.5])
+    # every refinement must carry the same model
+    other = ladder(gross_model(coupling=0.3, mu=1.0, m_boson=1.0))
+    with pytest.raises(ValueError, match="share one model"):
+        regularity_diagnostic(bases[:2] + other[2:], 1, [0.25])
