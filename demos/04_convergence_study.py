@@ -18,8 +18,8 @@ print("basis: %d states (one boson sector, h=%.2g, box %g)"
       % (basis.total_dim, grid.spacing, grid.k_max))
 
 lams = (1.0, 2.0, 4.0, 8.0)
-for variant in (1, 2):
-    table = ib.cutoff_convergence_study(basis, lams, variant)
+tables = ib.cutoff_convergence_study(basis, lams, (1, 2))
+for variant, table in tables.items():
     print("\nvariant %d:" % variant)
     print("  cutoff   ground        control       resolvent diff   |T| diff")
     for row in table.rows:

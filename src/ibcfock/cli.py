@@ -328,12 +328,6 @@ def _make_basis(cfg: RunConfig) -> FockBasis:
         raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
 
 
-def _spacing(cfg: RunConfig) -> float:
-    if cfg.n_per_axis < 2:
-        return 2.0 * cfg.k_max
-    return 2.0 * cfg.k_max / (cfg.n_per_axis - 1)
-
-
 # ---------------------------------------------------------------------------
 # condition gate
 
@@ -557,13 +551,11 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     manifest.data["basis_sha256"] = basis_digest(basis)
     shift = cfg.lambda_shifts[0] if cfg.lambda_shifts else 0.0
 
-    tables = {}
-    for variant in cfg.variants:
-        tab = cutoff_convergence_study(basis, cfg.lambda_list, variant,
-                                       lambda_shift=shift,
-                                       eig_tol=cfg.eig_tol,
-                                       norm_tol=cfg.norm_tol)
-        tables[variant] = tab
+    tables = cutoff_convergence_study(basis, cfg.lambda_list, cfg.variants,
+                                      lambda_shift=shift,
+                                      eig_tol=cfg.eig_tol,
+                                      norm_tol=cfg.norm_tol)
+    for variant, tab in tables.items():
         meta = {"config_sha256": cfg.config_sha256}
         if "csv" in cfg.formats:
             tab.to_csv(manifest.out_dir / ("converge_v%d.csv" % variant),
@@ -638,7 +630,10 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     """Ground-state regularity ladder across box refinements."""
     _apply_gate(cfg, manifest, args.override_conditions)
     ladder = cfg.ladder_k_max or (cfg.k_max, 2 * cfg.k_max, 4 * cfg.k_max)
-    h = _spacing(cfg)
+    try:
+        h = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis).spacing
+    except (EvenAxisCount, ValueError) as exc:
+        raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
     bases = []
     for km in ladder:
         nax = int(round(2.0 * km / h)) + 1

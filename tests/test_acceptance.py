@@ -275,8 +275,9 @@ def test_cutoff_convergence_desk_study():
     params = ib.gross_model(coupling=0.3, mu=1.0, m_boson=1.0)
     basis = preset_basis(params, 8.0, 17, 1)
     lams = (1.0, 2.0, 4.0, 8.0)
-    for variant in (1, 2):
-        table = ib.cutoff_convergence_study(basis, lams, variant)
+    tables = ib.cutoff_convergence_study(basis, lams, (1, 2))
+    assert sorted(tables) == [1, 2]
+    for table in tables.values():
         rdiff = table.column("resolvent_diff_to_finest")
         assert rdiff[-1] == 0.0
         assert all(a > b for a, b in zip(rdiff[:-1], rdiff[1:])), rdiff

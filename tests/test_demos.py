@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("script", ["01_build_fock_basis.py",
-                                    "02_assemble_and_verify_identity.py"])
+                                    "02_assemble_and_verify_identity.py",
+                                    "04_convergence_study.py"])
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

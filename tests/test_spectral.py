@@ -21,7 +21,8 @@ from ibcfock import (
 from ibcfock.errors import BasisMismatch, InsufficientPoints, NotConverged, \
     SolveNotConverged
 from ibcfock.ops import SparseOperator
-from ibcfock.spectral import _power_norm, _seed_vector
+from ibcfock.spectral import DENSE_DIM_MAX, _power_norm, _ResolventFactor, \
+    _seed_vector
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 
@@ -70,6 +71,39 @@ def test_lowest_eigenpairs_matches_dense_on_coupled_operator():
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     assert res.method == "lanczos"
     assert np.allclose(res.values, dense[:2], atol=1e-8)
+
+
+def test_lowest_eigenpairs_complex_couplings_match_dense():
+    # two nucleons whose couplings differ in phase: the relative phase
+    # cannot be gauged away, so the operator stays genuinely complex
+    params = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
+                         n_nucleons=2)
+    basis = small_basis(params)                 # dim 810 -> iterative path
+    assert basis.total_dim > DENSE_DIM_MAX
+    op = assemble_H_direct(basis, 1.0, 1, "grid")
+    assert np.any(op.matrix.data.imag != 0.0)
+    res = lowest_eigenpairs(op, count=1, tol=1e-12)
+    assert res.method == "lanczos"
+    assert np.iscomplexobj(res.vectors)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    assert abs(res.values[0] - dense[0]) < 1e-8
+
+
+def test_lowest_eigenpairs_coupling_phase_is_gauge():
+    # one nucleon: a coupling |g| e^{i phi} is unitarily equivalent to
+    # |g| (rephase each n-boson sector by e^{i n phi}); the complex and
+    # the real Lanczos path must agree on the ground energy
+    g = 0.8
+    energies = []
+    for coupling in (g, g * np.exp(0.7j)):
+        basis = small_basis(gross_model(coupling=coupling, mu=1.0,
+                                        m_boson=1.0), nax=5)
+        op = assemble_H_direct(basis, 1.0, 1, "grid")
+        res = lowest_eigenpairs(op, count=1, tol=1e-12)
+        assert res.method == "lanczos"
+        assert np.iscomplexobj(res.vectors) == isinstance(coupling, complex)
+        energies.append(res.values[0])
+    assert abs(energies[0] - energies[1]) < 1e-9
 
 
 def test_lowest_eigenpairs_requires_hermitian_tag():
@@ -200,7 +234,7 @@ def study_basis():
 
 
 def test_convergence_study_structure(study_basis, tmp_path):
-    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 1)
+    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], (1,))[1]
     lams = tab.lambda_values()
     assert np.all(np.diff(lams) > 0)
     rd = tab.column("resolvent_diff_to_finest")
@@ -232,19 +266,40 @@ def test_convergence_study_variant2_block_cancels_for_single_nucleon(study_basis
     # with one nucleon, no spectator bosons (n_max = 1) and no shift,
     # the nu = 2 lattice counterterm cancels the cutoff block exactly,
     # so its weighted difference column is identically zero
-    tab = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 2)
+    tables = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], (2, 1))
+    assert list(tables) == [2, 1]
+    tab, tab1 = tables[2], tables[1]
+    assert (tab.variant, tab1.variant) == (2, 1)
     assert np.all(tab.column("opnorm_t_diff") < 1e-10)
-    tab1 = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], 1)
     assert tab1.column("opnorm_t_diff")[0] > 1e-3
+    # the control carries no counterterm, so both variants share it
+    assert np.array_equal(tab.column("control_ground_energy"),
+                          tab1.column("control_ground_energy"))
+
+
+def test_resolvent_factor_fill_stays_near_operator_size(study_basis):
+    # minimum degree on the symmetric pattern keeps L+U within a small
+    # multiple of H - z; a column ordering that eliminates the few-boson
+    # states first fills each total-momentum block densely
+    h = assemble_H_direct(study_basis, 2.0, 1, "grid").matrix
+    shifted = h + 1.0j * sparse.eye_array(h.shape[0])
+    factor = _ResolventFactor(h, -1.0j)
+    assert factor.lu.L.nnz + factor.lu.U.nnz <= 3 * shifted.nnz
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
+    w = factor.apply(v)
+    assert np.linalg.norm(shifted @ w - v) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_convergence_study_validates_ladder(study_basis):
     with pytest.raises(ValueError):
-        cutoff_convergence_study(study_basis, [1.0, 0.5], 1)
+        cutoff_convergence_study(study_basis, [1.0, 0.5], (1,))
     with pytest.raises(ValueError):
-        cutoff_convergence_study(study_basis, [1.0, 50.0], 1)
+        cutoff_convergence_study(study_basis, [1.0, 50.0], (1,))
     with pytest.raises(ValueError):
-        cutoff_convergence_study(study_basis, [], 1)
+        cutoff_convergence_study(study_basis, [], (1,))
+    with pytest.raises(ValueError):
+        cutoff_convergence_study(study_basis, [1.0], ())
 
 
 # ---------------------------------------------------------------------------
