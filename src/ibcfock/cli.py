@@ -223,6 +223,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise ValueError("scaling_exponents needs exactly three values")
         if any(v not in (1, 2) for v in variants):
             raise ValueError("variants must be drawn from {1, 2}")
+        if any(s < 0 for s in lambda_shifts):
+            raise ValueError("lambda_shifts must be >= 0")
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
 
@@ -551,10 +553,13 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     manifest.data["basis_sha256"] = basis_digest(basis)
     shift = cfg.lambda_shifts[0] if cfg.lambda_shifts else 0.0
 
-    tables = cutoff_convergence_study(basis, cfg.lambda_list, cfg.variants,
-                                      lambda_shift=shift,
-                                      eig_tol=cfg.eig_tol,
-                                      norm_tol=cfg.norm_tol)
+    try:
+        tables = cutoff_convergence_study(basis, cfg.lambda_list,
+                                          cfg.variants, lambda_shift=shift,
+                                          eig_tol=cfg.eig_tol,
+                                          norm_tol=cfg.norm_tol)
+    except ValueError as exc:
+        raise CommandError(EXIT_CONFIG, "cutoff ladder: %s" % exc)
     for variant, tab in tables.items():
         meta = {"config_sha256": cfg.config_sha256}
         if "csv" in cfg.formats:

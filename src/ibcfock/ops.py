@@ -27,6 +27,11 @@ diagonal is the basis's cached free_diagonal, the counterterm diagonal
 comes from _counterterm_rows, and both exchange families start from
 _exchange_tables.
 
+The scalar type is decided in one place, _csr: values with no nonzero
+imaginary part are stored as float64, others as complex128.  Every other
+builder follows numpy promotion, so real couplings and a real form
+factor give real operators throughout.
+
 Assembly is vectorized over states per boson mode (pure per-target-row
 work, trivially parallelizable); assembled operators are treated as
 immutable and safe to share.
@@ -67,6 +72,8 @@ class SparseOperator:
 
     hermitian_flag records that the assembly route guarantees (up to
     rounding) a Hermitian matrix; it is verified by tests, not imposed.
+    The matrix is float64 unless some entry has a nonzero imaginary
+    part, in which case it is complex128 (see _csr).
     """
 
     basis: FockBasis
@@ -97,20 +104,21 @@ class SparseOperator:
 
 
 def _csr(rows, cols, vals, dim) -> sparse.csr_array:
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        m = sparse.coo_array((v, (r, c)), shape=(dim, dim)).tocsr()
-        m.sum_duplicates()
-        return m
-    return sparse.csr_array((dim, dim), dtype=complex)
+    """Sum (row, col, value) pieces; float64 unless some value is complex."""
+    if not rows:
+        return sparse.csr_array((dim, dim))
+    v = np.concatenate(vals)
+    if not np.any(np.imag(v)):
+        v = np.real(v)
+    m = sparse.coo_array((v, (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim, dim)).tocsr()
+    m.sum_duplicates()
+    return m
 
 
 def _diag_op(basis, values, tags, hermitian=True) -> SparseOperator:
-    m = sparse.csr_array(sparse.diags_array(np.asarray(values, dtype=complex),
-                                            format="csr"))
-    return SparseOperator(basis, m, tags, hermitian)
+    return SparseOperator(basis, sparse.diags_array(values, format="csr"),
+                          tags, hermitian)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +269,7 @@ def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
                 v = amp[:, None] * mult[None, :]
                 rows.append(r.ravel())
                 cols.append(c.ravel())
-                vals.append(v.ravel().astype(complex))
+                vals.append(v.ravel())
     return _csr(rows, cols, vals, basis.total_dim)
 
 
@@ -359,7 +367,7 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     grid = basis.boson_grid
     m_nuc = params.n_nucleons
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    theta_pt = np.real(dispersion_nucleon(basis.nucleon_grid.points, params))
+    theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
     theta_state = theta_pt[nuc_table].sum(axis=1)
     lam_cont = np.inf if lambda_uv is None else lambda_uv
 
@@ -369,8 +377,7 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     for n in range(basis.n_max):
         b_dim = basis.bos_dim(n)
         sl = basis.sector_slice(n)
-        omega_b = np.real(
-            dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1))
+        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
         if quad_mode == "grid":
             for ell in range(m_nuc):
                 p_rep = np.repeat(nuc_table[:, ell], b_dim)
@@ -436,12 +443,12 @@ def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
         raise IndexError("nucleon index out of range")
     nuc, bos = basis.nucleon_grid, basis.boson_grid
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    theta_pt = np.real(dispersion_nucleon(nuc.points, params))
+    theta_pt = dispersion_nucleon(nuc.points, params)
     strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
     return (np.flatnonzero(grid_mode_mask(bos, lambda_uv, params)),
             _shift_table(nuc, bos, sign=-1), _shift_table(nuc, bos, sign=+1),
             nuc_table, strides, theta_pt, theta_pt[nuc_table].sum(axis=1),
-            np.real(dispersion_boson_norm(bos.norms(), params)))
+            dispersion_boson_norm(bos.norms(), params))
 
 
 def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
@@ -462,8 +469,7 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
     for n in range(basis.n_max):           # intermediates live in sector n+1
         b_dim = basis.bos_dim(n)
         all_bos = np.arange(b_dim, dtype=np.int64)
-        omega_b = np.real(
-            dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1))
+        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
         for q in active:
             q_pt = bos.points[q]
             src_i = nuc_table[:, i]
@@ -512,8 +518,7 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
     rows, cols, vals = [], [], []
     for n in range(1, basis.n_max):        # intermediates live in sector n+1
         modes = basis.bos_modes[n].astype(np.int64)
-        omega_b = np.real(
-            dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1))
+        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
         for q in active:                   # mode removed from the source
             cnt_q = (modes == q).sum(axis=1)
             r_sel = np.flatnonzero(cnt_q >= 1)
@@ -575,7 +580,7 @@ def assemble_T_od(basis: FockBasis, lambda_uv,
     nucleon-exchange pieces (i != ell) and boson-exchange pieces (all
     pairs), with the explicit minus signs of the decomposition."""
     m_nuc = basis.params.n_nucleons
-    total = sparse.csr_array((basis.total_dim, basis.total_dim), dtype=complex)
+    total = sparse.csr_array((basis.total_dim, basis.total_dim))
     for a in range(m_nuc):
         for b in range(m_nuc):
             if a != b:
@@ -599,9 +604,8 @@ def assemble_H_direct(basis: FockBasis, lambda_uv, variant: int,
     e_rows = _counterterm_rows(basis, lambda_uv, variant, quad_mode)
     a_mat = _creation_matrix(basis, lambda_uv)
     diag = basis.free_diagonal + basis.nucleon_diagonal(e_rows)
-    h = sparse.csr_array(
-        sparse.diags_array(diag.astype(complex), format="csr")
-        + a_mat + a_mat.conj().T)
+    h = sparse.csr_array(sparse.diags_array(diag, format="csr")
+                         + a_mat + a_mat.conj().T)
     return SparseOperator(basis, h, {"path": "direct",
                                      "lambda_uv": lambda_uv,
                                      "variant": variant,
@@ -618,8 +622,7 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
     """
     g_op = assemble_G(basis, lambda_uv, lambda_shift)
     lv = basis.free_diagonal + lambda_shift
-    one = sparse.csr_array(sparse.eye_array(basis.total_dim, dtype=complex,
-                                            format="csr"))
+    one = sparse.eye_array(basis.total_dim, format="csr")
     one_minus_g = sparse.csr_array(one - g_op.matrix)
     w = sparse.diags_array(lv, format="csr")
     prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
@@ -717,7 +720,6 @@ def load_triplets(path):
         header = json.loads(fh.readline())
         table = np.array(fh.read().split(), dtype=float).reshape(-1, 4)
     idx = table[:, :2].astype(np.int64)
-    m = sparse.coo_array(
-        (table[:, 2] + 1j * table[:, 3], (idx[:, 0], idx[:, 1])),
-        shape=tuple(header["shape"])).tocsr()
+    m = _csr([idx[:, 0]], [idx[:, 1]], [table[:, 2] + 1j * table[:, 3]],
+             header["shape"][0])
     return header, m

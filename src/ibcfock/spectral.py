@@ -81,15 +81,9 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
 
     Dense below DENSE_DIM_MAX, implicitly restarted Lanczos above, with
     a deterministic start vector.  The residual of every pair is checked
-    against tol times a one-norm estimate of the operator.
-
-    A Hermitian operator whose stored entries all have zero imaginary
-    part is real symmetric, and is solved in real arithmetic (ARPACK's
-    symmetric dsaupd instead of the complex znaupd): the spectrum is
-    the same, the eigenvectors come out real, and every matvec and
-    reorthogonalization costs a fraction of its complex counterpart.
-    Operators with genuinely complex couplings keep complex arithmetic,
-    the only correct choice for them.
+    against tol times a one-norm estimate of the operator.  The storage
+    type picks the arithmetic: a real symmetric operator runs ARPACK's
+    dsaupd and has real eigenvectors, a complex Hermitian one znaupd.
 
     Lanczos caveat: a single-vector Krylov space meets each exactly
     invariant eigenspace in at most one direction, so degenerate
@@ -104,8 +98,6 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
     n = h.shape[0]
     if count < 1 or count > n:
         raise ValueError("count must lie in [1, dim]")
-    if np.iscomplexobj(h.data) and not np.any(h.data.imag):
-        h = h.real
     if n <= DENSE_DIM_MAX or count >= n - 1:
         w, v = np.linalg.eigh(h.toarray())
         vals, vecs = w[:count], v[:, :count]
@@ -147,10 +139,10 @@ class _ResolventFactor:
     """
 
     def __init__(self, matrix: sparse.csr_array, z: complex):
-        shifted = (matrix - z * sparse.eye_array(matrix.shape[0],
-                                                 dtype=complex)).tocsc()
-        self.lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
         self.shape = matrix.shape
+        # complex even for a real z: the solves take complex vectors
+        shifted = matrix - complex(z) * sparse.eye_array(self.shape[0])
+        self.lu = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.lu.solve(np.asarray(v, dtype=complex))
@@ -183,7 +175,7 @@ def resolvent_apply(op: SparseOperator, z: complex, v: np.ndarray,
     vnorm = np.linalg.norm(v)
     res = np.linalg.norm(shifted - v)
     if res > tol * max(vnorm, 1e-300):
-        shifted_m = (h - z * sparse.eye_array(h.shape[0], dtype=complex)).tocsc()
+        shifted_m = (h - z * sparse.eye_array(h.shape[0])).tocsc()
         w, info = spla.lgmres(shifted_m, v, x0=w, rtol=tol, atol=0.0,
                               maxiter=200)
         res = np.linalg.norm(h @ w - z * w - v)
@@ -323,7 +315,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
 
     params = basis.params
     lv = basis.free_diagonal
-    free = sparse.diags_array(lv.astype(complex), format="csr")
+    free = sparse.diags_array(lv, format="csr")
     exps = ultraviolet_degree(params)
     weight = (lv + 1.0) ** (-(max(exps.uv_degree, 0.0) / params.gamma
                               + T_WEIGHT_EPSILON))
@@ -355,8 +347,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
             # paired with it on those sectors only
             e_diag[basis.sector_slice(basis.n_max)] = 0.0
             t_blocks.append(sparse.csr_array(
-                t_op + sparse.diags_array(e_diag.astype(complex),
-                                          format="csr")))
+                t_op + sparse.diags_array(e_diag, format="csr")))
 
         fin = _ResolventFactor(hams[-1], RESOLVENT_Z)
         rows = []

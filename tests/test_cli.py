@@ -86,6 +86,19 @@ def test_invalid_variant_is_config_error(tmp_path):
     assert err.value.code == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("identity", "lambda_shifts = 0, 1", "lambda_shifts = -1, 1"),
+    ("regularity", "lambda_shifts = 0, 1", "lambda_shifts = -1, 1"),
+    ("converge", "lambda_list = 1, 2", "lambda_list = 2, 1"),
+    # the k_max = 2 box reaches 2*sqrt(2) < 3 in d = 2
+    ("converge", "lambda_list = 1, 2", "lambda_list = 1, 3"),
+])
+def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
+    path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -12,7 +12,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", ["01_build_fock_basis.py",
                                     "02_assemble_and_verify_identity.py",
-                                    "04_convergence_study.py"])
+                                    "03_counterterm_divergence.py",
+                                    "04_convergence_study.py",
+                                    "05_regularity_dichotomy.py",
+                                    "06_bounds_and_exponents.py"])
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

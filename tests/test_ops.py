@@ -539,3 +539,56 @@ def test_triplet_export_exact_text(tmp_path):
     export_triplets(assemble_creation(basis, 0.0), empty)
     header, m = load_triplets(empty)
     assert header["nnz"] == 0 and m.nnz == 0 and m.shape == (3, 3)
+    assert m.dtype == np.float64
+    # the scalar type survives the round trip: real stays float64 with
+    # the exact data, a complex coupling stays complex128
+    h = assemble_H_direct(basis, None, 1, "grid").matrix
+    _, m = load_triplets(path)
+    assert h.dtype == m.dtype == np.float64
+    assert np.array_equal(m.indptr, h.indptr)
+    assert np.array_equal(m.indices, h.indices)
+    assert np.array_equal(m.data, h.data)
+    phased = gross_model(coupling=0.8 * np.exp(0.7j), mu=1.0, m_boson=1.0)
+    g = build_grid(2, 0.5, 1)
+    hc = assemble_H_direct(enumerate_basis(phased, g, g, n_max=2), None, 1,
+                           "grid")
+    export_triplets(hc, tmp_path / "c.triplets")
+    _, mc = load_triplets(tmp_path / "c.triplets")
+    assert hc.matrix.dtype == mc.dtype == np.complex128
+    assert np.array_equal(mc.toarray(), hc.to_dense())
+
+
+def test_operator_dtype_follows_couplings():
+    # real couplings and a real form factor: every builder stores float64
+    basis = small_basis(GROSS2)
+    ops = {
+        "L": assemble_L(basis),
+        "creation": assemble_creation(basis, 1.0),
+        "annihilation": assemble_annihilation(basis, 1.0),
+        "G": assemble_G(basis, 1.0, 0.5),
+        "T_cutoff": assemble_T_cutoff(basis, 1.0, 0.5),
+        "T_d": assemble_Td(basis, 1.0, 1, "grid", lambda_shift=0.5),
+        "theta": assemble_theta(basis, 0, 1, 1.0, 0.5),
+        "tau": assemble_tau(basis, 0, 1, 1.0, 0.5),
+        "T_od": assemble_T_od(basis, 1.0, lambda_shift=0.5),
+        "H_direct": assemble_H_direct(basis, 1.0, 1, "grid"),
+        "H_ibc": assemble_H_ibc(basis, 1.0, 1, 0.5, "grid"),
+    }
+    assert {k: op.matrix.dtype for k, op in ops.items()} == {
+        k: np.float64 for k in ops}
+    # a complex phase on one coupling makes every off-diagonal builder
+    # complex, leaves the diagonals real, and keeps the identity exact
+    params = gross_model(coupling=(1.0, 0.8 * np.exp(0.7j)), mu=1.0,
+                         m_boson=1.0, n_nucleons=2)
+    cb = small_basis(params)
+    assert assemble_L(cb).matrix.dtype == np.float64
+    assert assemble_Td(cb, 1.0, 1, "grid").matrix.dtype == np.float64
+    hd = assemble_H_direct(cb, 1.0, 1, "grid")
+    hi = assemble_H_ibc(cb, 1.0, 1, 0.5, "grid")
+    for op in (assemble_creation(cb, 1.0), assemble_annihilation(cb, 1.0),
+               assemble_G(cb, 1.0, 0.5), assemble_T_cutoff(cb, 1.0, 0.5),
+               assemble_theta(cb, 0, 1, 1.0, 0.5),
+               assemble_tau(cb, 0, 1, 1.0, 0.5),
+               assemble_T_od(cb, 1.0, lambda_shift=0.5), hd, hi):
+        assert op.matrix.dtype == np.complex128, op.tags
+    assert verify_identity(hd, hi, tol=1e-10).passed

@@ -150,6 +150,8 @@ def test_resolvent_apply_diagonal_entrywise():
     v = rng.standard_normal(basis.total_dim).astype(complex)
     w = resolvent_apply(op, -2.0 + 0.0j, v)
     assert np.allclose(w, v / (lv + 2.0), atol=1e-12)
+    # a real z on a real operator still solves complex right-hand sides
+    assert np.array_equal(resolvent_apply(op, -2.0, v), w)
 
 
 def test_resolvent_apply_rejects_bad_vector():
