@@ -221,6 +221,11 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise KeyError("missing [model] section")
         if scaling and len(scaling) != 3:
             raise ValueError("scaling_exponents needs exactly three values")
+        for name, values in (("lambda_list", lambda_list),
+                             ("variants", variants),
+                             ("lambda_shifts", lambda_shifts)):
+            if not values:
+                raise ValueError("%s must not be empty" % name)
         if any(v not in (1, 2) for v in variants):
             raise ValueError("variants must be drawn from {1, 2}")
         if any(s < 0 for s in lambda_shifts):
@@ -551,11 +556,10 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     _apply_gate(cfg, manifest, args.override_conditions)
     basis = _make_basis(cfg)
     manifest.data["basis_sha256"] = basis_digest(basis)
-    shift = cfg.lambda_shifts[0] if cfg.lambda_shifts else 0.0
-
     try:
         tables = cutoff_convergence_study(basis, cfg.lambda_list,
-                                          cfg.variants, lambda_shift=shift,
+                                          cfg.variants,
+                                          lambda_shift=cfg.lambda_shifts[0],
                                           eig_tol=cfg.eig_tol,
                                           norm_tol=cfg.norm_tol)
     except ValueError as exc:
@@ -654,8 +658,7 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
             raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
     rep = regularity_diagnostic(bases, cfg.variants[0], cfg.eta_list,
                                 lambda_uv=None,
-                                lambda_shift=cfg.lambda_shifts[0]
-                                if cfg.lambda_shifts else 0.0,
+                                lambda_shift=cfg.lambda_shifts[0],
                                 eig_tol=cfg.eig_tol)
     meta = {"config_sha256": cfg.config_sha256}
     if "csv" in cfg.formats:

@@ -32,13 +32,15 @@ imaginary part are stored as float64, others as complex128.  Every other
 builder follows numpy promotion, so real couplings and a real form
 factor give real operators throughout.
 
-Assembly is vectorized over states per boson mode (pure per-target-row
-work, trivially parallelizable); assembled operators are treated as
-immutable and safe to share.
+Assembly is vectorized over states per boson mode, and tau over the
+created mode too, so its Python loop runs once per removed mode (pure
+per-target-row work, trivially parallelizable); assembled operators are
+treated as immutable and safe to share.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -157,16 +159,19 @@ def _require_shared_lattice(basis: FockBasis):
 # ---------------------------------------------------------------------------
 # multiset surgery (rows are sorted mode tuples)
 
-def _insert_mode(modes: np.ndarray, q: int) -> np.ndarray:
-    """Insert mode q into every sorted row of (B, n) -> (B, n+1)."""
-    b, n = modes.shape
-    pos = (modes < q).sum(axis=1)
-    cols = np.arange(n + 1)
-    pad = np.zeros((b, 1), dtype=modes.dtype)
-    left = np.concatenate([modes, pad], axis=1)
-    right = np.concatenate([pad, modes], axis=1)
-    return np.where(cols < pos[:, None], left,
-                    np.where(cols == pos[:, None], q, right))
+def _insert_mode(modes: np.ndarray, q) -> np.ndarray:
+    """Insert mode q into every sorted row of (..., n) -> (..., n+1); q is
+    one mode or an array of modes broadcasting against the row shape."""
+    q = np.asarray(q)[..., None]
+    shape = (np.broadcast_shapes(modes.shape[:-1], q.shape[:-1])
+             + modes.shape[-1:])
+    modes = np.broadcast_to(modes, shape)
+    pos = (modes < q).sum(axis=-1, keepdims=True)
+    cols = np.arange(shape[-1] + 1)
+    pad = np.zeros(shape[:-1] + (1,), dtype=modes.dtype)
+    left = np.concatenate([modes, pad], axis=-1)
+    right = np.concatenate([pad, modes], axis=-1)
+    return np.where(cols < pos, left, np.where(cols == pos, q, right))
 
 
 def _remove_mode(modes: np.ndarray, q: int) -> np.ndarray:
@@ -344,7 +349,8 @@ def assemble_T_cutoff(basis: FockBasis, lambda_uv,
 # ---------------------------------------------------------------------------
 # diagonal part of the renormalized block
 
-#: states per resolvent_sum_grid call; bounds the (states, modes) temporaries
+#: states per resolvent_sum_grid call, and (mode, state) pairs per
+#: assemble_tau block; bounds the temporaries of both
 _TD_CHUNK = 40_000
 
 
@@ -514,54 +520,61 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
      om) = _exchange_tables(basis, i, ell, lambda_uv)
     params = basis.params
     nuc, bos = basis.nucleon_grid, basis.boson_grid
-    nuc_flat = np.arange(basis.nuc_dim, dtype=np.int64)
+    # nucleon side: y --(i emits q2)--> z --(ell absorbs q)--> x; rows run
+    # over the created mode q2 in active order, columns over configurations
+    src_i = nuc_table[:, i]
+    z_i = tbl_minus[src_i[None, :], active[:, None]]
+    z_ell = z_i if i == ell else np.broadcast_to(nuc_table[:, ell], z_i.shape)
+
+    # form factor of nucleon j per (active mode, lattice point): one call
+    # per mode with a single boson momentum, as in _creation_matrix and
+    # assemble_theta, so every assembly sees the same values bit for bit
+    def ff_table(j):
+        return np.array([
+            np.broadcast_to(form_factor(j, nuc.points, bos.points[q], params),
+                            nuc.size)
+            for q in active]).reshape(active.size, nuc.size)
+
+    ff_i = ff_table(i)
+    ff_ell = ff_i if i == ell else ff_table(ell)
     rows, cols, vals = [], [], []
     for n in range(1, basis.n_max):        # intermediates live in sector n+1
         modes = basis.bos_modes[n].astype(np.int64)
         omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
-        for q in active:                   # mode removed from the source
+        for a, q in enumerate(active):     # mode removed from the source
             cnt_q = (modes == q).sum(axis=1)
             r_sel = np.flatnonzero(cnt_q >= 1)
             if r_sel.size == 0:
                 continue
             reduced = _remove_mode(modes[r_sel], q)
             cnt_q_r = cnt_q[r_sel].astype(float)
-            for q2 in active:              # mode created into the source
-                new_modes = _insert_mode(reduced, q2)
-                tgt_bos = basis.rank_bosons(n, new_modes)
-                if q2 == q:
-                    bf = cnt_q_r
-                else:
-                    cnt_q2 = (modes[r_sel] == q2).sum(axis=1).astype(float)
-                    bf = np.sqrt(cnt_q_r * (cnt_q2 + 1.0))
-                # nucleon side: y --(i emits q2)--> z --(ell absorbs q)--> x
-                src_i = nuc_table[:, i]
-                z_i = tbl_minus[src_i, q2]
-                ok = z_i >= 0
-                if i == ell:
-                    z_ell = z_i
-                else:
-                    z_ell = nuc_table[:, ell]
-                x_ell = np.where(ok, tbl_plus[np.maximum(z_ell, 0), q], -1)
-                ok &= x_ell >= 0
-                if not ok.any():
+            x_ell = tbl_plus[np.maximum(z_ell, 0), q]
+            ok_all = (z_i >= 0) & (x_ell >= 0)
+            # blocks of created modes q2, at most _TD_CHUNK (mode, state) pairs
+            step = max(1, _TD_CHUNK // (basis.nuc_dim * r_sel.size))
+            for lo in range(0, active.size, step):
+                blk = slice(lo, lo + step)
+                k2, src_nuc = np.nonzero(ok_all[blk])
+                if src_nuc.size == 0:
                     continue
-                src_nuc = nuc_flat[ok]
-                tgt_nuc = (src_nuc + (z_i[ok] - src_i[ok]) * strides[i]
-                           + (x_ell[ok] - z_ell[ok]) * strides[ell])
-                wgt = np.broadcast_to(
-                    np.asarray(np.conj(form_factor(ell, nuc.points[z_ell[ok]],
-                                                   bos.points[q], params))
-                               * form_factor(i, nuc.points[z_i[ok]],
-                                             bos.points[q2], params)
-                               * bos.cell_weight),
-                    src_nuc.shape)
-                theta_z = (theta_state[ok] - theta_pt[src_i[ok]]
-                           + theta_pt[z_i[ok]])
+                q2 = active[blk]
+                tgt_bos = basis.rank_bosons(n, _insert_mode(reduced,
+                                                            q2[:, None]))
+                cnt_q2 = (modes[r_sel] == q2[:, None, None]).sum(axis=-1)
+                bf = np.where((q2 == q)[:, None], cnt_q_r,
+                              np.sqrt(cnt_q_r * (cnt_q2 + 1.0)))
+                zi = z_i[blk][k2, src_nuc]
+                ze = z_ell[blk][k2, src_nuc]
+                tgt_nuc = (src_nuc + (zi - src_i[src_nuc]) * strides[i]
+                           + (x_ell[blk][k2, src_nuc] - ze) * strides[ell])
+                wgt = (np.conj(ff_ell[a, ze]) * ff_i[blk][k2, zi]
+                       * bos.cell_weight)
+                theta_z = (theta_state[src_nuc] - theta_pt[src_i[src_nuc]]
+                           + theta_pt[zi])
                 den = (theta_z[:, None] + omega_b[r_sel][None, :]
-                       + (om[q2] + lambda_shift))
-                v = wgt[:, None] * bf[None, :] / den
-                r = basis.state_index(n, tgt_nuc[:, None], tgt_bos[None, :])
+                       + (om[q2[k2]] + lambda_shift)[:, None])
+                v = wgt[:, None] * bf[k2] / den
+                r = basis.state_index(n, tgt_nuc[:, None], tgt_bos[k2])
                 c = basis.state_index(n, src_nuc[:, None], r_sel[None, :])
                 rows.append(r.ravel())
                 cols.append(c.ravel())
@@ -650,6 +663,17 @@ class IdentityReport:
     passed: bool
 
 
+@functools.lru_cache(maxsize=1)
+def _start_vector(dim: int) -> np.ndarray:
+    """Fixed-seed complex unit vector of the power iteration; read-only,
+    since the identity sweep reuses it for every pair of one dimension."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    x.flags.writeable = False
+    return x
+
+
 def verify_identity(a: SparseOperator, b: SparseOperator,
                     tol: float = 1e-10) -> IdentityReport:
     """Entrywise and norm-estimate comparison of two assembled operators
@@ -658,17 +682,16 @@ def verify_identity(a: SparseOperator, b: SparseOperator,
     if a.basis.manifest() != b.basis.manifest():
         raise BasisMismatch("operators live on different bases")
     d = (a.matrix - b.matrix).tocsr()
-    dcoo = d.tocoo()
-    max_abs = float(np.abs(dcoo.data).max()) if dcoo.nnz else 0.0
+    max_abs = float(np.abs(d.data).max()) if d.nnz else 0.0
     scale = 0.0
     for m in (a.matrix, b.matrix):
         if m.nnz:
-            scale = max(scale, float(np.abs(m.tocoo().data).max()))
+            scale = max(scale, float(np.abs(m.data).max()))
     max_rel = max_abs / scale if scale > 0 else 0.0
-    # power iteration on D* D for a spectral-norm estimate
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(d.shape[1]) + 1j * rng.standard_normal(d.shape[1])
-    x /= np.linalg.norm(x)
+    # power iteration on D* D for a spectral-norm estimate; D is cast to
+    # complex once, as every product with the complex vector would do
+    d = d.astype(np.complex128, copy=False)
+    x = _start_vector(d.shape[1])
     est = 0.0
     dh = d.conj().T.tocsr()
     for _ in range(12):

@@ -532,10 +532,15 @@ def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
                      i_nucleon: int, lambda_uv, constrain_shift: bool):
     """Weights and masks shared by the lattice sums: for every p in
     p_indices and every mode q, the cell weight h^d |v_{p-q}(q)|^2, the
-    shifted dispersion theta(p-q), and the participation mask."""
+    shifted dispersion theta(p-q), and the participation mask.
+
+    All three depend on p only through its lattice index, so they are
+    evaluated once per distinct index and gathered into the shape
+    p_indices.shape + (modes,); repeated indices get identical values."""
     p_indices = np.asarray(p_indices)
+    flat, inverse = np.unique(p_indices, return_inverse=True)
     mode_mask = grid_mode_mask(grid, lambda_uv, params)
-    tgt, valid = translate_indices(grid, p_indices[..., None],
+    tgt, valid = translate_indices(grid, flat[:, None],
                                    np.arange(grid.size), sign=-1)
     mask = (mode_mask & valid) if constrain_shift else \
         np.broadcast_to(mode_mask, valid.shape)
@@ -543,13 +548,15 @@ def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
         shifted = grid.points[tgt]                 # p - q (junk where invalid)
     else:
         # evaluate off-lattice shifts exactly rather than via the index map
-        shifted = grid.points[p_indices][..., None, :] - grid.points
+        shifted = grid.points[flat][:, None, :] - grid.points
     q_pts = np.broadcast_to(grid.points, shifted.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.abs(form_factor(i_nucleon, shifted, q_pts, params)) ** 2
     w = np.where(mask, w, 0.0)
     theta_shift = np.where(mask, dispersion_nucleon(shifted, params), 1.0)
-    return w * grid.cell_weight, theta_shift, mask
+    inverse = inverse.reshape(p_indices.shape)
+    return ((w * grid.cell_weight)[inverse], theta_shift[inverse],
+            mask[inverse])
 
 
 def counterterm_grid(p_indices, grid: MomentumGrid, lambda_uv, variant: int,

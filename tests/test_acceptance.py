@@ -244,6 +244,7 @@ def envelope_constant(momenta, values):
                for v, p in zip(values, momenta))
 
 
+@pytest.mark.slow
 def test_growth_integral_decay_and_momentum_envelope():
     lams = (1.0, 2.0, 4.0, 8.0)
     for params in (GROSS, ECKMANN):
@@ -296,6 +297,7 @@ def test_cutoff_convergence_desk_study():
 # ---------------------------------------------------------------------------
 # 9. regularity dichotomy across box refinements
 
+@pytest.mark.slow
 def test_regularity_dichotomy_across_refinements():
     params = ib.gross_model(coupling=0.3, mu=0.1875, m_boson=0.1875)
     bases = [preset_basis(params, k, int(2 * k) + 1, 1) for k in (4, 8, 16)]

@@ -92,6 +92,11 @@ def test_invalid_variant_is_config_error(tmp_path):
     ("converge", "lambda_list = 1, 2", "lambda_list = 2, 1"),
     # the k_max = 2 box reaches 2*sqrt(2) < 3 in d = 2
     ("converge", "lambda_list = 1, 2", "lambda_list = 1, 3"),
+    # an empty study list would make the sweep pass over zero rows
+    ("identity", "lambda_list = 1, 2", "lambda_list ="),
+    ("identity", "variants = 1, 2", "variants ="),
+    ("identity", "lambda_shifts = 0, 1", "lambda_shifts ="),
+    ("regularity", "variants = 1, 2", "variants ="),
 ])
 def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))

@@ -8,6 +8,7 @@ combinatorial factor independently of the production code path.
 """
 
 import math
+from collections import Counter
 from itertools import permutations, product as iproduct
 
 import numpy as np
@@ -30,6 +31,8 @@ from ibcfock import (
     build_grid,
     counterterm_grid,
     custom_model,
+    dispersion_boson,
+    dispersion_nucleon,
     eckmann_model,
     enumerate_basis,
     export_triplets,
@@ -39,6 +42,8 @@ from ibcfock import (
     integral_j_grid,
     load_triplets,
     nelson_model,
+    point_index,
+    translate,
     verify_identity,
 )
 from ibcfock.errors import (
@@ -46,7 +51,7 @@ from ibcfock.errors import (
     ConditionCViolated,
     MasslessWithoutShift,
 )
-from ibcfock.ops import _shift_table
+from ibcfock.ops import _shift_table, _start_vector
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=1)
 GROSS2 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2)
@@ -193,6 +198,91 @@ def test_ordered_tuple_equivalence(params):
         projector = sym[n + 1] @ sym[n + 1].T
         image = blocks[n] @ sym[n]
         assert np.abs(image - projector @ image).max() < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# loop oracle for the exchange pieces
+
+def _exchange_oracle(basis, i, ell, lambda_uv, shift, kind):
+    """Dense tau (kind "tau") or theta ("theta") from the definitions,
+    with plain loops over the source states: nucleon i emits q2 into the
+    intermediate sector n+1, then nucleon ell absorbs q.  theta keeps the
+    bosons (q2 = q); tau removes a boson q of the source and creates q2."""
+    params = basis.params
+    g_n, g_b = basis.nucleon_grid, basis.boson_grid
+    active = [int(q) for q in np.flatnonzero(
+        grid_mode_mask(g_b, lambda_uv, params))]
+
+    def shifted(x, q, sign):
+        p = translate(g_n, g_n.points[x], sign * g_b.points[q])
+        return None if p is None else point_index(g_n, p)
+
+    def energy(nuc, bos):
+        return (sum(float(dispersion_nucleon(g_n.points[x], params))
+                    for x in nuc)
+                + sum(float(dispersion_boson(g_b.points[k], params))
+                      for k in bos))
+
+    out = np.zeros((basis.total_dim, basis.total_dim), dtype=complex)
+    for n in range(basis.n_max):
+        for y in basis.nucleon_mode_table().tolist():
+            for bos in basis.bos_modes[n].tolist():
+                col = basis.index_of(n, y, bos)
+                counts = Counter(bos)
+                if kind == "theta":
+                    pairs = [(q, q) for q in active]
+                else:
+                    pairs = [(q, q2) for q in counts if q in active
+                             for q2 in active]
+                for q, q2 in pairs:
+                    z = list(y)
+                    z[i] = shifted(y[i], q2, -1)
+                    if z[i] is None:
+                        continue
+                    x = list(z)
+                    x[ell] = shifted(z[ell], q, +1)
+                    if x[ell] is None:
+                        continue
+                    if kind == "theta":
+                        tgt_bos, bf = bos, 1.0
+                    else:
+                        tgt_bos = list(bos)
+                        tgt_bos.remove(q)
+                        tgt_bos.append(q2)
+                        bf = (counts[q] if q2 == q
+                              else math.sqrt(counts[q] * (counts[q2] + 1)))
+                    amp = (np.conj(form_factor(ell, g_n.points[z[ell]],
+                                               g_b.points[q], params))
+                           * form_factor(i, g_n.points[z[i]], g_b.points[q2],
+                                         params)
+                           * g_b.cell_weight * bf
+                           / (energy(z, bos + [q2]) + shift))
+                    out[basis.index_of(n, x, tgt_bos), col] += amp
+    return out
+
+
+def test_exchange_pieces_match_loop_oracle():
+    # d = 1 and n_max = 3: sector-2 rows hold repeated modes, so the
+    # q2 == q and multiple-occupancy factors both enter; the cutoff drops
+    # the two outer modes
+    params = custom_model(1, alpha=0.25, beta=1.0, gamma=1.0, mu=1.0,
+                          m_boson=1.0, coupling=(0.8, 0.5 + 0.5j),
+                          n_nucleons=2)
+    g = build_grid(1, 2.0, 5)
+    basis = enumerate_basis(params, g, g, n_max=3)
+    lam, shift = 1.5, 0.7
+    assert not grid_mode_mask(g, lam, params).all()
+    for i in range(2):
+        for ell in range(2):
+            pieces = [("tau", assemble_tau)]
+            if i != ell:
+                pieces.append(("theta", assemble_theta))
+            for kind, build in pieces:
+                got = build(basis, i, ell, lam, shift).to_dense()
+                want = _exchange_oracle(basis, i, ell, lam, shift, kind)
+                assert np.abs(want).max() > 0.0
+                assert (np.abs(got - want).max()
+                        <= 1e-14 * np.abs(want).max()), (kind, i, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +581,22 @@ def test_verify_identity_flags_perturbation():
     assert not rep.passed
     assert rep.max_abs_diff == pytest.approx(1e-6, rel=1e-6)
     assert rep.opnorm_diff_estimate == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_verify_identity_reuses_a_read_only_start_vector():
+    basis = small_basis(GROSS2)
+    hd = assemble_H_direct(basis, 1.0, 1, "grid")
+    hi = assemble_H_ibc(basis, 1.0, 1, 0.5, "grid")
+    first = verify_identity(hd, hi)
+    # a pair on another dimension in between replaces the cached vector
+    other = small_basis(GROSS1, n_max=1)
+    verify_identity(assemble_H_direct(other, None, 1, "grid"),
+                    assemble_H_ibc(other, None, 1, 0.0, "grid"))
+    assert verify_identity(hd, hi) == first
+    x = _start_vector(basis.total_dim)
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
 
 
 # ---------------------------------------------------------------------------

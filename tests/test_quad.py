@@ -347,3 +347,29 @@ def test_grid_sums_vectorize():
     iv = ib.integral_i_grid(np.array([c, ip]), rests, gr, 1.0, GROSS)
     assert iv.shape == (2,)
     assert iv[0] == 0.0 and iv[1] < 0.0
+
+
+@pytest.mark.parametrize("constrain", [True, False])
+def test_grid_sums_equal_per_index_evaluation(constrain):
+    # the twins evaluate once per distinct lattice index; a repeated,
+    # unsorted 2-D index array must give exactly the per-index values
+    gr = ib.build_grid(3, 2.0, 5)
+    ips = np.array([[7, 124, 62, 7], [0, 62, 124, 31], [31, 7, 0, 7]])
+    rests = np.linspace(0.0, 2.0, ips.size).reshape(ips.shape)
+    flat = list(zip(ips.ravel().tolist(), rests.ravel().tolist()))
+    twins = [
+        lambda p, r: ib.counterterm_grid(p, gr, 1.5, 1, ECK,
+                                         constrain_shift=constrain),
+        lambda p, r: ib.counterterm_grid(p, gr, 1.5, 2, ECK,
+                                         constrain_shift=constrain),
+        lambda p, r: ib.integral_j_grid(p, gr, None, ECK,
+                                        constrain_shift=constrain),
+        lambda p, r: ib.resolvent_sum_grid(p, r, gr, 1.5, ECK,
+                                           lambda_shift=0.3,
+                                           constrain_shift=constrain),
+    ]
+    for twin in twins:
+        block = twin(ips, rests)
+        singles = np.array([twin(p, r) for p, r in flat]).reshape(ips.shape)
+        assert block.shape == ips.shape
+        assert np.array_equal(block, singles)
