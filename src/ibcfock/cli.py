@@ -116,7 +116,7 @@ class RunConfig:
     eta_list: tuple
     ladder_k_max: tuple
     fit_lambda_list: tuple
-    scaling_exponents: tuple     # (nu_exp, sigma_exp, r)
+    scaling_exponents: ScalingExponents
     tol_identity: float
     eig_tol: float
     norm_tol: float
@@ -255,12 +255,28 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     except ValueError as exc:
         raise CommandError(EXIT_CONDITION, "condition failure: %s" % exc)
 
+    # configured scaling exponents are checked here, before any sweep;
+    # the default keeps d < r*gamma with half a gamma to spare
+    if scaling:
+        exps = ScalingExponents(*scaling)
+        try:
+            exps.check_window(params)
+        except ExponentWindowViolated as exc:
+            raise CommandError(EXIT_CONFIG,
+                               "scaling exponents outside the window: %s"
+                               % exc)
+        except ValueError as exc:
+            raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
+    else:
+        exps = ScalingExponents(nu_exp=0.0, sigma_exp=0.0,
+                                r=params.d / params.gamma + 0.5)
+
     return RunConfig(params=params, k_max=k_max, n_per_axis=n_per_axis,
                      n_max=n_max, basis_cap=basis_cap,
                      lambda_list=lambda_list, variants=variants,
                      lambda_shifts=lambda_shifts, eta_list=eta_list,
                      ladder_k_max=ladder, fit_lambda_list=fit_lambdas,
-                     scaling_exponents=scaling, tol_identity=tol_identity,
+                     scaling_exponents=exps, tol_identity=tol_identity,
                      eig_tol=eig_tol, norm_tol=norm_tol, seed=seed,
                      n_samples=n_samples, n_p_samples=n_p_samples,
                      formats=formats, dump_operators=dump_ops,
@@ -376,19 +392,10 @@ def _gate_reports(cfg: RunConfig) -> dict:
     return reports
 
 
-def _scaling_exps(cfg: RunConfig) -> ScalingExponents:
-    """Configured scaling exponents, or a window-safe default."""
-    if cfg.scaling_exponents:
-        nu_e, sig_e, r_e = cfg.scaling_exponents
-        return ScalingExponents(nu_exp=nu_e, sigma_exp=sig_e, r=r_e)
-    return ScalingExponents(nu_exp=0.0, sigma_exp=0.0,
-                            r=cfg.params.d / cfg.params.gamma + 0.5)
-
-
 def _scaling_sweep(cfg: RunConfig, lam_list) -> list:
     """Fixed-shift ladder (exercises the monotonicity check) plus
     cutoff-scaled shifts (exercises the compensated ratio)."""
-    exps = _scaling_exps(cfg)
+    exps = cfg.scaling_exponents
     pts = [dict(p=np.zeros(cfg.params.d), omega_shift=1.0, lambda_uv=lam,
                 exps=exps, params=cfg.params) for lam in lam_list]
     pts += [dict(p=np.zeros(cfg.params.d),
@@ -446,17 +453,11 @@ def cmd_check(cfg: RunConfig, manifest: RunManifest, args) -> int:
         "n_momenta": n_p}
 
     # scaling bound: compensated ratios bounded and nonincreasing
-    try:
-        fit = scaling_bound_fit(_scaling_sweep(cfg, (2.0, 4.0, 8.0)),
-                                delta=0.1)
-        reports["scaling_bound"] = {
-            "holds": bool(fit.monotone_in_lambda
-                          and np.isfinite(fit.fitted_c)),
-            "fitted_c": fit.fitted_c,
-            "monotone_in_lambda": fit.monotone_in_lambda}
-    except ExponentWindowViolated as exc:
-        raise CommandError(EXIT_CONFIG,
-                           "scaling exponents outside the window: %s" % exc)
+    fit = scaling_bound_fit(_scaling_sweep(cfg, (2.0, 4.0, 8.0)), delta=0.1)
+    reports["scaling_bound"] = {
+        "holds": bool(fit.monotone_in_lambda and np.isfinite(fit.fitted_c)),
+        "fitted_c": fit.fitted_c,
+        "monotone_in_lambda": fit.monotone_in_lambda}
 
     manifest.data["checker_reports"].update(reports)
     all_hold = all(v["holds"] for v in reports.values())
@@ -513,7 +514,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                 rep = verify_identity(direct, ibc, tol=cfg.tol_identity)
                 rows.append(("direct-vs-ibc", lam, variant, shift,
                              rep.max_abs_diff, rep.max_rel_diff,
-                             rep.opnorm_diff_estimate, rep.passed))
+                             rep.opnorm_diff_bound, rep.passed))
                 worst = max(worst, rep.max_rel_diff)
                 all_pass &= rep.passed
                 if baseline is None:
@@ -523,10 +524,10 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                            tol=cfg.tol_identity)
                     rows.append(("shift-invariance", lam, variant, shift,
                                  rep2.max_abs_diff, rep2.max_rel_diff,
-                                 rep2.opnorm_diff_estimate, rep2.passed))
+                                 rep2.opnorm_diff_bound, rep2.passed))
                     all_pass &= rep2.passed
     cols = ("kind", "lambda_uv", "variant", "lambda_shift", "max_abs_diff",
-            "max_rel_diff", "opnorm_diff_estimate", "passed")
+            "max_rel_diff", "opnorm_diff_bound", "passed")
     if "csv" in cfg.formats:
         _write_csv(manifest, "identity_report.csv", cols, rows,
                    {"basis_sha256": basis_digest(basis),
@@ -697,12 +698,8 @@ def cmd_bounds(cfg: RunConfig, manifest: RunManifest, args) -> int:
             "holds": True, "applicable": False,
             "reason": "relativistic d=3 form factor only"}
 
-    try:
-        fit = scaling_bound_fit(_scaling_sweep(cfg, (2.0, 4.0, 8.0, 16.0)),
-                                delta=0.1)
-    except ExponentWindowViolated as exc:
-        raise CommandError(EXIT_CONFIG,
-                           "scaling exponents outside the window: %s" % exc)
+    fit = scaling_bound_fit(_scaling_sweep(cfg, (2.0, 4.0, 8.0, 16.0)),
+                            delta=0.1)
     report["scaling_bound"] = {
         "holds": bool(fit.monotone_in_lambda and np.isfinite(fit.fitted_c)),
         "fitted_c": fit.fitted_c, "worst_ratio": fit.worst_ratio,

@@ -4,7 +4,9 @@ Every operator of the boundary decomposition is assembled here: the free
 diagonal L, the cutoff creation/annihilation pair, the boundary map G,
 the virtual-boson block T and its diagonal/off-diagonal split, and the
 two assembly routes to the renormalized Hamiltonian whose exact equality
-on the lattice is the package's core correctness check.
+on the lattice is the package's core correctness check.  verify_identity
+makes that check entry by entry and reports a rigorous upper bound on
+the spectral norm of the difference, from one pass over its entries.
 
 Conventions that make the equality exact:
 
@@ -40,7 +42,6 @@ treated as immutable and safe to share.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import warnings
@@ -658,52 +659,40 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
 class IdentityReport:
     max_abs_diff: float
     max_rel_diff: float
-    opnorm_diff_estimate: float
+    opnorm_diff_bound: float
     tol: float
     passed: bool
 
 
-@functools.lru_cache(maxsize=1)
-def _start_vector(dim: int) -> np.ndarray:
-    """Fixed-seed complex unit vector of the power iteration; read-only,
-    since the identity sweep reuses it for every pair of one dimension."""
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    x.flags.writeable = False
-    return x
-
-
 def verify_identity(a: SparseOperator, b: SparseOperator,
                     tol: float = 1e-10) -> IdentityReport:
-    """Entrywise and norm-estimate comparison of two assembled operators
-    on the same basis; passes when the largest entry difference, scaled
-    by the largest entry magnitude, stays below tol."""
+    """Entrywise comparison of two assembled operators on the same basis,
+    with a rigorous upper bound on the spectral norm of their difference
+    D = a - b; passes when the largest entry difference, scaled by the
+    largest entry magnitude, stays below tol.
+
+    The bound is sqrt(||D||_1 ||D||_inf), the square root of the largest
+    column sum of |D| times the largest row sum (Higham, Accuracy and
+    Stability of Numerical Algorithms, section 6.3); it is exact for a
+    diagonal D and costs one pass over the stored entries.
+    """
     if a.basis.manifest() != b.basis.manifest():
         raise BasisMismatch("operators live on different bases")
     d = (a.matrix - b.matrix).tocsr()
-    max_abs = float(np.abs(d.data).max()) if d.nnz else 0.0
+    max_abs = bound = 0.0
+    if d.nnz:
+        mag = np.abs(d.data)
+        max_abs = float(mag.max())
+        col_sum = np.bincount(d.indices, weights=mag).max()
+        starts = d.indptr[:-1][np.diff(d.indptr) > 0]
+        row_sum = np.add.reduceat(mag, starts).max()
+        bound = float(np.sqrt(col_sum * row_sum))
     scale = 0.0
     for m in (a.matrix, b.matrix):
         if m.nnz:
             scale = max(scale, float(np.abs(m.data).max()))
     max_rel = max_abs / scale if scale > 0 else 0.0
-    # power iteration on D* D for a spectral-norm estimate; D is cast to
-    # complex once, as every product with the complex vector would do
-    d = d.astype(np.complex128, copy=False)
-    x = _start_vector(d.shape[1])
-    est = 0.0
-    dh = d.conj().T.tocsr()
-    for _ in range(12):
-        y = dh @ (d @ x)
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            est = 0.0
-            break
-        est = np.sqrt(ny)
-        x = y / ny
-    return IdentityReport(max_abs, max_rel, float(est), tol,
-                          bool(max_rel <= tol))
+    return IdentityReport(max_abs, max_rel, bound, tol, bool(max_rel <= tol))
 
 
 def basis_digest(basis: FockBasis) -> str:

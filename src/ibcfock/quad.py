@@ -69,6 +69,17 @@ class ScalingExponents:
     sigma_exp: float
     r: float
 
+    def check_window(self, params: ModelParams) -> None:
+        """Raise ValueError on a negative weight or a non-positive r, and
+        ExponentWindowViolated unless d lies inside the window."""
+        nu, sig, rr = self.nu_exp, self.sigma_exp, self.r
+        if nu < 0 or sig < 0 or rr <= 0:
+            raise ValueError("exponents must satisfy nu,sigma >= 0 and r > 0")
+        lo, hi = nu + sig, nu + sig + rr * params.gamma
+        if not lo < params.d < hi:
+            raise ExponentWindowViolated(
+                "need d in (%g, %g), got d=%d" % (lo, hi, params.d))
+
 
 # ---------------------------------------------------------------------------
 # axisymmetric product-rule engine
@@ -410,13 +421,9 @@ def scaling_lhs(p, omega_shift: float, lambda_uv: float, exps: ScalingExponents,
     with pure powers of the model exponents gamma and beta.  Requires
     the integrability window d in (nu+sigma, nu+sigma+r*gamma).
     """
+    exps.check_window(params)
     nu, sig, rr = exps.nu_exp, exps.sigma_exp, exps.r
-    if nu < 0 or sig < 0 or rr <= 0:
-        raise ValueError("exponents must satisfy nu,sigma >= 0 and r > 0")
     d, gam, bet = params.d, params.gamma, params.beta
-    if not nu + sig < d < nu + sig + rr * gam:
-        raise ExponentWindowViolated(
-            "need d in (%g, %g), got d=%d" % (nu + sig, nu + sig + rr * gam, d))
     if omega_shift < 0 or lambda_uv < 0:
         raise ValueError("omega_shift and lambda_uv must be >= 0")
     p_norm = _norm_of(p)

@@ -163,6 +163,24 @@ def test_scaling_window_violation_exits_one(tmp_path):
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("exps, message", [
+    ("0, 0, 0.5", "scaling exponents outside the window"),
+    ("0, -1, 2", "invalid config"),
+])
+def test_scaling_exponents_are_checked_at_load(tmp_path, exps, message):
+    path = write_cfg(tmp_path, """\
+        [model]
+        kind = gross
+
+        [study]
+        scaling_exponents = %s
+        """ % exps)
+    with pytest.raises(cli.CommandError) as info:
+        cli.load_config(path)
+    assert info.value.code == cli.EXIT_CONFIG
+    assert message in str(info.value)
+
+
 def test_failing_conditions_gate_and_override_semantics(tmp_path):
     # negative ultraviolet degree fails the exponent-window checker
     path = write_cfg(tmp_path, """\
@@ -239,6 +257,15 @@ def test_identity_tiny_gross_outputs_and_hash(tmp_path):
     # cutoff x variant x shift rows plus one invariance row per pair
     assert len(payload["rows"]) == 2 * 2 * 2 + 2 * 2 * 1
     assert all(r["passed"] for r in payload["rows"])
+
+    # the norm column is a bound on ||D||_2 >= max |d_ij|
+    header = (out / "identity_report.csv").read_text().splitlines()[1]
+    assert header.split(",") == [
+        "kind", "lambda_uv", "variant", "lambda_shift", "max_abs_diff",
+        "max_rel_diff", "opnorm_diff_bound", "passed"]
+    for r in payload["rows"]:
+        assert "opnorm_diff_estimate" not in r
+        assert r["opnorm_diff_bound"] >= r["max_abs_diff"]
 
 
 def test_identity_corrupt_hook_exits_three(tmp_path):

@@ -13,6 +13,8 @@ from itertools import permutations, product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import svds
 
 from ibcfock import (
@@ -51,7 +53,7 @@ from ibcfock.errors import (
     ConditionCViolated,
     MasslessWithoutShift,
 )
-from ibcfock.ops import _shift_table, _start_vector
+from ibcfock.ops import SparseOperator, _shift_table
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=1)
 GROSS2 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2)
@@ -580,23 +582,90 @@ def test_verify_identity_flags_perturbation():
     rep = verify_identity(h1, h2, tol=1e-10)
     assert not rep.passed
     assert rep.max_abs_diff == pytest.approx(1e-6, rel=1e-6)
-    assert rep.opnorm_diff_estimate == pytest.approx(1e-6, rel=1e-3)
+    # one diagonal entry: the bound is the norm itself
+    assert rep.opnorm_diff_bound == pytest.approx(rep.max_abs_diff, rel=1e-12)
+    assert rep.opnorm_diff_bound == pytest.approx(1e-6, rel=1e-6)
 
 
-def test_verify_identity_reuses_a_read_only_start_vector():
-    basis = small_basis(GROSS2)
+def test_verify_identity_is_symmetric_and_leaves_inputs_unchanged():
+    params = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
+                         n_nucleons=2)
+    basis = small_basis(params)
     hd = assemble_H_direct(basis, 1.0, 1, "grid")
     hi = assemble_H_ibc(basis, 1.0, 1, 0.5, "grid")
-    first = verify_identity(hd, hi)
-    # a pair on another dimension in between replaces the cached vector
-    other = small_basis(GROSS1, n_max=1)
-    verify_identity(assemble_H_direct(other, None, 1, "grid"),
-                    assemble_H_ibc(other, None, 1, 0.0, "grid"))
-    assert verify_identity(hd, hi) == first
-    x = _start_vector(basis.total_dim)
-    assert not x.flags.writeable
-    with pytest.raises(ValueError):
-        x[0] = 0.0
+    before = [(op.matrix.data.copy(), op.matrix.indices.copy(),
+               op.matrix.indptr.copy()) for op in (hd, hi)]
+    assert verify_identity(hd, hi) == verify_identity(hi, hd)
+    for op, (data, indices, indptr) in zip((hd, hi), before):
+        assert np.array_equal(op.matrix.data, data)
+        assert np.array_equal(op.matrix.indices, indices)
+        assert np.array_equal(op.matrix.indptr, indptr)
+
+
+# The bound sqrt(||D||_1 ||D||_inf) may meet the spectral norm (it does for
+# a diagonal D), where the dense SVD norm and the bound each carry a few
+# ulps of rounding; 1e-15 relative absorbs that and nothing more.
+_BOUND_RTOL = 1e-15
+
+
+def _assert_bound_dominates(a, b):
+    rep = verify_identity(a, b)
+    exact = np.linalg.norm((a.matrix - b.matrix).toarray(), 2)
+    assert rep.opnorm_diff_bound >= exact * (1 - _BOUND_RTOL), (rep, exact)
+    assert rep.opnorm_diff_bound >= rep.max_abs_diff
+    return rep
+
+
+def _bound_panel_basis(name):
+    # k_max = 2 keeps the panel's largest cutoff inside the box
+    if name == "gross1":
+        return small_basis(GROSS1, k_max=2.0)
+    if name == "gross2":
+        return small_basis(GROSS2, k_max=2.0, n_max=1)
+    if name == "gross2_complex":
+        return small_basis(gross_model(coupling=(1.0, 0.8 * np.exp(0.7j)),
+                                       mu=1.0, m_boson=1.0, n_nucleons=2),
+                           k_max=2.0, n_max=1)
+    params = custom_model(1, alpha=0.0, beta=1.0, gamma=1.0, mu=1.0,
+                          m_boson=1.0, coupling=(0.8, 0.5), n_nucleons=2)
+    return small_basis(params, d=1, k_max=2.0, nax=5)
+
+
+@pytest.mark.parametrize("name", ["gross1", "gross2", "gross2_complex",
+                                  "custom2_d1"])
+@pytest.mark.parametrize("lam_uv", [None, 1.0, 2.0])
+def test_opnorm_diff_bound_dominates_spectral_norm(name, lam_uv):
+    basis = _bound_panel_basis(name)
+    hd = assemble_H_direct(basis, lam_uv, 1, "grid")
+    base = assemble_H_ibc(basis, lam_uv, 1, 0.0, "grid")
+    shifted = assemble_H_ibc(basis, lam_uv, 1, 0.5, "grid")
+    for a, b in ((hd, base), (hd, shifted), (base, shifted)):
+        assert _assert_bound_dominates(a, b).passed
+    # the sabotaged pair of identity --corrupt-offdiag-sign
+    t_od = assemble_T_od(basis, lam_uv, lambda_shift=0.0)
+    assert t_od.nnz
+    bad = SparseOperator(basis, (base.matrix - 2 * t_od.matrix).tocsr())
+    assert not _assert_bound_dominates(hd, bad).passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_max=st.integers(0, 11), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), diagonal=st.booleans())
+def test_opnorm_diff_bound_property(n_max, density, seed, diagonal):
+    basis = single_mode_basis(n_max)
+    n = basis.total_dim
+    rng = np.random.default_rng(seed)
+    if diagonal:
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        m = sparse.diags_array(vals * (rng.random(n) < density), format="csr")
+    else:
+        m = sparse.random_array((n, n), density=density, format="csr",
+                                dtype=np.complex128, rng=rng)
+    zero = SparseOperator(basis, sparse.csr_array((n, n)))
+    rep = _assert_bound_dominates(SparseOperator(basis, m), zero)
+    if diagonal:
+        assert rep.opnorm_diff_bound == pytest.approx(
+            np.abs(m.diagonal()).max(), rel=_BOUND_RTOL, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
