@@ -23,8 +23,8 @@ print("basis: %d states, digest %s..."
 
 for lam in (1.0, 2.0):
     for variant in (1, 2):
-        direct = ib.assemble_H_direct(basis, lam, variant, "grid")
-        ibc = ib.assemble_H_ibc(basis, lam, variant, 0.0, "grid")
+        direct = ib.assemble_H_direct(basis, lam, variant)
+        ibc = ib.assemble_H_ibc(basis, lam, variant, 0.0)
         rep = ib.verify_identity(direct, ibc, tol=1e-10)
         print("cutoff %4.1f  variant %d: max rel diff %.3e  -> %s"
               % (lam, variant, rep.max_rel_diff,
@@ -32,9 +32,9 @@ for lam in (1.0, 2.0):
 
 # the auxiliary shift threads through G and the T blocks but cancels
 print("\nshift invariance at cutoff 2, variant 2:")
-base = ib.assemble_H_ibc(basis, 2.0, 2, 0.0, "grid")
+base = ib.assemble_H_ibc(basis, 2.0, 2, 0.0)
 for shift in (1.0, 10.0):
-    other = ib.assemble_H_ibc(basis, 2.0, 2, shift, "grid")
+    other = ib.assemble_H_ibc(basis, 2.0, 2, shift)
     rep = ib.verify_identity(base, other, tol=1e-10)
     print("  shift %5.1f: max rel diff %.3e" % (shift, rep.max_rel_diff))
 
@@ -50,7 +50,7 @@ print("\nsabotaged off-diagonal sign: max rel diff %.3e -> %s"
 # spectra agree too (they are the same matrix)
 e_direct = eigsh(direct.matrix, k=1, which="SA",
                  return_eigenvectors=False)[0]
-e_ibc = eigsh(ib.assemble_H_ibc(basis, 2.0, 2, 1.0, "grid").matrix,
+e_ibc = eigsh(ib.assemble_H_ibc(basis, 2.0, 2, 1.0).matrix,
               k=1, which="SA", return_eigenvectors=False)[0]
 print("\nground energy, both routes: %.10f vs %.10f (diff %.2e)"
       % (e_direct, e_ibc, abs(e_direct - e_ibc)))

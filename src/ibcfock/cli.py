@@ -76,8 +76,13 @@ from .quad import (
     integral_j_grid,
     scaling_bound_fit,
 )
-from .spectral import cutoff_convergence_study, divergence_fit, \
-    regularity_diagnostic
+from .spectral import (
+    ConvergenceRow,
+    RegularityRow,
+    cutoff_convergence_study,
+    divergence_fit,
+    regularity_diagnostic,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -126,7 +131,6 @@ class RunConfig:
     formats: tuple
     dump_operators: bool
     config_sha256: str
-    raw: dict
 
 
 def _floats(text: str) -> tuple:
@@ -280,7 +284,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
                      eig_tol=eig_tol, norm_tol=norm_tol, seed=seed,
                      n_samples=n_samples, n_p_samples=n_p_samples,
                      formats=formats, dump_operators=dump_ops,
-                     config_sha256=sha, raw=raw)
+                     config_sha256=sha)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +343,18 @@ def _write_csv(manifest: RunManifest, name: str, columns, rows,
                 ("%.17g" % v) if isinstance(v, float) else str(v)
                 for v in row) + "\n")
     manifest.register(name)
+
+
+def _write_table(manifest: RunManifest, formats, stem: str, columns, rows,
+                 meta: dict, **json_only):
+    """stem.csv and stem.json in the configured formats: the metadata,
+    the rows, and in the JSON also the json_only entries."""
+    if "csv" in formats:
+        _write_csv(manifest, stem + ".csv", columns, rows, meta)
+    if "json" in formats:
+        _write_json(manifest, stem + ".json",
+                    {**meta, **json_only,
+                     "rows": [dict(zip(columns, r)) for r in rows]})
 
 
 def _make_basis(cfg: RunConfig) -> FockBasis:
@@ -487,11 +503,11 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     all_pass = True
     for lam in cfg.lambda_list:
         for variant in cfg.variants:
-            direct = assemble_H_direct(basis, lam, variant, "grid")
+            direct = assemble_H_direct(basis, lam, variant)
             baseline = None
             for shift in cfg.lambda_shifts:
                 try:
-                    ibc = assemble_H_ibc(basis, lam, variant, shift, "grid")
+                    ibc = assemble_H_ibc(basis, lam, variant, shift)
                 except MasslessWithoutShift as exc:
                     raise CommandError(
                         EXIT_CONDITION,
@@ -526,21 +542,15 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                  rep2.max_abs_diff, rep2.max_rel_diff,
                                  rep2.opnorm_diff_bound, rep2.passed))
                     all_pass &= rep2.passed
-    cols = ("kind", "lambda_uv", "variant", "lambda_shift", "max_abs_diff",
-            "max_rel_diff", "opnorm_diff_bound", "passed")
-    if "csv" in cfg.formats:
-        _write_csv(manifest, "identity_report.csv", cols, rows,
-                   {"basis_sha256": basis_digest(basis),
-                    "tol": cfg.tol_identity})
-    if "json" in cfg.formats:
-        _write_json(manifest, "identity_report.json",
-                    {"rows": [dict(zip(cols, r)) for r in rows],
-                     "worst_rel_diff": worst, "all_pass": all_pass,
-                     "basis_sha256": basis_digest(basis),
-                     "tol": cfg.tol_identity})
+    _write_table(manifest, cfg.formats, "identity_report",
+                 ("kind", "lambda_uv", "variant", "lambda_shift",
+                  "max_abs_diff", "max_rel_diff", "opnorm_diff_bound",
+                  "passed"), rows,
+                 {"basis_sha256": basis_digest(basis),
+                  "tol": cfg.tol_identity},
+                 worst_rel_diff=worst, all_pass=all_pass)
     if cfg.dump_operators:
-        op = assemble_H_direct(basis, max(cfg.lambda_list),
-                               cfg.variants[0], "grid")
+        op = assemble_H_direct(basis, max(cfg.lambda_list), cfg.variants[0])
         export_triplets(op, manifest.out_dir / "hamiltonian_direct.triplets")
         manifest.register("hamiltonian_direct.triplets")
     if not all_pass:
@@ -566,15 +576,11 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     except ValueError as exc:
         raise CommandError(EXIT_CONFIG, "cutoff ladder: %s" % exc)
     for variant, tab in tables.items():
-        meta = {"config_sha256": cfg.config_sha256}
-        if "csv" in cfg.formats:
-            tab.to_csv(manifest.out_dir / ("converge_v%d.csv" % variant),
-                       extra_meta=meta)
-            manifest.register("converge_v%d.csv" % variant)
-        if "json" in cfg.formats:
-            tab.to_json(manifest.out_dir / ("converge_v%d.json" % variant),
-                        extra_meta=meta)
-            manifest.register("converge_v%d.json" % variant)
+        _write_table(manifest, cfg.formats, "converge_v%d" % variant,
+                     [f.name for f in dataclasses.fields(ConvergenceRow)],
+                     [dataclasses.astuple(r) for r in tab.rows],
+                     {"variant": variant, "basis_sha256": tab.basis_sha256,
+                      "fits": tab.fits})
 
     # counterterm divergence fit from continuum quadrature at p = 0
     e_vals = [counterterm(np.zeros(cfg.params.d), lam, 1, cfg.params).value
@@ -589,8 +595,8 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     # dispersion-shift lattice diagonal alone
     if set(cfg.variants) == {1, 2}:
         lam = max(cfg.lambda_list)
-        h1 = assemble_H_direct(basis, lam, 1, "grid")
-        h2 = assemble_H_direct(basis, lam, 2, "grid")
+        h1 = assemble_H_direct(basis, lam, 1)
+        h2 = assemble_H_direct(basis, lam, 2)
         diff = (h1.matrix - h2.matrix).tocoo()
         off_diag = float(np.abs(diff.data[diff.row != diff.col]).max()) \
             if np.any(diff.row != diff.col) else 0.0
@@ -661,13 +667,13 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                 lambda_uv=None,
                                 lambda_shift=cfg.lambda_shifts[0],
                                 eig_tol=cfg.eig_tol)
-    meta = {"config_sha256": cfg.config_sha256}
-    if "csv" in cfg.formats:
-        rep.to_csv(manifest.out_dir / "regularity.csv", extra_meta=meta)
-        manifest.register("regularity.csv")
-    if "json" in cfg.formats:
-        rep.to_json(manifest.out_dir / "regularity.json", extra_meta=meta)
-        manifest.register("regularity.json")
+    _write_table(manifest, cfg.formats, "regularity",
+                 [f.name for f in dataclasses.fields(RegularityRow)],
+                 [dataclasses.astuple(r) for r in rep.rows],
+                 {"threshold": rep.threshold, "variant": rep.variant,
+                  "slopes": {str(k): v for k, v in rep.slopes.items()},
+                  "basis_digests": rep.basis_digests},
+                 ground_energies=rep.ground_energies)
     _write_csv(manifest, "growth_exponents.csv",
                ("eta", "growth_slope", "threshold"),
                [(float(e), float(s), rep.threshold)

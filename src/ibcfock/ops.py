@@ -26,8 +26,14 @@ Conventions that make the equality exact:
 Every builder takes the basis and reads the model from basis.params.
 The pieces the two routes share have one definition each: the free
 diagonal is the basis's cached free_diagonal, the counterterm diagonal
-comes from _counterterm_rows, and both exchange families start from
-_exchange_tables.
+comes from _counterterm_rows, the creation matrix from _creation_matrix,
+the direct-route sum from _direct_matrix, and both exchange families
+start from _exchange_tables.
+
+Builders that move a nucleon by a boson momentum (creation, G, T, the
+exchange pieces and both Hamiltonians) require the nucleon and boson
+grids to share one lattice, and fockgrid.translate_indices is the only
+lattice shift.
 
 The scalar type is decided in one place, _csr: values with no nonzero
 imaginary part are stored as float64, others as complex128.  Every other
@@ -51,7 +57,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import BasisMismatch, ConditionCViolated, MasslessWithoutShift
-from .fockgrid import FockBasis, MomentumGrid
+from .fockgrid import FockBasis, translate_indices
 from .model import (
     check_condition_c,
     dispersion_boson,
@@ -124,37 +130,14 @@ def _diag_op(basis, values, tags, hermitian=True) -> SparseOperator:
                           tags, hermitian)
 
 
-# ---------------------------------------------------------------------------
-# lattice shift table
-
-def _shift_table(nuc_grid: MomentumGrid, bos_grid: MomentumGrid,
-                 sign: int) -> np.ndarray:
-    """(nuc_size, bos_size) flat nucleon index of p + sign*q, -1 when the
-    shifted momentum leaves the nucleon lattice (dropped recoil)."""
-    a, b = nuc_grid.axis, bos_grid.axis
-    t = a[:, None] + sign * b[None, :]
-    idx = np.rint((t - a[0]) / nuc_grid.spacing).astype(np.int64)
-    ok = (idx >= 0) & (idx < nuc_grid.n_per_axis)
-    recon = a[0] + idx * nuc_grid.spacing
-    ok &= np.abs(recon - t) <= 1e-9 * max(1.0, nuc_grid.spacing)
-    axmap = np.where(ok, idx, -1)
-    mn = nuc_grid.multi_indices().astype(np.int64)
-    mb = bos_grid.multi_indices().astype(np.int64)
-    tgt = axmap[mn[:, None, :], mb[None, :, :]]
-    valid = np.all(tgt >= 0, axis=-1)
-    strides = nuc_grid.n_per_axis ** np.arange(nuc_grid.d - 1, -1, -1,
-                                               dtype=np.int64)
-    return np.where(valid, np.maximum(tgt, 0) @ strides, -1)
-
-
 def _require_shared_lattice(basis: FockBasis):
     a, b = basis.nucleon_grid, basis.boson_grid
     same = (a.d == b.d and a.n_per_axis == b.n_per_axis
             and np.isclose(a.spacing, b.spacing)
             and np.allclose(a.axis, b.axis))
     if not same:
-        raise ValueError("grid quadrature requires the nucleon and boson "
-                         "grids to share one lattice")
+        raise ValueError("recoil shifts and grid quadrature require the "
+                         "nucleon and boson grids to share one lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +179,11 @@ def _counterterm_rows(basis: FockBasis, lambda_uv, variant: int,
         raise ValueError("variant must be 1 or 2")
     if quad_mode not in ("grid", "continuum"):
         raise ValueError("quad_mode must be 'grid' or 'continuum'")
-    if quad_mode == "grid":
-        _require_shared_lattice(basis)
     params = basis.params
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
     e_rows = np.zeros(basis.nuc_dim)
     if quad_mode == "grid":
+        _require_shared_lattice(basis)
         for ell in range(params.n_nucleons):
             e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
                                        lambda_uv, variant, params,
@@ -236,13 +218,15 @@ def assemble_L(basis: FockBasis) -> SparseOperator:
 # creation / annihilation
 
 def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
+    _require_shared_lattice(basis)
     params = basis.params
     nuc, bos = basis.nucleon_grid, basis.boson_grid
     if lambda_uv is not None and lambda_uv > bos.k_max * (1 + 1e-12):
         warnings.warn("cutoff radius %.6g exceeds the boson box reach %.6g"
                       % (lambda_uv, bos.k_max), stacklevel=3)
     mask = grid_mode_mask(bos, lambda_uv, params)
-    tbl = _shift_table(nuc, bos, sign=-1)
+    lattice = np.arange(nuc.size)
+    recoil, inside = translate_indices(nuc, lattice[:, None], lattice, sign=-1)
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
     m_nuc = params.n_nucleons
     strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
@@ -260,8 +244,8 @@ def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
             mult = np.sqrt((modes == q).sum(axis=1) + 1.0)
             for i in range(m_nuc):
                 src_mode = nuc_table[:, i]
-                tgt_mode = tbl[src_mode, q]
-                ok = tgt_mode >= 0
+                tgt_mode = recoil[src_mode, q]
+                ok = inside[src_mode, q]
                 if not ok.any():
                     continue
                 src_nuc = nuc_flat[ok]
@@ -327,16 +311,22 @@ def assemble_G(basis: FockBasis, lambda_uv,
                                      "lambda_shift": lambda_shift}, False)
 
 
+def _cutoff_block(basis: FockBasis, a_mat: sparse.csr_array,
+                  lambda_shift: float):
+    """G and T = -G*(L+lambda)G from the creation matrix."""
+    _check_shift(basis, lambda_shift)
+    lv = basis.free_diagonal + lambda_shift
+    g = _boundary_map(a_mat, lv)
+    w = sparse.diags_array(lv, format="csr")
+    return g, sparse.csr_array(-(g.conj().T @ (w @ g)))
+
+
 def assemble_T_cutoff(basis: FockBasis, lambda_uv,
                       lambda_shift: float) -> SparseOperator:
     """Virtual-boson block T = -G*(L+lambda)G; the equal product a(V)G is
     also formed and the agreement recorded in the tags."""
-    _check_shift(basis, lambda_shift)
     a_mat = _creation_matrix(basis, lambda_uv)
-    lv = basis.free_diagonal + lambda_shift
-    g = _boundary_map(a_mat, lv)
-    w = sparse.diags_array(lv, format="csr")
-    t_main = sparse.csr_array(-(g.conj().T @ (w @ g)))
+    g, t_main = _cutoff_block(basis, a_mat, lambda_shift)
     t_alt = sparse.csr_array(a_mat.conj().T @ g)
     diff = (t_main - t_alt).tocoo()
     agreement = float(np.abs(diff.data).max()) if diff.nnz else 0.0
@@ -448,13 +438,19 @@ def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
     m_nuc = params.n_nucleons
     if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
         raise IndexError("nucleon index out of range")
+    _require_shared_lattice(basis)
     nuc, bos = basis.nucleon_grid, basis.boson_grid
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
     theta_pt = dispersion_nucleon(nuc.points, params)
     strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
+    lattice = np.arange(nuc.size)
+    tbl_minus, tbl_plus = (
+        np.where(ok, tgt, -1) for tgt, ok in
+        (translate_indices(nuc, lattice[:, None], lattice, sign=s)
+         for s in (-1, 1)))
     return (np.flatnonzero(grid_mode_mask(bos, lambda_uv, params)),
-            _shift_table(nuc, bos, sign=-1), _shift_table(nuc, bos, sign=+1),
-            nuc_table, strides, theta_pt, theta_pt[nuc_table].sum(axis=1),
+            tbl_minus, tbl_plus, nuc_table, strides, theta_pt,
+            theta_pt[nuc_table].sum(axis=1),
             dispersion_boson_norm(bos.norms(), params))
 
 
@@ -611,23 +607,28 @@ def assemble_T_od(basis: FockBasis, lambda_uv,
 # ---------------------------------------------------------------------------
 # the two Hamiltonian assembly routes
 
-def assemble_H_direct(basis: FockBasis, lambda_uv, variant: int,
-                      quad_mode: str) -> SparseOperator:
-    """Direct route: free diagonal plus the cutoff interaction pair plus
-    the counterterm diagonal."""
-    e_rows = _counterterm_rows(basis, lambda_uv, variant, quad_mode)
-    a_mat = _creation_matrix(basis, lambda_uv)
+def _direct_matrix(basis: FockBasis, a_mat: sparse.csr_array,
+                   e_rows: np.ndarray) -> sparse.csr_array:
+    """diag(L + counterterm) + a*(V) + a(V) from the creation matrix and
+    the counterterm rows; zero rows give the unrenormalized operator."""
     diag = basis.free_diagonal + basis.nucleon_diagonal(e_rows)
-    h = sparse.csr_array(sparse.diags_array(diag, format="csr")
-                         + a_mat + a_mat.conj().T)
+    return sparse.csr_array(sparse.diags_array(diag, format="csr")
+                            + a_mat + a_mat.conj().T)
+
+
+def assemble_H_direct(basis: FockBasis, lambda_uv,
+                      variant: int) -> SparseOperator:
+    """Direct route: free diagonal plus the cutoff interaction pair plus
+    the counterterm diagonal (lattice twins)."""
+    e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
+    h = _direct_matrix(basis, _creation_matrix(basis, lambda_uv), e_rows)
     return SparseOperator(basis, h, {"path": "direct",
                                      "lambda_uv": lambda_uv,
-                                     "variant": variant,
-                                     "quad_mode": quad_mode}, True)
+                                     "variant": variant}, True)
 
 
 def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
-                   lambda_shift: float, quad_mode: str) -> SparseOperator:
+                   lambda_shift: float) -> SparseOperator:
     """Boundary route: (1-G)*(L+lambda)(1-G) + T_d + T_od - lambda.
 
     Algebraically equal to the direct route for every cutoff, variant
@@ -640,7 +641,7 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
     one_minus_g = sparse.csr_array(one - g_op.matrix)
     w = sparse.diags_array(lv, format="csr")
     prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
-    td = assemble_Td(basis, lambda_uv, variant, quad_mode,
+    td = assemble_Td(basis, lambda_uv, variant, "grid",
                      lambda_shift=lambda_shift)
     tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift)
     h = sparse.csr_array(prod + td.matrix + tod.matrix
@@ -648,8 +649,7 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
     return SparseOperator(basis, h, {"path": "ibc",
                                      "lambda_uv": lambda_uv,
                                      "variant": variant,
-                                     "lambda_shift": lambda_shift,
-                                     "quad_mode": quad_mode}, True)
+                                     "lambda_shift": lambda_shift}, True)
 
 
 # ---------------------------------------------------------------------------

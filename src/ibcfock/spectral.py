@@ -17,12 +17,13 @@ Three numerical experiments live here on top of generic solver plumbing:
 All continuum-flavored statements are certified Cauchy-style: the
 finest cutoff in the family stands in for the removed-cutoff operator.
 Solvers are deterministic: start vectors derive from the basis digest.
+Tables are data: ConvergenceTable and RegularityReport hold rows and
+metadata, and the command-line front end writes them.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,9 +42,10 @@ from .ops import (
     SparseOperator,
     _counterterm_rows,
     _creation_matrix,
+    _cutoff_block,
+    _direct_matrix,
     assemble_G,
     assemble_H_direct,
-    assemble_T_cutoff,
     basis_digest,
 )
 from .quad import loglog_slope
@@ -247,35 +249,6 @@ class ConvergenceTable:
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
-    def to_csv(self, path, extra_meta: dict = None) -> None:
-        meta = {"variant": self.variant, "basis_sha256": self.basis_sha256,
-                "fits": self.fits}
-        if extra_meta:
-            meta.update(extra_meta)
-        cols = ["lambda_uv", "ground_energy", "control_ground_energy",
-                "resolvent_diff_to_finest", "opnorm_t_diff"]
-        with open(path, "w") as fh:
-            fh.write("# %s\n" % json.dumps(meta, sort_keys=True))
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                fh.write(",".join("%.17g" % getattr(r, c) for c in cols) + "\n")
-
-    def to_json(self, path, extra_meta: dict = None) -> None:
-        payload = {
-            "variant": self.variant,
-            "basis_sha256": self.basis_sha256,
-            "fits": self.fits,
-            "rows": [{c: getattr(r, c) for c in
-                      ("lambda_uv", "ground_energy", "control_ground_energy",
-                       "resolvent_diff_to_finest", "opnorm_t_diff")}
-                     for r in self.rows],
-        }
-        if extra_meta:
-            payload.update(extra_meta)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
 
 def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                              lambda_shift: float = 0.0,
@@ -293,12 +266,15 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     the unrenormalized ground energy, whose downward drift is the
     divergence the counterterm subtracts.
 
-    The control Hamiltonian (free + a + a^dagger, no counterterm) and
-    the cutoff block T do not depend on the variant, so each is built
-    and solved once per cutoff and shared by every table.  The Lanczos
-    solves run in real arithmetic when the couplings are real, and the
-    resolvent factorizations use a fill-reducing symmetric ordering
-    (see lowest_eigenpairs and _ResolventFactor).
+    One creation matrix per cutoff feeds the control Hamiltonian
+    (free + a + a^dagger, no counterterm), the cutoff block T and every
+    variant's renormalized Hamiltonian.  The control is solved and T
+    built once per cutoff, shared by every table, and the counterterm
+    rows of each (cutoff, variant) serve both its Hamiltonian and its
+    T block.  The Lanczos solves run in real arithmetic when the
+    couplings are real, and the resolvent factorizations use a
+    fill-reducing symmetric ordering (see lowest_eigenpairs and
+    _ResolventFactor).
     """
     lams = [float(x) for x in lambda_list]
     variants = [int(v) for v in variants]
@@ -314,34 +290,36 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                          % (max(lams), reach))
 
     params = basis.params
-    lv = basis.free_diagonal
-    free = sparse.diags_array(lv, format="csr")
     exps = ultraviolet_degree(params)
-    weight = (lv + 1.0) ** (-(max(exps.uv_degree, 0.0) / params.gamma
-                              + T_WEIGHT_EPSILON))
+    weight = (basis.free_diagonal + 1.0) ** (
+        -(max(exps.uv_degree, 0.0) / params.gamma + T_WEIGHT_EPSILON))
     w_diag = sparse.diags_array(weight, format="csr")
     digest = basis_digest(basis)
     v0 = _seed_vector(basis.total_dim, digest, "study")
 
-    controls, t_ops = [], []
+    no_counterterm = np.zeros(basis.nuc_dim)
+    a_mats, controls, t_ops = [], [], []
     for lam in lams:
         a_mat = _creation_matrix(basis, lam)
         h_bare = SparseOperator(
-            basis, sparse.csr_array(free + a_mat + a_mat.conj().T),
+            basis, _direct_matrix(basis, a_mat, no_counterterm),
             {"path": "direct", "lambda_uv": lam, "control": "no-counterterm"},
             True)
         controls.append(float(lowest_eigenpairs(h_bare, 1, eig_tol).values[0]))
-        t_ops.append(assemble_T_cutoff(basis, lam, lambda_shift).matrix)
+        t_ops.append(_cutoff_block(basis, a_mat, lambda_shift)[1])
+        a_mats.append(a_mat)
 
     tables = {}
     for variant in variants:
         hams, t_blocks, grounds = [], [], []
-        for lam, t_op in zip(lams, t_ops):
-            hd = assemble_H_direct(basis, lam, variant, "grid")
+        for lam, a_mat, t_op in zip(lams, a_mats, t_ops):
+            e_rows = _counterterm_rows(basis, lam, variant, "grid")
+            hd = SparseOperator(basis, _direct_matrix(basis, a_mat, e_rows),
+                                {"path": "direct", "lambda_uv": lam,
+                                 "variant": variant}, True)
             hams.append(hd.matrix)
             grounds.append(float(lowest_eigenpairs(hd, 1, eig_tol).values[0]))
-            e_diag = basis.nucleon_diagonal(
-                _counterterm_rows(basis, lam, variant, "grid"))
+            e_diag = basis.nucleon_diagonal(e_rows)
             # the cutoff block lives on sectors below the top (its
             # intermediates carry one extra boson), so the counterterm is
             # paired with it on those sectors only
@@ -457,35 +435,6 @@ class RegularityReport:
     ground_energies: list
     basis_digests: list
 
-    def to_csv(self, path, extra_meta: dict = None) -> None:
-        meta = {"threshold": self.threshold, "variant": self.variant,
-                "slopes": {str(k): v for k, v in self.slopes.items()},
-                "basis_digests": self.basis_digests}
-        if extra_meta:
-            meta.update(extra_meta)
-        with open(path, "w") as fh:
-            fh.write("# %s\n" % json.dumps(meta, sort_keys=True))
-            fh.write("k_max,total_dim,eta,norm_regular,norm_singular\n")
-            for r in self.rows:
-                fh.write("%.17g,%d,%.17g,%.17g,%.17g\n"
-                         % (r.k_max, r.total_dim, r.eta, r.norm_regular,
-                            r.norm_singular))
-
-    def to_json(self, path, extra_meta: dict = None) -> None:
-        payload = {
-            "threshold": self.threshold,
-            "variant": self.variant,
-            "slopes": {str(k): v for k, v in self.slopes.items()},
-            "ground_energies": self.ground_energies,
-            "basis_digests": self.basis_digests,
-            "rows": [r.__dict__ for r in self.rows],
-        }
-        if extra_meta:
-            payload.update(extra_meta)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
 
 def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
                           lambda_shift: float = 0.0,
@@ -515,7 +464,7 @@ def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
     rows, energies, digests = [], [], []
     singular = {e: [] for e in etas}
     for basis in bases:
-        hd = assemble_H_direct(basis, lambda_uv, variant, "grid")
+        hd = assemble_H_direct(basis, lambda_uv, variant)
         eig = lowest_eigenpairs(hd, 1, eig_tol)
         psi = eig.vectors[:, 0]
         psi = psi / np.linalg.norm(psi)

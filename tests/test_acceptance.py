@@ -43,10 +43,8 @@ def test_direct_and_boundary_assemblies_match_on_presets():
             warnings.simplefilter("ignore")
             for lam in (1.0, 2.0, 4.0):
                 for variant in (1, 2):
-                    direct = ib.assemble_H_direct(basis, lam, variant,
-                                                  "grid")
-                    ibc = ib.assemble_H_ibc(basis, lam, variant, 0.0,
-                                            "grid")
+                    direct = ib.assemble_H_direct(basis, lam, variant)
+                    ibc = ib.assemble_H_ibc(basis, lam, variant, 0.0)
                     rep = ib.verify_identity(direct, ibc, tol=1e-10)
                     assert rep.passed, (params.kind, lam, variant,
                                         rep.max_rel_diff)
@@ -64,8 +62,7 @@ def test_energy_shift_invariance_and_massless_guard():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for variant in (1, 2):
-                ops = [ib.assemble_H_ibc(basis, 4.0, variant, shift,
-                                         "grid")
+                ops = [ib.assemble_H_ibc(basis, 4.0, variant, shift)
                        for shift in (0.0, 1.0, 10.0)]
                 for other in ops[1:]:
                     rep = ib.verify_identity(ops[0], other, tol=1e-10)
@@ -76,10 +73,10 @@ def test_energy_shift_invariance_and_massless_guard():
     massless = ib.eckmann_model(delta=0.0, coupling=1.0, mu=1.0,
                                 m_boson=0.0)
     basis = preset_basis(massless, 1.0, 3, 1)
-    shifted = ib.assemble_H_ibc(basis, 1.0, 1, 1.0, "grid")
+    shifted = ib.assemble_H_ibc(basis, 1.0, 1, 1.0)
     assert shifted.nnz > 0
     with pytest.raises(MasslessWithoutShift):
-        ib.assemble_H_ibc(basis, 1.0, 1, 0.0, "grid")
+        ib.assemble_H_ibc(basis, 1.0, 1, 0.0)
 
 
 # ---------------------------------------------------------------------------

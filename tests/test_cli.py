@@ -41,6 +41,25 @@ TINY_GROSS = """\
     formats = csv, json
     """
 
+TINY_REGULARITY = """\
+    [model]
+    kind = gross
+    mu = 1.0
+    m_boson = 1.0
+    coupling = 0.5
+
+    [grid]
+    k_max = 1.0
+    n_per_axis = 3
+    n_max = 1
+
+    [study]
+    ladder_k_max = 1, 2, 4
+    eta_list = 0.25, 0.75
+    variants = 1
+    lambda_shifts = 0
+    """
+
 
 # ---------------------------------------------------------------------------
 # configuration loading
@@ -279,13 +298,21 @@ def test_identity_corrupt_hook_exits_three(tmp_path):
     assert payload["worst_rel_diff"] > 1e-6
 
 
-def test_identity_runs_are_byte_deterministic(tmp_path):
-    path = write_cfg(tmp_path, TINY_GROSS)
+@pytest.mark.parametrize("command, config", [
+    ("identity", TINY_GROSS), ("converge", TINY_GROSS),
+    ("regularity", TINY_REGULARITY)], ids=["identity", "converge",
+                                           "regularity"])
+def test_runs_are_byte_deterministic(tmp_path, command, config):
+    # every artifact but the manifest (which carries timestamps)
+    path = write_cfg(tmp_path, config)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert cli.main(["identity", "--config", path, "--out", str(out_a)]) == 0
-    assert cli.main(["identity", "--config", path, "--out", str(out_b)]) == 0
-    for name in ("identity_report.csv", "identity_report.json"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    assert cli.main([command, "--config", path, "--out", str(out_a)]) == 0
+    assert cli.main([command, "--config", path, "--out", str(out_b)]) == 0
+    names = sorted(os.listdir(out_a))
+    assert names == sorted(os.listdir(out_b))
+    assert len(names) > 2
+    for name in set(names) - {"manifest.json"}:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
 def test_identity_dump_operators_registers_file(tmp_path):
@@ -331,7 +358,9 @@ def test_converge_tiny_gross_outputs(tmp_path):
     meta = json.loads((out / "converge_v1.csv").read_text()
                       .splitlines()[0].lstrip("# "))
     assert meta["config_sha256"] == manifest["config_sha256"]
-    assert "basis_sha256" in meta
+    assert meta["basis_sha256"] == manifest["basis_sha256"]
+    payload = json.loads((out / "converge_v1.json").read_text())
+    assert payload["basis_sha256"] == manifest["basis_sha256"]
 
 
 def test_converge_single_cutoff_is_trivial_table(tmp_path):
@@ -349,30 +378,17 @@ def test_converge_single_cutoff_is_trivial_table(tmp_path):
 # regularity command
 
 def test_regularity_tiny_ladder(tmp_path):
-    path = write_cfg(tmp_path, """\
-        [model]
-        kind = gross
-        mu = 1.0
-        m_boson = 1.0
-        coupling = 0.5
-
-        [grid]
-        k_max = 1.0
-        n_per_axis = 3
-        n_max = 1
-
-        [study]
-        ladder_k_max = 1, 2, 4
-        eta_list = 0.25, 0.75
-        variants = 1
-        lambda_shifts = 0
-        """)
+    path = write_cfg(tmp_path, TINY_REGULARITY)
     out = tmp_path / "out"
     assert cli.main(["regularity", "--config", path, "--out", str(out)]) == 0
     payload = json.loads((out / "regularity.json").read_text())
     assert payload["threshold"] == pytest.approx(0.5)
     assert set(float(k) for k in payload["slopes"]) == {0.25, 0.75}
     assert len(payload["rows"]) == 3 * 2
+    meta = json.loads((out / "regularity.csv").read_text()
+                      .splitlines()[0].lstrip("# "))
+    assert meta["basis_digests"] == payload["basis_digests"]
+    assert len(set(meta["basis_digests"])) == 3
     table = (out / "growth_exponents.csv").read_text().splitlines()
     assert table[1] == "eta,growth_slope,threshold"
     manifest = json.loads((out / "manifest.json").read_text())

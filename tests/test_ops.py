@@ -53,7 +53,7 @@ from ibcfock.errors import (
     ConditionCViolated,
     MasslessWithoutShift,
 )
-from ibcfock.ops import SparseOperator, _shift_table
+from ibcfock.ops import SparseOperator
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=1)
 GROSS2 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2)
@@ -110,8 +110,8 @@ def test_single_mode_hand_values():
     expect[1, 1] = 1.0 / 3.0
     assert np.allclose(tau, expect, atol=1e-15)
 
-    hd = assemble_H_direct(basis, None, 1, "grid").to_dense().real
-    hi = assemble_H_ibc(basis, None, 1, 0.0, "grid").to_dense().real
+    hd = assemble_H_direct(basis, None, 1).to_dense().real
+    hi = assemble_H_ibc(basis, None, 1, 0.0).to_dense().real
     expect = np.array([[1.5, 1.0, 0.0],
                        [1.0, 2.5, np.sqrt(2.0)],
                        [0.0, np.sqrt(2.0), 3.5]])
@@ -130,7 +130,6 @@ def _ordered_creation_blocks(basis, params):
     m_nuc = params.n_nucleons
     nuc_table = basis.nucleon_mode_table()
     strides = g_n.size ** np.arange(m_nuc - 1, -1, -1)
-    tbl_plus = _shift_table(g_n, g_b, sign=+1)
     sqrt_w = g_b.cell_weight ** 0.5
 
     ordered, index = {}, {}
@@ -167,9 +166,13 @@ def _ordered_creation_blocks(basis, params):
                 if not mask[kq]:
                     continue
                 for i in range(m_nuc):
-                    src_mode = tbl_plus[modes[i], kq]
-                    if src_mode < 0:
+                    # the source nucleon sits at p + q (the target's p
+                    # recoiled by the emitted q); off-lattice sources drop
+                    src_p = translate(g_n, g_n.points[modes[i]],
+                                      g_b.points[kq])
+                    if src_p is None:
                         continue
+                    src_mode = point_index(g_n, src_p)
                     src_nu = nu + (src_mode - modes[i]) * strides[i]
                     src_tup = tup[:j] + tup[j + 1:]
                     amp = (sqrt_w * form_factor(i, g_n.points[modes[i]],
@@ -332,8 +335,8 @@ def test_g_adjoint_relation():
 def test_central_identity_gross_two_nucleons(variant, lam_uv):
     basis = small_basis(GROSS2)
     for lam in (0.0, 1.0, 10.0):
-        hd = assemble_H_direct(basis, lam_uv, variant, "grid")
-        hi = assemble_H_ibc(basis, lam_uv, variant, lam, "grid")
+        hd = assemble_H_direct(basis, lam_uv, variant)
+        hi = assemble_H_ibc(basis, lam_uv, variant, lam)
         rep = verify_identity(hd, hi, tol=1e-13)
         assert rep.passed, rep
         assert rep.max_abs_diff < 1e-13
@@ -343,8 +346,8 @@ def test_central_identity_gross_two_nucleons(variant, lam_uv):
 def test_central_identity_eckmann(variant):
     params = eckmann_model(delta=0.25, coupling=0.7, mu=1.0, m_boson=1.0)
     basis = small_basis(params, d=3, n_max=1)
-    hd = assemble_H_direct(basis, None, variant, "grid")
-    hi = assemble_H_ibc(basis, None, variant, 0.5, "grid")
+    hd = assemble_H_direct(basis, None, variant)
+    hi = assemble_H_ibc(basis, None, variant, 0.5)
     rep = verify_identity(hd, hi, tol=1e-13)
     assert rep.passed, rep
 
@@ -353,8 +356,8 @@ def test_central_identity_complex_couplings():
     params = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
                          n_nucleons=2)
     basis = small_basis(params)
-    hd = assemble_H_direct(basis, None, 1, "grid")
-    hi = assemble_H_ibc(basis, None, 1, 1.0, "grid")
+    hd = assemble_H_direct(basis, None, 1)
+    hi = assemble_H_ibc(basis, None, 1, 1.0)
     assert hd.hermiticity_defect() < 1e-14
     rep = verify_identity(hd, hi, tol=1e-13)
     assert rep.passed, rep
@@ -362,8 +365,8 @@ def test_central_identity_complex_couplings():
 
 def test_shift_independence_of_h_ibc():
     basis = small_basis(GROSS1)
-    h1 = assemble_H_ibc(basis, None, 1, 0.5, "grid")
-    h2 = assemble_H_ibc(basis, None, 1, 7.0, "grid")
+    h1 = assemble_H_ibc(basis, None, 1, 0.5)
+    h2 = assemble_H_ibc(basis, None, 1, 7.0)
     rep = verify_identity(h1, h2, tol=1e-13)
     assert rep.passed, rep
 
@@ -373,16 +376,16 @@ def test_identity_with_massless_bosons_and_shift():
     basis = small_basis(params, d=3, n_max=1)
     with pytest.raises(MasslessWithoutShift):
         assemble_G(basis, None, 0.0)
-    hd = assemble_H_direct(basis, None, 1, "grid")
-    hi = assemble_H_ibc(basis, None, 1, 0.7, "grid")
+    hd = assemble_H_direct(basis, None, 1)
+    hi = assemble_H_ibc(basis, None, 1, 0.7)
     rep = verify_identity(hd, hi, tol=1e-13)
     assert rep.passed, rep
 
 
 def test_identity_on_vacuum_only_truncation():
     basis = small_basis(GROSS1, n_max=0)
-    hd = assemble_H_direct(basis, None, 2, "grid")
-    hi = assemble_H_ibc(basis, None, 2, 0.3, "grid")
+    hd = assemble_H_direct(basis, None, 2)
+    hi = assemble_H_ibc(basis, None, 2, 0.3)
     assert verify_identity(hd, hi, tol=1e-14).passed
 
 
@@ -466,12 +469,12 @@ def test_one_minus_g_stays_invertible_under_refinement():
 def test_cutoff_zero_gives_free_hamiltonian():
     basis = small_basis(GROSS1)
     assert assemble_creation(basis, 0.0).nnz == 0
-    hd = assemble_H_direct(basis, 0.0, 1, "grid")
+    hd = assemble_H_direct(basis, 0.0, 1)
     lv = assemble_L(basis).matrix.diagonal()
     d = hd.matrix - assemble_L(basis).matrix
     d = d.tocoo()
     assert (np.abs(d.data).max() if d.nnz else 0.0) == 0.0
-    hi = assemble_H_ibc(basis, 0.0, 1, 1.0, "grid")
+    hi = assemble_H_ibc(basis, 0.0, 1, 1.0)
     assert verify_identity(hd, hi, tol=1e-14).passed
     assert np.abs(hi.matrix.diagonal() - lv).max() < 1e-14
 
@@ -550,13 +553,23 @@ def test_condition_violation_blocks_renormalized_diagonal():
 
 
 def test_grid_mode_requires_shared_lattice():
+    # every builder that shifts a nucleon by a boson momentum, and every
+    # lattice-twin sum, refuses separate nucleon and boson lattices
     g_n = build_grid(2, 1.0, 3)
     g_b = build_grid(2, 0.9, 3)
     basis = enumerate_basis(GROSS1, g_n, g_b, n_max=1)
     with pytest.raises(ValueError):
         assemble_Td(basis, 0.5, 1, "grid")
     with pytest.raises(ValueError):
-        assemble_H_direct(basis, 0.5, 1, "grid")
+        assemble_H_direct(basis, 0.5, 1)
+    with pytest.raises(ValueError):
+        assemble_creation(basis, 0.5)
+    with pytest.raises(ValueError):
+        assemble_G(basis, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        assemble_T_cutoff(basis, 0.5, 1.0)
+    with pytest.raises(ValueError):
+        assemble_T_od(basis, 0.5, 1.0)
 
 
 def test_cutoff_beyond_reach_warns():
@@ -575,7 +588,7 @@ def test_verify_identity_rejects_mismatched_bases():
 
 def test_verify_identity_flags_perturbation():
     basis = small_basis(GROSS1, n_max=1)
-    h1 = assemble_H_direct(basis, None, 1, "grid")
+    h1 = assemble_H_direct(basis, None, 1)
     m = h1.matrix.tolil(copy=True)
     m[0, 0] += 1e-6
     h2 = type(h1)(basis, m.tocsr(), dict(h1.tags), h1.hermitian_flag)
@@ -591,8 +604,8 @@ def test_verify_identity_is_symmetric_and_leaves_inputs_unchanged():
     params = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
                          n_nucleons=2)
     basis = small_basis(params)
-    hd = assemble_H_direct(basis, 1.0, 1, "grid")
-    hi = assemble_H_ibc(basis, 1.0, 1, 0.5, "grid")
+    hd = assemble_H_direct(basis, 1.0, 1)
+    hi = assemble_H_ibc(basis, 1.0, 1, 0.5)
     before = [(op.matrix.data.copy(), op.matrix.indices.copy(),
                op.matrix.indptr.copy()) for op in (hd, hi)]
     assert verify_identity(hd, hi) == verify_identity(hi, hd)
@@ -636,9 +649,9 @@ def _bound_panel_basis(name):
 @pytest.mark.parametrize("lam_uv", [None, 1.0, 2.0])
 def test_opnorm_diff_bound_dominates_spectral_norm(name, lam_uv):
     basis = _bound_panel_basis(name)
-    hd = assemble_H_direct(basis, lam_uv, 1, "grid")
-    base = assemble_H_ibc(basis, lam_uv, 1, 0.0, "grid")
-    shifted = assemble_H_ibc(basis, lam_uv, 1, 0.5, "grid")
+    hd = assemble_H_direct(basis, lam_uv, 1)
+    base = assemble_H_ibc(basis, lam_uv, 1, 0.0)
+    shifted = assemble_H_ibc(basis, lam_uv, 1, 0.5)
     for a, b in ((hd, base), (hd, shifted), (base, shifted)):
         assert _assert_bound_dominates(a, b).passed
     # the sabotaged pair of identity --corrupt-offdiag-sign
@@ -673,7 +686,7 @@ def test_opnorm_diff_bound_property(n_max, density, seed, diagonal):
 
 def test_triplet_export_roundtrip(tmp_path):
     basis = small_basis(GROSS1, n_max=1)
-    h = assemble_H_ibc(basis, None, 1, 0.5, "grid")
+    h = assemble_H_ibc(basis, None, 1, 0.5)
     path = tmp_path / "h.triplets"
     export_triplets(h, path)
     header, m = load_triplets(path)
@@ -696,12 +709,12 @@ def test_triplet_export_exact_text(tmp_path):
     # byte: diag(1.5, 2.5, 3.5) with couplings 1 and sqrt(2)
     basis = single_mode_basis()
     path = tmp_path / "h.triplets"
-    export_triplets(assemble_H_direct(basis, None, 1, "grid"), path)
+    export_triplets(assemble_H_direct(basis, None, 1), path)
     assert path.read_text() == (
         '{"basis_sha256": "3e946289e90626d516507ab8ec112deb1cc474a9cf65fec26f'
         'c373704cb099c7", "format": "sparse-triplets-v1", "hermitian": true, '
         '"nnz": 7, "shape": [3, 3], "tags": {"lambda_uv": null, "path": '
-        '"direct", "quad_mode": "grid", "variant": 1}}\n'
+        '"direct", "variant": 1}}\n'
         "0 0 1.5 0\n"
         "0 1 1 0\n"
         "1 0 1 0\n"
@@ -717,7 +730,7 @@ def test_triplet_export_exact_text(tmp_path):
     assert m.dtype == np.float64
     # the scalar type survives the round trip: real stays float64 with
     # the exact data, a complex coupling stays complex128
-    h = assemble_H_direct(basis, None, 1, "grid").matrix
+    h = assemble_H_direct(basis, None, 1).matrix
     _, m = load_triplets(path)
     assert h.dtype == m.dtype == np.float64
     assert np.array_equal(m.indptr, h.indptr)
@@ -725,8 +738,7 @@ def test_triplet_export_exact_text(tmp_path):
     assert np.array_equal(m.data, h.data)
     phased = gross_model(coupling=0.8 * np.exp(0.7j), mu=1.0, m_boson=1.0)
     g = build_grid(2, 0.5, 1)
-    hc = assemble_H_direct(enumerate_basis(phased, g, g, n_max=2), None, 1,
-                           "grid")
+    hc = assemble_H_direct(enumerate_basis(phased, g, g, n_max=2), None, 1)
     export_triplets(hc, tmp_path / "c.triplets")
     _, mc = load_triplets(tmp_path / "c.triplets")
     assert hc.matrix.dtype == mc.dtype == np.complex128
@@ -746,8 +758,8 @@ def test_operator_dtype_follows_couplings():
         "theta": assemble_theta(basis, 0, 1, 1.0, 0.5),
         "tau": assemble_tau(basis, 0, 1, 1.0, 0.5),
         "T_od": assemble_T_od(basis, 1.0, lambda_shift=0.5),
-        "H_direct": assemble_H_direct(basis, 1.0, 1, "grid"),
-        "H_ibc": assemble_H_ibc(basis, 1.0, 1, 0.5, "grid"),
+        "H_direct": assemble_H_direct(basis, 1.0, 1),
+        "H_ibc": assemble_H_ibc(basis, 1.0, 1, 0.5),
     }
     assert {k: op.matrix.dtype for k, op in ops.items()} == {
         k: np.float64 for k in ops}
@@ -758,8 +770,8 @@ def test_operator_dtype_follows_couplings():
     cb = small_basis(params)
     assert assemble_L(cb).matrix.dtype == np.float64
     assert assemble_Td(cb, 1.0, 1, "grid").matrix.dtype == np.float64
-    hd = assemble_H_direct(cb, 1.0, 1, "grid")
-    hi = assemble_H_ibc(cb, 1.0, 1, 0.5, "grid")
+    hd = assemble_H_direct(cb, 1.0, 1)
+    hi = assemble_H_ibc(cb, 1.0, 1, 0.5)
     for op in (assemble_creation(cb, 1.0), assemble_annihilation(cb, 1.0),
                assemble_G(cb, 1.0, 0.5), assemble_T_cutoff(cb, 1.0, 0.5),
                assemble_theta(cb, 0, 1, 1.0, 0.5),
