@@ -16,6 +16,10 @@ Three numerical experiments live here on top of generic solver plumbing:
 
 All continuum-flavored statements are certified Cauchy-style: the
 finest cutoff in the family stands in for the removed-cutoff operator.
+Ground states are solved block by block: lowest_eigenpairs splits the
+operator into its decoupled components and certifies, by a Weyl lower
+bound per component, that the blocks it skips hold no lower eigenvalue,
+so degenerate levels spread over components are counted exactly.
 Solvers are deterministic: start vectors derive from the basis digest.
 Tables are data: ConvergenceTable and RegularityReport hold rows and
 metadata, and the command-line front end writes them.
@@ -28,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
 from .errors import (
@@ -40,12 +45,12 @@ from .fockgrid import FockBasis
 from .model import ultraviolet_degree
 from .ops import (
     SparseOperator,
+    _boundary_map,
+    _check_shift,
     _counterterm_rows,
     _creation_matrix,
     _cutoff_block,
     _direct_matrix,
-    assemble_G,
-    assemble_H_direct,
     basis_digest,
 )
 from .quad import loglog_slope
@@ -77,22 +82,59 @@ class EigenResult:
     method: str
 
 
+def _components(h: sparse.csr_array):
+    """Decoupled blocks of a Hermitian matrix, with a lower spectral
+    bound for each.
+
+    Returns the component label of every state (connected components of
+    the stored pattern) and, per component c, lower_c = min(Re diag_c) -
+    ||O_c||_F, where O_c is the off-diagonal part of block c.  By Weyl's
+    inequality and ||O_c||_2 <= ||O_c||_F no eigenvalue of block c lies
+    below lower_c.  One pass over the stored entries.
+    """
+    if not h.has_canonical_format:
+        # duplicate entries would be squared apart, not summed first
+        h = h.copy()
+        h.sum_duplicates()
+    n = h.shape[0]
+    pattern = sparse.csr_array(
+        (np.ones(h.nnz, dtype=np.int8), h.indices, h.indptr), shape=h.shape)
+    n_comp, labels = csgraph.connected_components(pattern, directed=False)
+    rows = np.repeat(np.arange(n), np.diff(h.indptr))
+    off = rows != h.indices
+    diag_min = np.full(n_comp, np.inf)
+    np.minimum.at(diag_min, labels, np.real(h.diagonal()))
+    off_fro2 = np.bincount(labels[rows[off]], weights=np.abs(h.data[off]) ** 2,
+                           minlength=n_comp)
+    return labels, diag_min - np.sqrt(off_fro2)
+
+
 def lowest_eigenpairs(op: SparseOperator, count: int = 1,
                       tol: float = 1e-9) -> EigenResult:
     """Smallest `count` eigenvalues and vectors of a Hermitian operator.
 
-    Dense below DENSE_DIM_MAX, implicitly restarted Lanczos above, with
-    a deterministic start vector.  The residual of every pair is checked
-    against tol times a one-norm estimate of the operator.  The storage
-    type picks the arithmetic: a real symmetric operator runs ARPACK's
-    dsaupd and has real eigenvectors, a complex Hermitian one znaupd.
+    The operator is split into the connected components of its stored
+    pattern, which it leaves invariant (for the Hamiltonians here each
+    lies inside one total-momentum fibre).  Components are visited in
+    increasing order of their Weyl lower bound (see _components) and
+    solved one by one; the search stops at the first component whose
+    bound is no lower than the count-th smallest eigenvalue found, so
+    the skipped components provably hold no lower eigenvalue.  Each
+    block goes dense below DENSE_DIM_MAX and to implicitly restarted
+    Lanczos above, with a deterministic start vector; an operator with
+    a single component is solved exactly as one block.  The residual of
+    every pair is checked on the full operator against tol times a
+    one-norm estimate of it.  The storage type picks the arithmetic: a
+    real symmetric operator runs ARPACK's dsaupd and has real
+    eigenvectors, a complex Hermitian one znaupd.  method is "lanczos"
+    when some block went to ARPACK, "dense" otherwise.
 
-    Lanczos caveat: a single-vector Krylov space meets each exactly
-    invariant eigenspace in at most one direction, so degenerate
-    multiplets of operators that are strictly diagonal in the state
-    basis can be reported once each when count > 1.  Ground values
-    (count = 1) and generic coupled operators are unaffected; exact
-    multiplicity accounting belongs to the dense regime.
+    Lanczos caveat: within one component above DENSE_DIM_MAX, a
+    single-vector Krylov space meets each exactly invariant eigenspace
+    in at most one direction, so a degenerate multiplet inside that
+    component can be reported once when count > 1.  Degeneracies across
+    components, such as those of a diagonal operator, are counted
+    exactly.
     """
     if not op.hermitian_flag:
         raise ValueError("eigensolver requires a Hermitian-tagged operator")
@@ -100,21 +142,44 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
     n = h.shape[0]
     if count < 1 or count > n:
         raise ValueError("count must lie in [1, dim]")
-    if n <= DENSE_DIM_MAX or count >= n - 1:
-        w, v = np.linalg.eigh(h.toarray())
-        vals, vecs = w[:count], v[:, :count]
-        method = "dense"
-    else:
-        v0 = _seed_vector(n, basis_digest(op.basis), "eig").astype(h.dtype)
-        ncv = min(n - 1, max(2 * count + 1, 60))
-        try:
-            vals, vecs = spla.eigsh(h, k=count, which="SA", v0=v0,
-                                    ncv=ncv, tol=max(tol, 1e-14))
-        except spla.ArpackNoConvergence as exc:
-            raise NotConverged("Lanczos did not converge: %s" % exc) from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        method = "lanczos"
+    labels, lower = _components(h)
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels)
+    ends = np.cumsum(sizes)
+    v0 = None
+    method = "dense"
+    pairs = []              # (value, block state indices, block vector)
+    for c in np.argsort(lower, kind="stable"):
+        if len(pairs) == count and lower[c] >= pairs[-1][0]:
+            break
+        idx = order[ends[c] - sizes[c]:ends[c]]
+        m = idx.size
+        k = min(count, m)
+        block = h if m == n else h[idx][:, idx]
+        if m <= DENSE_DIM_MAX or k >= m - 1:
+            w, v = np.linalg.eigh(block.toarray())
+            w, v = w[:k], v[:, :k]
+        else:
+            if v0 is None:
+                v0 = _seed_vector(n, basis_digest(op.basis),
+                                  "eig").astype(h.dtype)
+            ncv = min(m - 1, max(2 * k + 1, 60))
+            try:
+                w, v = spla.eigsh(block, k=k, which="SA", v0=v0[idx],
+                                  ncv=ncv, tol=max(tol, 1e-14))
+            except spla.ArpackNoConvergence as exc:
+                raise NotConverged("Lanczos did not converge: %s"
+                                   % exc) from exc
+            ranks = np.argsort(w)
+            w, v = w[ranks], v[:, ranks]
+            method = "lanczos"
+        pairs += [(w[j], idx, v[:, j]) for j in range(k)]
+        pairs.sort(key=lambda p: p[0])
+        del pairs[count:]
+    vals = np.array([p[0] for p in pairs])
+    vecs = np.zeros((n, count), dtype=np.result_type(h.dtype, np.float64))
+    for j, (_, idx, v) in enumerate(pairs):
+        vecs[idx, j] = v
     scale = float(spla.onenormest(h)) if n > 1 else float(np.abs(h.toarray()).max())
     residuals = np.array([
         np.linalg.norm(h @ vecs[:, j] - vals[j] * vecs[:, j])
@@ -271,10 +336,10 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     variant's renormalized Hamiltonian.  The control is solved and T
     built once per cutoff, shared by every table, and the counterterm
     rows of each (cutoff, variant) serve both its Hamiltonian and its
-    T block.  The Lanczos solves run in real arithmetic when the
-    couplings are real, and the resolvent factorizations use a
-    fill-reducing symmetric ordering (see lowest_eigenpairs and
-    _ResolventFactor).
+    T block.  Ground energies are solved block by block, in real
+    arithmetic when the couplings are real, and the resolvent
+    factorizations use a fill-reducing symmetric ordering (see
+    lowest_eigenpairs and _ResolventFactor).
     """
     lams = [float(x) for x in lambda_list]
     variants = [int(v) for v in variants]
@@ -444,9 +509,10 @@ def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
     psi is the normalized ground vector of the renormalized operator at
     each refinement's native cutoff (or the explicit lambda_uv); the
     split psi = (1-G)psi + G psi uses the boundary map at the same
-    cutoff.  Below the threshold exponent the singular norm stabilizes;
-    at and above it the norms grow without bound as the box widens.
-    Every refinement must carry the same model.
+    cutoff, built from the same creation matrix as the Hamiltonian.
+    Below the threshold exponent the singular norm stabilizes; at and
+    above it the norms grow without bound as the box widens.  Every
+    refinement must carry the same model.
     """
     bases = list(bases)
     if len(bases) < 3:
@@ -464,13 +530,18 @@ def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
     rows, energies, digests = [], [], []
     singular = {e: [] for e in etas}
     for basis in bases:
-        hd = assemble_H_direct(basis, lambda_uv, variant)
+        _check_shift(basis, lambda_shift)
+        a_mat = _creation_matrix(basis, lambda_uv)
+        e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
+        hd = SparseOperator(basis, _direct_matrix(basis, a_mat, e_rows),
+                            {"path": "direct", "lambda_uv": lambda_uv,
+                             "variant": variant}, True)
         eig = lowest_eigenpairs(hd, 1, eig_tol)
         psi = eig.vectors[:, 0]
         psi = psi / np.linalg.norm(psi)
         energies.append(float(eig.values[0]))
         digests.append(basis_digest(basis))
-        g_psi = assemble_G(basis, lambda_uv, lambda_shift).matrix @ psi
+        g_psi = _boundary_map(a_mat, basis.free_diagonal + lambda_shift) @ psi
         reg = psi - g_psi
         lv = basis.free_diagonal
         for e in etas:

@@ -1,10 +1,15 @@
 """Tests for eigen/resolvent plumbing and the three numerical studies."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse import linalg as spla
 
 from ibcfock import (
+    assemble_G,
     assemble_H_direct,
     assemble_L,
     assemble_creation,
@@ -20,9 +25,10 @@ from ibcfock import (
 )
 from ibcfock.errors import BasisMismatch, InsufficientPoints, NotConverged, \
     SolveNotConverged
-from ibcfock.ops import SparseOperator
-from ibcfock.spectral import DENSE_DIM_MAX, _power_norm, _ResolventFactor, \
-    _seed_vector
+from ibcfock import spectral
+from ibcfock.ops import SparseOperator, basis_digest
+from ibcfock.spectral import DENSE_DIM_MAX, _components, _power_norm, \
+    _ResolventFactor, _seed_vector
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 
@@ -48,15 +54,16 @@ def test_lowest_eigenpairs_diagonal_exact():
 
 
 def test_lowest_eigenpairs_lanczos_ground():
-    basis = small_basis(n_max=2)                # dim 495 -> iterative path
+    # dim 495, but a diagonal operator splits into one-state blocks
+    basis = small_basis(n_max=2)
     op = assemble_L(basis)
     res = lowest_eigenpairs(op, count=1, tol=1e-10)
-    assert res.method == "lanczos"
+    assert res.method == "dense"
     assert abs(res.values[0] - np.real(op.matrix.diagonal()).min()) < 1e-9
 
 
 def test_lowest_eigenpairs_deterministic():
-    basis = small_basis(nax=5, n_max=1)         # dim 650 -> iterative path
+    basis = small_basis(nax=5, n_max=1)         # dim 650
     op = assemble_H_direct(basis, 1.0, 1)
     a = lowest_eigenpairs(op, count=1)
     b = lowest_eigenpairs(op, count=1)
@@ -69,7 +76,8 @@ def test_lowest_eigenpairs_matches_dense_on_coupled_operator():
     op = assemble_H_direct(basis, 1.0, 1)
     res = lowest_eigenpairs(op, count=2, tol=1e-12)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
-    assert res.method == "lanczos"
+    # dim 650 in components of at most 14 states
+    assert res.method == "dense"
     assert np.allclose(res.values, dense[:2], atol=1e-8)
 
 
@@ -78,12 +86,13 @@ def test_lowest_eigenpairs_complex_couplings_match_dense():
     # cannot be gauged away, so the operator stays genuinely complex
     params = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
                          n_nucleons=2)
-    basis = small_basis(params)                 # dim 810 -> iterative path
+    basis = small_basis(params)                 # dim 810
     assert basis.total_dim > DENSE_DIM_MAX
     op = assemble_H_direct(basis, 1.0, 1)
     assert np.any(op.matrix.data.imag != 0.0)
     res = lowest_eigenpairs(op, count=1, tol=1e-12)
-    assert res.method == "lanczos"
+    # components of at most 42 states
+    assert res.method == "dense"
     assert np.iscomplexobj(res.vectors)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     assert abs(res.values[0] - dense[0]) < 1e-8
@@ -92,7 +101,7 @@ def test_lowest_eigenpairs_complex_couplings_match_dense():
 def test_lowest_eigenpairs_coupling_phase_is_gauge():
     # one nucleon: a coupling |g| e^{i phi} is unitarily equivalent to
     # |g| (rephase each n-boson sector by e^{i n phi}); the complex and
-    # the real Lanczos path must agree on the ground energy
+    # the real solve must agree on the ground energy
     g = 0.8
     energies = []
     for coupling in (g, g * np.exp(0.7j)):
@@ -100,10 +109,104 @@ def test_lowest_eigenpairs_coupling_phase_is_gauge():
                                         m_boson=1.0), nax=5)
         op = assemble_H_direct(basis, 1.0, 1)
         res = lowest_eigenpairs(op, count=1, tol=1e-12)
-        assert res.method == "lanczos"
+        assert res.method == "dense"
         assert np.iscomplexobj(res.vectors) == isinstance(coupling, complex)
         energies.append(res.values[0])
     assert abs(energies[0] - energies[1]) < 1e-9
+
+
+def test_lowest_eigenpairs_counts_degeneracies_above_dense_limit():
+    # a diagonal operator above DENSE_DIM_MAX: every state is its own
+    # block, so the lowest values are the sorted diagonal with their
+    # multiplicities (1, then 4 x sqrt 2, then sqrt 3)
+    basis = small_basis(n_max=2)                # dim 495
+    assert basis.total_dim > DENSE_DIM_MAX
+    op = assemble_L(basis)
+    lv = np.sort(np.real(op.matrix.diagonal()))
+    assert lv[1] == lv[2] == lv[3] == lv[4]
+    for count in (3, 6):
+        res = lowest_eigenpairs(op, count=count)
+        assert res.method == "dense"
+        assert np.array_equal(res.values, lv[:count])
+        # distinct basis states, one per reported value
+        hits = np.abs(res.vectors) == 1.0
+        assert np.all(hits.sum(axis=0) == 1)
+        assert len(set(np.argmax(hits, axis=0))) == count
+
+
+@pytest.mark.parametrize("phase", [1.0, np.exp(0.9j)], ids=["real", "complex"])
+def test_lowest_eigenpairs_lanczos_on_one_large_component(phase):
+    # a hopping chain couples all 495 states into one component above
+    # DENSE_DIM_MAX, which goes to ARPACK exactly as a whole operator
+    basis = small_basis(n_max=2)
+    n = basis.total_dim
+    hop = sparse.diags_array(np.full(n - 1, 0.3 * phase), offsets=1)
+    h = sparse.csr_array(assemble_L(basis).matrix + hop + hop.conj().T)
+    assert np.iscomplexobj(h.data) == isinstance(phase, complex)
+    labels, _ = _components(h)
+    assert n > DENSE_DIM_MAX and labels.max() == 0
+    op = SparseOperator(basis, h, {}, True)
+    dense = np.linalg.eigvalsh(h.toarray())
+    for count in (1, 2):
+        res = lowest_eigenpairs(op, count=count, tol=1e-12)
+        assert res.method == "lanczos"
+        assert np.allclose(res.values, dense[:count], atol=1e-8)
+    v0 = _seed_vector(n, basis_digest(basis), "eig").astype(h.dtype)
+    whole = spla.eigsh(h, k=2, which="SA", v0=v0, ncv=60, tol=1e-12)[0]
+    assert np.array_equal(res.values, np.sort(whole))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       is_complex=st.booleans(), degenerate=st.booleans(),
+       count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
+                                          count, seed):
+    # random Hermitian blocks, hidden under a random permutation; with
+    # `degenerate` the diagonals come from three values and the first
+    # block is repeated, so spectra coincide exactly across components
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for m in sizes:
+        a = rng.standard_normal((m, m))
+        if is_complex:
+            a = a + 1j * rng.standard_normal((m, m))
+        blk = (a + a.conj().T) / 2
+        if degenerate:
+            np.fill_diagonal(blk, rng.choice([-1.0, 0.0, 0.5], m))
+        blocks.append(blk)
+    if degenerate:
+        blocks.append(blocks[0])
+    n = sum(b.shape[0] for b in blocks)
+    count = min(count, n)
+    perm = rng.permutation(n)
+    dense = np.zeros((n, n), dtype=blocks[0].dtype)
+    start = 0
+    for blk in blocks:
+        m = blk.shape[0]
+        dense[start:start + m, start:start + m] = blk
+        start += m
+    dense = dense[perm][:, perm]
+    h = sparse.csr_array(dense)
+    op = SparseOperator(SimpleNamespace(total_dim=n), h, {}, True)
+    res = lowest_eigenpairs(op, count=count)
+    want = np.linalg.eigvalsh(dense)[:count]
+    assert np.allclose(res.values, want, rtol=0.0, atol=1e-10)
+    labels, lower = _components(h)
+    for c, bound in enumerate(lower):
+        inside = labels == c
+        assert bound <= np.linalg.eigvalsh(dense[inside][:, inside])[0]
+
+
+def test_components_bound_sums_duplicate_entries():
+    # [[0, 3], [3, 0]] with each 3 stored as three entries of 1: the
+    # bound must square the summed entry, not the pieces
+    h = sparse.csr_array((np.ones(6), np.array([1, 1, 1, 0, 0, 0]),
+                          np.array([0, 3, 6])), shape=(2, 2))
+    assert not h.has_canonical_format
+    labels, lower = _components(h)
+    assert labels.tolist() == [0, 0]
+    assert lower[0] <= -3.0
 
 
 def test_lowest_eigenpairs_requires_hermitian_tag():
@@ -367,6 +470,32 @@ def test_regularity_ladder_dichotomy_trend():
     assert rep.slopes[0.75] > rep.slopes[0.25] > 0.0
     assert len(rep.rows) == 3 * 2
     assert len(rep.ground_energies) == 3
+
+
+def test_regularity_builds_one_creation_matrix_per_rung(monkeypatch):
+    # H and G of each rung come from one creation matrix and must be
+    # bitwise the operators of assemble_H_direct and assemble_G
+    params = gross_model(coupling=0.3, mu=0.1875, m_boson=0.1875)
+    bases = ladder(params)
+    creation_matrix = spectral._creation_matrix
+    solve = spectral.lowest_eigenpairs
+    boundary_map = spectral._boundary_map
+    creations, hams, maps = [], [], []
+    monkeypatch.setattr(spectral, "_creation_matrix", lambda *a: (
+        creations.append(a), creation_matrix(*a))[1])
+    monkeypatch.setattr(spectral, "lowest_eigenpairs", lambda op, *a: (
+        hams.append(op.matrix), solve(op, *a))[1])
+    monkeypatch.setattr(spectral, "_boundary_map", lambda *a: (
+        maps.append(boundary_map(*a)), maps[-1])[1])
+    regularity_diagnostic(bases, 1, [0.25], lambda_shift=0.5)
+    assert len(creations) == len(hams) == len(maps) == len(bases)
+    for basis, h, g in zip(bases, hams, maps):
+        for got, want in ((h, assemble_H_direct(basis, None, 1).matrix),
+                          (g, assemble_G(basis, None, 0.5).matrix)):
+            assert got.dtype == want.dtype
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part),
+                                      getattr(want, part))
 
 
 def test_regularity_input_validation():
