@@ -502,10 +502,13 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     worst = 0.0
     all_pass = True
     for lam in cfg.lambda_list:
-        for variant in cfg.variants:
-            direct = assemble_H_direct(basis, lam, variant)
-            baseline = None
-            for shift in cfg.lambda_shifts:
+        # shift-outer, so every variant reuses the (cutoff, shift) part
+        # that assemble_H_ibc keeps; rows are still written per variant
+        direct = [assemble_H_direct(basis, lam, v) for v in cfg.variants]
+        baseline = [None] * len(cfg.variants)
+        lam_rows = [[] for _ in cfg.variants]
+        for shift in cfg.lambda_shifts:
+            for j, variant in enumerate(cfg.variants):
                 try:
                     ibc = assemble_H_ibc(basis, lam, variant, shift)
                 except MasslessWithoutShift as exc:
@@ -527,21 +530,24 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                                 format="csr")
                         bad = (2 * dg - ibc.matrix).tocsr()
                     ibc = dataclasses.replace(ibc, matrix=bad)
-                rep = verify_identity(direct, ibc, tol=cfg.tol_identity)
-                rows.append(("direct-vs-ibc", lam, variant, shift,
-                             rep.max_abs_diff, rep.max_rel_diff,
-                             rep.opnorm_diff_bound, rep.passed))
+                rep = verify_identity(direct[j], ibc, tol=cfg.tol_identity)
+                lam_rows[j].append(("direct-vs-ibc", lam, variant, shift,
+                                    rep.max_abs_diff, rep.max_rel_diff,
+                                    rep.opnorm_diff_bound, rep.passed))
                 worst = max(worst, rep.max_rel_diff)
                 all_pass &= rep.passed
-                if baseline is None:
-                    baseline = ibc
+                if baseline[j] is None:
+                    baseline[j] = ibc
                 else:
-                    rep2 = verify_identity(baseline, ibc,
+                    rep2 = verify_identity(baseline[j], ibc,
                                            tol=cfg.tol_identity)
-                    rows.append(("shift-invariance", lam, variant, shift,
-                                 rep2.max_abs_diff, rep2.max_rel_diff,
-                                 rep2.opnorm_diff_bound, rep2.passed))
+                    lam_rows[j].append(("shift-invariance", lam, variant,
+                                        shift, rep2.max_abs_diff,
+                                        rep2.max_rel_diff,
+                                        rep2.opnorm_diff_bound, rep2.passed))
                     all_pass &= rep2.passed
+                del ibc         # not alive while the next one is built
+        rows += [row for block in lam_rows for row in block]
     _write_table(manifest, cfg.formats, "identity_report",
                  ("kind", "lambda_uv", "variant", "lambda_shift",
                   "max_abs_diff", "max_rel_diff", "opnorm_diff_bound",

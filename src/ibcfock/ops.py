@@ -28,7 +28,10 @@ The pieces the two routes share have one definition each: the free
 diagonal is the basis's cached free_diagonal, the counterterm diagonal
 comes from _counterterm_rows, the creation matrix from _creation_matrix,
 the direct-route sum from _direct_matrix, and both exchange families
-start from _exchange_tables.
+start from _exchange_tables.  The counterterm variant enters either
+route only through the counterterm diagonal, so _ibc_base builds the
+rest of the boundary route once per (basis, cutoff, shift) and keeps
+one such entry; assemble_H_ibc adds each variant's diagonal to a copy.
 
 Builders that move a nucleon by a boson momentum (creation, G, T, the
 exchange pieces and both Hamiltonians) require the nucleon and boson
@@ -48,6 +51,7 @@ treated as immutable and safe to share.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import warnings
@@ -345,6 +349,40 @@ def assemble_T_cutoff(basis: FockBasis, lambda_uv,
 _TD_CHUNK = 40_000
 
 
+def _require_condition_c(params) -> None:
+    report = check_condition_c(params)
+    if not report.holds:
+        raise ConditionCViolated(
+            "ultraviolet degree %.6g outside [0, %.6g)"
+            % (report.uv_degree, report.bound))
+
+
+def _subtract_resolvent_sums(basis: FockBasis, diag: np.ndarray, lambda_uv,
+                             lambda_shift: float) -> np.ndarray:
+    """Subtract from diag, in place, the lattice resolvent sum over the
+    one-boson intermediates of every state below the top sector."""
+    params = basis.params
+    nuc_table = basis.nucleon_mode_table().astype(np.int64)
+    theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
+    theta_state = theta_pt[nuc_table].sum(axis=1)
+    for n in range(basis.n_max):
+        b_dim = basis.bos_dim(n)
+        sl = basis.sector_slice(n)
+        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
+        for ell in range(params.n_nucleons):
+            p_rep = np.repeat(nuc_table[:, ell], b_dim)
+            rest = (np.repeat(theta_state - theta_pt[nuc_table[:, ell]], b_dim)
+                    + np.tile(omega_b, basis.nuc_dim))
+            out = np.empty(p_rep.shape[0])
+            for lo in range(0, p_rep.shape[0], _TD_CHUNK):
+                hi = min(lo + _TD_CHUNK, p_rep.shape[0])
+                out[lo:hi] = resolvent_sum_grid(
+                    p_rep[lo:hi], rest[lo:hi], basis.boson_grid, lambda_uv,
+                    params, i_nucleon=ell, lambda_shift=lambda_shift)
+            diag[sl] -= out
+    return diag
+
+
 def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
                 lambda_shift: float = 0.0) -> SparseOperator:
     """Diagonal multiplier of the renormalized virtual-boson block.
@@ -356,46 +394,29 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     the dispersion-shift part, variant 2 includes it).
     """
     params = basis.params
-    report = check_condition_c(params)
-    if not report.holds:
-        raise ConditionCViolated(
-            "ultraviolet degree %.6g outside [0, %.6g)"
-            % (report.uv_degree, report.bound))
-    grid = basis.boson_grid
-    m_nuc = params.n_nucleons
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
-    theta_state = theta_pt[nuc_table].sum(axis=1)
-    lam_cont = np.inf if lambda_uv is None else lambda_uv
-
+    _require_condition_c(params)
     diag = basis.nucleon_diagonal(
         _counterterm_rows(basis, lambda_uv, variant, quad_mode))
-    memo_j = {}
-    for n in range(basis.n_max):
-        b_dim = basis.bos_dim(n)
-        sl = basis.sector_slice(n)
-        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
-        if quad_mode == "grid":
-            for ell in range(m_nuc):
-                p_rep = np.repeat(nuc_table[:, ell], b_dim)
-                rest = (np.repeat(theta_state - theta_pt[nuc_table[:, ell]],
-                                  b_dim)
-                        + np.tile(omega_b, basis.nuc_dim))
-                out = np.empty(p_rep.shape[0])
-                for lo in range(0, p_rep.shape[0], _TD_CHUNK):
-                    hi = min(lo + _TD_CHUNK, p_rep.shape[0])
-                    out[lo:hi] = resolvent_sum_grid(
-                        p_rep[lo:hi], rest[lo:hi], grid, lambda_uv, params,
-                        i_nucleon=ell, lambda_shift=lambda_shift)
-                diag[sl] -= out
-        else:
-            # the subtracted integral depends on the state only through
-            # (|p_ell|, rest energy) -- the same rotation covariance the
-            # axial quadrature already assumes -- so memoize on that pair
-            nuc_p = basis.nucleon_momenta()
-            bos_k = basis.boson_momenta(n)
-            p_norm_pt = np.linalg.norm(basis.nucleon_grid.points, axis=-1)
+    if quad_mode == "grid":
+        _subtract_resolvent_sums(basis, diag, lambda_uv, lambda_shift)
+    else:
+        m_nuc = params.n_nucleons
+        nuc_table = basis.nucleon_mode_table().astype(np.int64)
+        theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
+        theta_state = theta_pt[nuc_table].sum(axis=1)
+        lam_cont = np.inf if lambda_uv is None else lambda_uv
+        # the subtracted integral depends on the state only through
+        # (|p_ell|, rest energy) -- the same rotation covariance the
+        # axial quadrature already assumes -- so memoize on that pair
+        nuc_p = basis.nucleon_momenta()
+        p_norm_pt = np.linalg.norm(basis.nucleon_grid.points, axis=-1)
+        memo_j = {}
+        for n in range(basis.n_max):
             memo_i = {}
+            b_dim = basis.bos_dim(n)
+            omega_b = dispersion_boson(basis.boson_momenta(n),
+                                       params).sum(axis=-1)
+            bos_k = basis.boson_momenta(n)
             sector = np.empty(basis.sector_dims[n])
             for a in range(basis.nuc_dim):
                 for b in range(b_dim):
@@ -418,7 +439,7 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
                                     i_nucleon=ell).value
                             val -= memo_j[jkey]
                     sector[a * b_dim + b] = val
-            diag[sl] = sector
+            diag[basis.sector_slice(n)] = sector
     return _diag_op(basis, diag, {"path": "ibc", "kind": "Td",
                                   "lambda_uv": lambda_uv, "variant": variant,
                                   "lambda_shift": lambda_shift,
@@ -627,25 +648,50 @@ def assemble_H_direct(basis: FockBasis, lambda_uv,
                                      "variant": variant}, True)
 
 
+@functools.lru_cache(maxsize=1)
+def _ibc_base(basis: FockBasis, lambda_uv, lambda_shift: float,
+              plugins: tuple) -> sparse.csr_array:
+    """Variant-independent part of the boundary route, read-only:
+    (1-G)*(L+lambda)(1-G) + T_od + diag(-resolvent sums - lambda).
+
+    One entry is kept, so a sweep that runs every variant at one (basis,
+    cutoff, shift) builds it once.  plugins holds the model's callables,
+    which basis equality leaves out.
+    """
+    _ibc_base.cache_clear()     # a miss: free the kept part before building
+    g = assemble_G(basis, lambda_uv, lambda_shift).matrix
+    _require_condition_c(basis.params)
+    one_minus_g = sparse.csr_array(
+        sparse.eye_array(basis.total_dim, format="csr") - g)
+    w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
+    prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
+    diag = _subtract_resolvent_sums(
+        basis, np.full(basis.total_dim, -lambda_shift, dtype=float),
+        lambda_uv, lambda_shift)
+    tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift).matrix
+    base = sparse.csr_array(prod + tod
+                            + sparse.diags_array(diag, format="csr"))
+    for arr in (base.data, base.indices, base.indptr):
+        arr.flags.writeable = False
+    return base
+
+
 def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
                    lambda_shift: float) -> SparseOperator:
     """Boundary route: (1-G)*(L+lambda)(1-G) + T_d + T_od - lambda.
 
     Algebraically equal to the direct route for every cutoff, variant
     and shift; the equality on the lattice is the package's central
-    correctness check.
+    correctness check.  The variant enters only through the counterterm
+    part of T_d, so the rest is built once per (basis, cutoff, shift) by
+    _ibc_base and the counterterm diagonal is added to a fresh copy.
     """
-    g_op = assemble_G(basis, lambda_uv, lambda_shift)
-    lv = basis.free_diagonal + lambda_shift
-    one = sparse.eye_array(basis.total_dim, format="csr")
-    one_minus_g = sparse.csr_array(one - g_op.matrix)
-    w = sparse.diags_array(lv, format="csr")
-    prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
-    td = assemble_Td(basis, lambda_uv, variant, "grid",
-                     lambda_shift=lambda_shift)
-    tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift)
-    h = sparse.csr_array(prod + td.matrix + tod.matrix
-                         - lambda_shift * one)
+    p = basis.params
+    base = _ibc_base(basis, lambda_uv, lambda_shift,
+                     (p.theta_fn, p.omega_fn, p.form_factor_fn))
+    e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
+    h = sparse.csr_array(base + sparse.diags_array(
+        basis.nucleon_diagonal(e_rows), format="csr"))
     return SparseOperator(basis, h, {"path": "ibc",
                                      "lambda_uv": lambda_uv,
                                      "variant": variant,

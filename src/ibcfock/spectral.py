@@ -87,10 +87,11 @@ def _components(h: sparse.csr_array):
     bound for each.
 
     Returns the component label of every state (connected components of
-    the stored pattern) and, per component c, lower_c = min(Re diag_c) -
-    ||O_c||_F, where O_c is the off-diagonal part of block c.  By Weyl's
-    inequality and ||O_c||_2 <= ||O_c||_F no eigenvalue of block c lies
-    below lower_c.  One pass over the stored entries.
+    the stored pattern); per component c, lower_c = min(Re diag_c) -
+    ||O_c||_F, where O_c is the off-diagonal part of block c; and the
+    exact ||H||_1, the largest column sum of |H|.  By Weyl's inequality
+    and ||O_c||_2 <= ||O_c||_F no eigenvalue of block c lies below
+    lower_c.  One pass over the stored entries.
     """
     if not h.has_canonical_format:
         # duplicate entries would be squared apart, not summed first
@@ -104,9 +105,11 @@ def _components(h: sparse.csr_array):
     off = rows != h.indices
     diag_min = np.full(n_comp, np.inf)
     np.minimum.at(diag_min, labels, np.real(h.diagonal()))
-    off_fro2 = np.bincount(labels[rows[off]], weights=np.abs(h.data[off]) ** 2,
+    mag = np.abs(h.data)
+    off_fro2 = np.bincount(labels[rows[off]], weights=mag[off] ** 2,
                            minlength=n_comp)
-    return labels, diag_min - np.sqrt(off_fro2)
+    one_norm = float(np.bincount(h.indices, weights=mag, minlength=n).max())
+    return labels, diag_min - np.sqrt(off_fro2), one_norm
 
 
 def lowest_eigenpairs(op: SparseOperator, count: int = 1,
@@ -123,8 +126,8 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
     block goes dense below DENSE_DIM_MAX and to implicitly restarted
     Lanczos above, with a deterministic start vector; an operator with
     a single component is solved exactly as one block.  The residual of
-    every pair is checked on the full operator against tol times a
-    one-norm estimate of it.  The storage type picks the arithmetic: a
+    every pair is checked on the full operator against tol times its
+    exact one-norm.  The storage type picks the arithmetic: a
     real symmetric operator runs ARPACK's dsaupd and has real
     eigenvectors, a complex Hermitian one znaupd.  method is "lanczos"
     when some block went to ARPACK, "dense" otherwise.
@@ -142,7 +145,7 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
     n = h.shape[0]
     if count < 1 or count > n:
         raise ValueError("count must lie in [1, dim]")
-    labels, lower = _components(h)
+    labels, lower, scale = _components(h)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     ends = np.cumsum(sizes)
@@ -180,7 +183,6 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
     vecs = np.zeros((n, count), dtype=np.result_type(h.dtype, np.float64))
     for j, (_, idx, v) in enumerate(pairs):
         vecs[idx, j] = v
-    scale = float(spla.onenormest(h)) if n > 1 else float(np.abs(h.toarray()).max())
     residuals = np.array([
         np.linalg.norm(h @ vecs[:, j] - vals[j] * vecs[:, j])
         for j in range(count)])

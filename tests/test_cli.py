@@ -287,6 +287,25 @@ def test_identity_tiny_gross_outputs_and_hash(tmp_path):
         assert r["opnorm_diff_bound"] >= r["max_abs_diff"]
 
 
+def test_identity_report_keeps_its_row_order(tmp_path):
+    # the sweep runs shift-outer so that every variant shares one
+    # (cutoff, shift) part; the report still lists cutoff, then variant,
+    # then shift, the direct-vs-ibc row before the shift-invariance row
+    d, s = "direct-vs-ibc", "shift-invariance"
+    want = [(d, 1.0, 1, 0.0), (d, 1.0, 1, 1.0), (s, 1.0, 1, 1.0),
+            (d, 1.0, 2, 0.0), (d, 1.0, 2, 1.0), (s, 1.0, 2, 1.0),
+            (d, 2.0, 1, 0.0), (d, 2.0, 1, 1.0), (s, 2.0, 1, 1.0),
+            (d, 2.0, 2, 0.0), (d, 2.0, 2, 1.0), (s, 2.0, 2, 1.0)]
+    for flags, code in (([], cli.EXIT_OK),
+                        (["--corrupt-offdiag-sign"], cli.EXIT_IDENTITY)):
+        out = tmp_path / ("out%d" % code)
+        assert cli.main(["identity", "--config", "nelson", "--out", str(out)]
+                        + flags) == code
+        rows = json.loads((out / "identity_report.json").read_text())["rows"]
+        assert [(r["kind"], r["lambda_uv"], r["variant"], r["lambda_shift"])
+                for r in rows] == want
+
+
 def test_identity_corrupt_hook_exits_three(tmp_path):
     path = write_cfg(tmp_path, TINY_GROSS)
     out = tmp_path / "out"

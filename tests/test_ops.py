@@ -53,7 +53,8 @@ from ibcfock.errors import (
     ConditionCViolated,
     MasslessWithoutShift,
 )
-from ibcfock.ops import SparseOperator
+from ibcfock import ops
+from ibcfock.ops import SparseOperator, _ibc_base
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=1)
 GROSS2 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2)
@@ -387,6 +388,102 @@ def test_identity_on_vacuum_only_truncation():
     hd = assemble_H_direct(basis, None, 2)
     hi = assemble_H_ibc(basis, None, 2, 0.3)
     assert verify_identity(hd, hi, tol=1e-14).passed
+
+
+# ---------------------------------------------------------------------------
+# the variant-independent part of the boundary route, built once per
+# (basis, cutoff, shift)
+
+MEMO_PANEL = {
+    "two-real": (lambda: small_basis(GROSS2), 1.0),
+    "two-complex": (lambda: small_basis(gross_model(
+        coupling=(1.0, 0.8 * np.exp(0.7j)), mu=1.0, m_boson=1.0,
+        n_nucleons=2)), 1.0),
+    "nelson-d3": (lambda: small_basis(nelson_model(coupling=0.5), d=3,
+                                      n_max=1), 1.0),
+    "no-cutoff": (lambda: small_basis(GROSS2), None),
+}
+
+
+def _same_csr(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PANEL))
+def test_ibc_memo_gives_the_same_operator_in_either_sweep_order(name,
+                                                                monkeypatch):
+    make, lam = MEMO_PANEL[name]
+    basis = make()
+    variants, shifts = (1, 2), (0.0, 0.5, 3.0)
+    builds = []
+    monkeypatch.setattr(ops, "assemble_G",
+                        lambda *a: builds.append(a) or assemble_G(*a))
+    _ibc_base.cache_clear()
+    variant_outer = {(v, s): assemble_H_ibc(basis, lam, v, s).matrix
+                     for v in variants for s in shifts}
+    assert len(builds) == 6
+    shift_outer = {(v, s): assemble_H_ibc(basis, lam, v, s).matrix
+                   for s in shifts for v in variants}
+    assert len(builds) == 9
+    info = _ibc_base.cache_info()
+    assert (info.maxsize, info.currsize) == (1, 1)
+    for key, h in shift_outer.items():
+        assert _same_csr(h, variant_outer[key]), key
+    for v in variants:
+        assert verify_identity(assemble_H_direct(basis, lam, v),
+                               assemble_H_ibc(basis, lam, v, 3.0)).passed
+
+
+def test_ibc_memo_never_serves_another_basis():
+    # the last pair compares equal as bases: ModelParams leaves its
+    # plugin callables out of equality, so the memo keys on them too
+    g = build_grid(2, 1.0, 3)
+    plain = custom_model(2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0)
+    plugin = custom_model(2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0,
+                          theta_fn=lambda p: np.sqrt((p * p).sum(-1) + 4.0))
+    bases = [small_basis(GROSS2), MEMO_PANEL["two-complex"][0](),
+             enumerate_basis(plain, g, g, n_max=2),
+             enumerate_basis(plugin, g, g, n_max=2)]
+    assert bases[2] == bases[3]
+    want = []
+    for basis in bases:
+        _ibc_base.cache_clear()
+        want.append(assemble_H_ibc(basis, 1.0, 1, 0.5).matrix)
+    assert not _same_csr(want[2], want[3])
+    for i in (0, 1, 0, 1, 2, 3, 2, 3):
+        assert _same_csr(assemble_H_ibc(bases[i], 1.0, 1, 0.5).matrix,
+                         want[i]), i
+
+
+def test_ibc_memo_still_raises_after_a_cached_call():
+    massless = small_basis(nelson_model(coupling=1.0, mu=1.0, m_boson=0.0),
+                           d=3, n_max=1)
+    basis = small_basis(GROSS2)
+    violating = small_basis(custom_model(3, alpha=0.3, beta=1.0, gamma=1.0,
+                                         mu=1.0), d=3, n_max=1)
+    for _ in range(2):
+        assemble_H_ibc(massless, None, 1, 0.7)
+        with pytest.raises(MasslessWithoutShift):
+            assemble_H_ibc(massless, None, 1, 0.0)
+        assemble_H_ibc(basis, 1.0, 1, 0.5)
+        with pytest.raises(ValueError, match=">= 0"):
+            assemble_H_ibc(basis, 1.0, 1, -0.5)
+        assemble_H_ibc(basis, 1.0, 2, 0.5)
+        with pytest.raises(ConditionCViolated):
+            assemble_H_ibc(violating, 1.0, 1, 0.5)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PANEL))
+def test_ibc_memo_is_not_exposed_to_writes(name):
+    make, lam = MEMO_PANEL[name]
+    basis = make()
+    first = assemble_H_ibc(basis, lam, 1, 0.5)
+    want = first.matrix.copy()
+    first.matrix.data[:] = 7.0
+    assert _same_csr(assemble_H_ibc(basis, lam, 1, 0.5).matrix, want)
+    assert _ibc_base.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------------------

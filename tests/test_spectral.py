@@ -143,7 +143,7 @@ def test_lowest_eigenpairs_lanczos_on_one_large_component(phase):
     hop = sparse.diags_array(np.full(n - 1, 0.3 * phase), offsets=1)
     h = sparse.csr_array(assemble_L(basis).matrix + hop + hop.conj().T)
     assert np.iscomplexobj(h.data) == isinstance(phase, complex)
-    labels, _ = _components(h)
+    labels = _components(h)[0]
     assert n > DENSE_DIM_MAX and labels.max() == 0
     op = SparseOperator(basis, h, {}, True)
     dense = np.linalg.eigvalsh(h.toarray())
@@ -192,10 +192,16 @@ def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
     res = lowest_eigenpairs(op, count=count)
     want = np.linalg.eigvalsh(dense)[:count]
     assert np.allclose(res.values, want, rtol=0.0, atol=1e-10)
-    labels, lower = _components(h)
+    labels, lower, scale = _components(h)
     for c, bound in enumerate(lower):
         inside = labels == c
         assert bound <= np.linalg.eigvalsh(dense[inside][:, inside])[0]
+    # the residual scale is the exact ||H||_1, also when every entry is
+    # stored as two halves (a non-canonical CSR)
+    split = sparse.csr_array((np.repeat(h.data / 2, 2), np.repeat(h.indices, 2),
+                              2 * h.indptr), shape=h.shape)
+    assert scale == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
+    assert _components(split)[2] == scale
 
 
 def test_components_bound_sums_duplicate_entries():
@@ -204,7 +210,7 @@ def test_components_bound_sums_duplicate_entries():
     h = sparse.csr_array((np.ones(6), np.array([1, 1, 1, 0, 0, 0]),
                           np.array([0, 3, 6])), shape=(2, 2))
     assert not h.has_canonical_format
-    labels, lower = _components(h)
+    labels, lower, _ = _components(h)
     assert labels.tolist() == [0, 0]
     assert lower[0] <= -3.0
 
