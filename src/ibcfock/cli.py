@@ -205,7 +205,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         basis_cap = int(float(grid.get("basis_cap", "2000000")))
         lambda_list = _floats(study.get("lambda_list", "1.0"))
         variants = tuple(int(v) for v in
-                         _floats(study.get("variants", "1")))
+                         study.get("variants", "1").replace(",", " ").split())
         lambda_shifts = _floats(study.get("lambda_shifts", "0.0"))
         eta_list = _floats(study.get("eta_list", "0.25, 0.5, 0.75"))
         ladder = _floats(study.get("ladder_k_max", ""))
@@ -230,8 +230,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
                              ("lambda_shifts", lambda_shifts)):
             if not values:
                 raise ValueError("%s must not be empty" % name)
-        if any(v not in (1, 2) for v in variants):
-            raise ValueError("variants must be drawn from {1, 2}")
+        if not set(variants) <= {1, 2} or len(set(variants)) < len(variants):
+            raise ValueError("variants must be distinct values from {1, 2}")
         if any(s < 0 for s in lambda_shifts):
             raise ValueError("lambda_shifts must be >= 0")
     except (KeyError, ValueError) as exc:

@@ -28,10 +28,10 @@ The pieces the two routes share have one definition each: the free
 diagonal is the basis's cached free_diagonal, the counterterm diagonal
 comes from _counterterm_rows, the creation matrix from _creation_matrix,
 the direct-route sum from _direct_matrix, and both exchange families
-start from _exchange_tables.  The counterterm variant enters either
-route only through the counterterm diagonal, so _ibc_base builds the
-rest of the boundary route once per (basis, cutoff, shift) and keeps
-one such entry; assemble_H_ibc adds each variant's diagonal to a copy.
+start from _exchange_tables.  _kept keeps one entry each of two on the
+basis instance, as free_diagonal is, never shared by equal bases: the
+creation matrix, which every builder takes, and _ibc_base, the boundary
+route without the counterterm diagonal that assemble_H_ibc adds.
 
 Builders that move a nucleon by a boson momentum (creation, G, T, the
 exchange pieces and both Hamiltonians) require the nucleon and boson
@@ -173,6 +173,24 @@ def _remove_mode(modes: np.ndarray, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # shared pieces
 
+def _kept(build):
+    """Keep build(basis, *key)'s last value read-only in that basis's own
+    __dict__; a new key drops it first.  Builds call kept.__wrapped__."""
+    slot = "_kept_" + build.__name__
+
+    @functools.wraps(build)
+    def kept(basis: FockBasis, *key):
+        store = vars(basis)
+        if store.get(slot, (None,))[0] != key:
+            store.pop(slot, None)
+            value = kept.__wrapped__(basis, *key)
+            for arr in (value.data, value.indices, value.indptr):
+                arr.flags.writeable = False
+            store[slot] = (key, value)
+        return store[slot][1]
+    return kept
+
+
 def _counterterm_rows(basis: FockBasis, lambda_uv, variant: int,
                       quad_mode: str) -> np.ndarray:
     """Counterterm of every nucleon configuration (boson independent):
@@ -221,13 +239,19 @@ def assemble_L(basis: FockBasis) -> SparseOperator:
 # ---------------------------------------------------------------------------
 # creation / annihilation
 
+def _warn_beyond_reach(basis: FockBasis, lambda_uv) -> None:
+    """Warn at the public builder's caller if the cutoff exceeds the box."""
+    k_max = basis.boson_grid.k_max
+    if lambda_uv is not None and lambda_uv > k_max * (1 + 1e-12):
+        warnings.warn("cutoff radius %.6g exceeds the boson box reach %.6g"
+                      % (lambda_uv, k_max), stacklevel=3)
+
+
+@_kept
 def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
     _require_shared_lattice(basis)
     params = basis.params
     nuc, bos = basis.nucleon_grid, basis.boson_grid
-    if lambda_uv is not None and lambda_uv > bos.k_max * (1 + 1e-12):
-        warnings.warn("cutoff radius %.6g exceeds the boson box reach %.6g"
-                      % (lambda_uv, bos.k_max), stacklevel=3)
     mask = grid_mode_mask(bos, lambda_uv, params)
     lattice = np.arange(nuc.size)
     recoil, inside = translate_indices(nuc, lattice[:, None], lattice, sign=-1)
@@ -270,7 +294,8 @@ def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
 def assemble_creation(basis: FockBasis, lambda_uv) -> SparseOperator:
     """Cutoff creation operator: adds one boson below the cutoff radius
     with the emitting nucleon recoiling on the lattice (out-of-lattice
-    recoils are dropped)."""
+    recoils are dropped).  The matrix is the kept, read-only one."""
+    _warn_beyond_reach(basis, lambda_uv)
     m = _creation_matrix(basis, lambda_uv)
     return SparseOperator(basis, m, {"path": "direct", "kind": "creation",
                                      "lambda_uv": lambda_uv}, False)
@@ -278,6 +303,7 @@ def assemble_creation(basis: FockBasis, lambda_uv) -> SparseOperator:
 
 def assemble_annihilation(basis: FockBasis, lambda_uv) -> SparseOperator:
     """Exact matrix adjoint of assemble_creation (the defining property)."""
+    _warn_beyond_reach(basis, lambda_uv)
     m = _creation_matrix(basis, lambda_uv).conj().T.tocsr()
     return SparseOperator(basis, m, {"path": "direct", "kind": "annihilation",
                                      "lambda_uv": lambda_uv}, False)
@@ -294,12 +320,14 @@ def _check_shift(basis: FockBasis, lambda_shift: float) -> None:
         raise ValueError("lambda_shift must be >= 0")
 
 
-def _boundary_map(a_mat: sparse.csr_array, lv: np.ndarray) -> sparse.csr_array:
-    """-(L + lambda)^(-1) a*(V) from the creation matrix and the shifted
-    free diagonal lv.  Rows of a*(V) are scaled directly: its range misses
-    the states (if any) where L + lambda could vanish, so only positive
-    energies divide."""
-    coo = a_mat.tocoo()
+def _boundary_map(basis: FockBasis, lambda_uv,
+                  lambda_shift: float) -> sparse.csr_array:
+    """-(L + lambda)^(-1) a*(V) from the kept creation matrix.  Rows of
+    a*(V) are scaled directly: its range misses the states (if any) where
+    L + lambda could vanish, so only positive energies divide."""
+    _check_shift(basis, lambda_shift)
+    coo = _creation_matrix(basis, lambda_uv).tocoo()
+    lv = basis.free_diagonal + lambda_shift
     return sparse.coo_array((coo.data * (-1.0 / lv[coo.row]),
                              (coo.row, coo.col)), shape=coo.shape).tocsr()
 
@@ -307,31 +335,22 @@ def _boundary_map(a_mat: sparse.csr_array, lv: np.ndarray) -> sparse.csr_array:
 def assemble_G(basis: FockBasis, lambda_uv,
                lambda_shift: float) -> SparseOperator:
     """Boundary map G = -(L + lambda)^(-1) a*(V)."""
-    _check_shift(basis, lambda_shift)
-    g = _boundary_map(_creation_matrix(basis, lambda_uv),
-                      basis.free_diagonal + lambda_shift)
+    _warn_beyond_reach(basis, lambda_uv)
+    g = _boundary_map(basis, lambda_uv, lambda_shift)
     return SparseOperator(basis, g, {"path": "ibc", "kind": "G",
                                      "lambda_uv": lambda_uv,
                                      "lambda_shift": lambda_shift}, False)
-
-
-def _cutoff_block(basis: FockBasis, a_mat: sparse.csr_array,
-                  lambda_shift: float):
-    """G and T = -G*(L+lambda)G from the creation matrix."""
-    _check_shift(basis, lambda_shift)
-    lv = basis.free_diagonal + lambda_shift
-    g = _boundary_map(a_mat, lv)
-    w = sparse.diags_array(lv, format="csr")
-    return g, sparse.csr_array(-(g.conj().T @ (w @ g)))
 
 
 def assemble_T_cutoff(basis: FockBasis, lambda_uv,
                       lambda_shift: float) -> SparseOperator:
     """Virtual-boson block T = -G*(L+lambda)G; the equal product a(V)G is
     also formed and the agreement recorded in the tags."""
-    a_mat = _creation_matrix(basis, lambda_uv)
-    g, t_main = _cutoff_block(basis, a_mat, lambda_shift)
-    t_alt = sparse.csr_array(a_mat.conj().T @ g)
+    _warn_beyond_reach(basis, lambda_uv)
+    g = _boundary_map(basis, lambda_uv, lambda_shift)
+    w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
+    t_main = sparse.csr_array(-(g.conj().T @ (w @ g)))
+    t_alt = sparse.csr_array(_creation_matrix(basis, lambda_uv).conj().T @ g)
     diff = (t_main - t_alt).tocoo()
     agreement = float(np.abs(diff.data).max()) if diff.nnz else 0.0
     return SparseOperator(basis, t_main,
@@ -641,6 +660,7 @@ def assemble_H_direct(basis: FockBasis, lambda_uv,
                       variant: int) -> SparseOperator:
     """Direct route: free diagonal plus the cutoff interaction pair plus
     the counterterm diagonal (lattice twins)."""
+    _warn_beyond_reach(basis, lambda_uv)
     e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
     h = _direct_matrix(basis, _creation_matrix(basis, lambda_uv), e_rows)
     return SparseOperator(basis, h, {"path": "direct",
@@ -648,17 +668,12 @@ def assemble_H_direct(basis: FockBasis, lambda_uv,
                                      "variant": variant}, True)
 
 
-@functools.lru_cache(maxsize=1)
-def _ibc_base(basis: FockBasis, lambda_uv, lambda_shift: float,
-              plugins: tuple) -> sparse.csr_array:
-    """Variant-independent part of the boundary route, read-only:
-    (1-G)*(L+lambda)(1-G) + T_od + diag(-resolvent sums - lambda).
-
-    One entry is kept, so a sweep that runs every variant at one (basis,
-    cutoff, shift) builds it once.  plugins holds the model's callables,
-    which basis equality leaves out.
-    """
-    _ibc_base.cache_clear()     # a miss: free the kept part before building
+@_kept
+def _ibc_base(basis: FockBasis, lambda_uv,
+              lambda_shift: float) -> sparse.csr_array:
+    """Variant-independent part of the boundary route, kept so that a
+    sweep of every variant at one (cutoff, shift) builds it once:
+    (1-G)*(L+lambda)(1-G) + T_od + diag(-resolvent sums - lambda)."""
     g = assemble_G(basis, lambda_uv, lambda_shift).matrix
     _require_condition_c(basis.params)
     one_minus_g = sparse.csr_array(
@@ -669,11 +684,8 @@ def _ibc_base(basis: FockBasis, lambda_uv, lambda_shift: float,
         basis, np.full(basis.total_dim, -lambda_shift, dtype=float),
         lambda_uv, lambda_shift)
     tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift).matrix
-    base = sparse.csr_array(prod + tod
+    return sparse.csr_array(prod + tod
                             + sparse.diags_array(diag, format="csr"))
-    for arr in (base.data, base.indices, base.indptr):
-        arr.flags.writeable = False
-    return base
 
 
 def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
@@ -683,12 +695,11 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
     Algebraically equal to the direct route for every cutoff, variant
     and shift; the equality on the lattice is the package's central
     correctness check.  The variant enters only through the counterterm
-    part of T_d, so the rest is built once per (basis, cutoff, shift) by
+    part of T_d, so the rest is kept on the basis per (cutoff, shift) by
     _ibc_base and the counterterm diagonal is added to a fresh copy.
     """
-    p = basis.params
-    base = _ibc_base(basis, lambda_uv, lambda_shift,
-                     (p.theta_fn, p.omega_fn, p.form_factor_fn))
+    _warn_beyond_reach(basis, lambda_uv)
+    base = _ibc_base(basis, lambda_uv, lambda_shift)
     e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
     h = sparse.csr_array(base + sparse.diags_array(
         basis.nucleon_diagonal(e_rows), format="csr"))

@@ -45,12 +45,13 @@ from .fockgrid import FockBasis
 from .model import ultraviolet_degree
 from .ops import (
     SparseOperator,
-    _boundary_map,
     _check_shift,
     _counterterm_rows,
     _creation_matrix,
-    _cutoff_block,
     _direct_matrix,
+    assemble_G,
+    assemble_H_direct,
+    assemble_T_cutoff,
     basis_digest,
 )
 from .quad import loglog_slope
@@ -254,8 +255,8 @@ def resolvent_apply(op: SparseOperator, z: complex, v: np.ndarray,
     return w
 
 
-def _power_norm(apply_fn, apply_adjoint_fn, dim: int, tol: float,
-                maxiter: int, v0: np.ndarray) -> float:
+def _power_norm(apply_fn, apply_adjoint_fn, tol: float, maxiter: int,
+                v0: np.ndarray) -> float:
     """Largest singular value of a linear map given its action and the
     adjoint action, by power iteration on the normal map."""
     x = v0.astype(complex)
@@ -284,8 +285,7 @@ def opnorm_diff(a: SparseOperator, b: SparseOperator, tol: float = 1e-6,
         return 0.0
     dh = d.conj().T.tocsr()
     v0 = _seed_vector(d.shape[0], basis_digest(a.basis), "opnorm")
-    return _power_norm(lambda x: d @ x, lambda y: dh @ y, d.shape[0],
-                       tol, maxiter, v0)
+    return _power_norm(lambda x: d @ x, lambda y: dh @ y, tol, maxiter, v0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +333,15 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     the unrenormalized ground energy, whose downward drift is the
     divergence the counterterm subtracts.
 
-    One creation matrix per cutoff feeds the control Hamiltonian
-    (free + a + a^dagger, no counterterm), the cutoff block T and every
-    variant's renormalized Hamiltonian.  The control is solved and T
-    built once per cutoff, shared by every table, and the counterterm
-    rows of each (cutoff, variant) serve both its Hamiltonian and its
-    T block.  Ground energies are solved block by block, in real
-    arithmetic when the couplings are real, and the resolvent
-    factorizations use a fill-reducing symmetric ordering (see
-    lowest_eigenpairs and _ResolventFactor).
+    The creation matrix of each cutoff is built once (kept on the basis,
+    see ops) and feeds the control Hamiltonian (free + a + a^dagger, no
+    counterterm), assemble_T_cutoff and every variant's renormalized
+    Hamiltonian.  The control is solved and T built once per cutoff,
+    shared by every table, and the counterterm rows of each (cutoff,
+    variant) serve both its Hamiltonian and its T block.  Ground energies
+    are solved block by block, in real arithmetic when the couplings are
+    real, and the resolvent factorizations use a fill-reducing symmetric
+    ordering (see lowest_eigenpairs and _ResolventFactor).
     """
     lams = [float(x) for x in lambda_list]
     variants = [int(v) for v in variants]
@@ -373,7 +373,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
             {"path": "direct", "lambda_uv": lam, "control": "no-counterterm"},
             True)
         controls.append(float(lowest_eigenpairs(h_bare, 1, eig_tol).values[0]))
-        t_ops.append(_cutoff_block(basis, a_mat, lambda_shift)[1])
+        t_ops.append(assemble_T_cutoff(basis, lam, lambda_shift).matrix)
         a_mats.append(a_mat)
 
     tables = {}
@@ -405,12 +405,11 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                 r_diff = _power_norm(
                     lambda x: cur.apply(x) - fin.apply(x),
                     lambda y: cur.apply_adjoint(y) - fin.apply_adjoint(y),
-                    basis.total_dim, norm_tol, 500, v0)
+                    norm_tol, 500, v0)
                 dt = sparse.csr_array((t_blocks[k] - t_blocks[-1]) @ w_diag)
                 dth = dt.conj().T.tocsr()
                 t_diff = 0.0 if dt.nnz == 0 else _power_norm(
-                    lambda x: dt @ x, lambda y: dth @ y,
-                    basis.total_dim, norm_tol, 500, v0)
+                    lambda x: dt @ x, lambda y: dth @ y, norm_tol, 500, v0)
             rows.append(ConvergenceRow(lam, grounds[k], controls[k],
                                        r_diff, t_diff))
         tables[variant] = ConvergenceTable(rows, variant, digest,
@@ -511,7 +510,8 @@ def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
     psi is the normalized ground vector of the renormalized operator at
     each refinement's native cutoff (or the explicit lambda_uv); the
     split psi = (1-G)psi + G psi uses the boundary map at the same
-    cutoff, built from the same creation matrix as the Hamiltonian.
+    cutoff, built after the solve from the Hamiltonian's kept creation
+    matrix.
     Below the threshold exponent the singular norm stabilizes; at and
     above it the norms grow without bound as the box widens.  Every
     refinement must carry the same model.
@@ -533,17 +533,13 @@ def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
     singular = {e: [] for e in etas}
     for basis in bases:
         _check_shift(basis, lambda_shift)
-        a_mat = _creation_matrix(basis, lambda_uv)
-        e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
-        hd = SparseOperator(basis, _direct_matrix(basis, a_mat, e_rows),
-                            {"path": "direct", "lambda_uv": lambda_uv,
-                             "variant": variant}, True)
-        eig = lowest_eigenpairs(hd, 1, eig_tol)
+        eig = lowest_eigenpairs(assemble_H_direct(basis, lambda_uv, variant),
+                                1, eig_tol)
         psi = eig.vectors[:, 0]
         psi = psi / np.linalg.norm(psi)
         energies.append(float(eig.values[0]))
         digests.append(basis_digest(basis))
-        g_psi = _boundary_map(a_mat, basis.free_diagonal + lambda_shift) @ psi
+        g_psi = assemble_G(basis, lambda_uv, lambda_shift).matrix @ psi
         reg = psi - g_psi
         lv = basis.free_diagonal
         for e in etas:

@@ -8,7 +8,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from ibcfock import cli
+from ibcfock import cli, ops
 from ibcfock.model import ModelKind
 
 
@@ -103,6 +103,19 @@ def test_invalid_variant_is_config_error(tmp_path):
     with pytest.raises(cli.CommandError) as err:
         cli.load_config(path)
     assert err.value.code == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("variants", ["1.5, 2", "1, 2.5", "2, 2", "1, 1.0"])
+def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
+    # variants are integers: 1.5 must not be read as 1; a repeated variant
+    # would repeat identity rows and overwrite a converge table
+    path = write_cfg(tmp_path, TINY_GROSS.replace("variants = 1, 2",
+                                                  "variants = " + variants))
+    with pytest.raises(cli.CommandError, match="invalid config") as err:
+        cli.load_config(path)
+    assert err.value.code == cli.EXIT_CONFIG
+    assert cli.main(["identity", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command, old, new", [
@@ -304,6 +317,19 @@ def test_identity_report_keeps_its_row_order(tmp_path):
         rows = json.loads((out / "identity_report.json").read_text())["rows"]
         assert [(r["kind"], r["lambda_uv"], r["variant"], r["lambda_shift"])
                 for r in rows] == want
+
+
+def test_identity_builds_one_creation_matrix_per_cutoff(tmp_path,
+                                                        monkeypatch):
+    # both routes and every (variant, shift) at one cutoff share the
+    # creation matrix kept on the basis
+    build = ops._creation_matrix.__wrapped__
+    builds = []
+    monkeypatch.setattr(ops._creation_matrix, "__wrapped__", lambda *a: (
+        builds.append(a[1]), build(*a))[1])
+    assert cli.main(["identity", "--config", "nelson",
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert builds == [1.0, 2.0]
 
 
 def test_identity_corrupt_hook_exits_three(tmp_path):

@@ -54,7 +54,7 @@ from ibcfock.errors import (
     MasslessWithoutShift,
 )
 from ibcfock import ops
-from ibcfock.ops import SparseOperator, _ibc_base
+from ibcfock.ops import SparseOperator
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=1)
 GROSS2 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2)
@@ -420,15 +420,17 @@ def test_ibc_memo_gives_the_same_operator_in_either_sweep_order(name,
     builds = []
     monkeypatch.setattr(ops, "assemble_G",
                         lambda *a: builds.append(a) or assemble_G(*a))
-    _ibc_base.cache_clear()
     variant_outer = {(v, s): assemble_H_ibc(basis, lam, v, s).matrix
                      for v in variants for s in shifts}
     assert len(builds) == 6
     shift_outer = {(v, s): assemble_H_ibc(basis, lam, v, s).matrix
                    for s in shifts for v in variants}
     assert len(builds) == 9
-    info = _ibc_base.cache_info()
-    assert (info.maxsize, info.currsize) == (1, 1)
+    # one entry is kept: the last (cutoff, shift) and no other
+    assemble_H_ibc(basis, lam, 1, shifts[-1])
+    assert len(builds) == 9
+    assemble_H_ibc(basis, lam, 1, shifts[0])
+    assert len(builds) == 10
     for key, h in shift_outer.items():
         assert _same_csr(h, variant_outer[key]), key
     for v in variants:
@@ -438,7 +440,8 @@ def test_ibc_memo_gives_the_same_operator_in_either_sweep_order(name,
 
 def test_ibc_memo_never_serves_another_basis():
     # the last pair compares equal as bases: ModelParams leaves its
-    # plugin callables out of equality, so the memo keys on them too
+    # plugin callables out of equality, so the kept part must live on
+    # the basis instance, not under a key built from its fields
     g = build_grid(2, 1.0, 3)
     plain = custom_model(2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0)
     plugin = custom_model(2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0,
@@ -447,10 +450,7 @@ def test_ibc_memo_never_serves_another_basis():
              enumerate_basis(plain, g, g, n_max=2),
              enumerate_basis(plugin, g, g, n_max=2)]
     assert bases[2] == bases[3]
-    want = []
-    for basis in bases:
-        _ibc_base.cache_clear()
-        want.append(assemble_H_ibc(basis, 1.0, 1, 0.5).matrix)
+    want = [assemble_H_ibc(basis, 1.0, 1, 0.5).matrix for basis in bases]
     assert not _same_csr(want[2], want[3])
     for i in (0, 1, 0, 1, 2, 3, 2, 3):
         assert _same_csr(assemble_H_ibc(bases[i], 1.0, 1, 0.5).matrix,
@@ -483,7 +483,18 @@ def test_ibc_memo_is_not_exposed_to_writes(name):
     want = first.matrix.copy()
     first.matrix.data[:] = 7.0
     assert _same_csr(assemble_H_ibc(basis, lam, 1, 0.5).matrix, want)
-    assert _ibc_base.cache_info().currsize == 1
+    # the creation operator hands out the kept matrix itself: read-only
+    kept = assemble_creation(basis, lam).matrix
+    for part in ("data", "indices", "indptr"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(kept, part)[:1] = 0
+    fresh = make()
+    for build in (lambda b: assemble_creation(b, lam),
+                  lambda b: assemble_annihilation(b, lam),
+                  lambda b: assemble_G(b, lam, 0.5),
+                  lambda b: assemble_H_direct(b, lam, 2),
+                  lambda b: assemble_H_ibc(b, lam, 2, 0.5)):
+        assert _same_csr(build(basis).matrix, build(fresh).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +684,24 @@ def test_cutoff_beyond_reach_warns():
     basis = small_basis(GROSS1, n_max=1)
     with pytest.warns(UserWarning, match="exceeds"):
         assemble_creation(basis, 5.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda b: assemble_creation(b, 5.0),
+    lambda b: assemble_annihilation(b, 5.0),
+    lambda b: assemble_G(b, 5.0, 0.5),
+    lambda b: assemble_T_cutoff(b, 5.0, 0.5),
+    lambda b: assemble_H_direct(b, 5.0, 1),
+    lambda b: assemble_H_ibc(b, 5.0, 1, 0.5),
+], ids=["creation", "annihilation", "G", "T_cutoff", "H_direct", "H_ibc"])
+def test_cutoff_beyond_reach_warns_on_every_call(build):
+    # the creation matrix is kept on the basis after the first call; the
+    # second call must still warn, and point at its own caller
+    basis = small_basis(GROSS1, n_max=1)
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="exceeds") as caught:
+            build(basis)
+        assert __file__ in {w.filename for w in caught}
 
 
 def test_verify_identity_rejects_mismatched_bases():

@@ -25,7 +25,7 @@ from ibcfock import (
 )
 from ibcfock.errors import BasisMismatch, InsufficientPoints, NotConverged, \
     SolveNotConverged
-from ibcfock import spectral
+from ibcfock import ops, spectral
 from ibcfock.ops import SparseOperator, basis_digest
 from ibcfock.spectral import DENSE_DIM_MAX, _components, _power_norm, \
     _ResolventFactor, _seed_vector
@@ -315,7 +315,7 @@ def test_power_norm_matches_dense_svd():
     rng = np.random.default_rng(7)
     d = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
     v0 = _seed_vector(200, "ab" * 32, "test")
-    got = _power_norm(lambda x: d @ x, lambda y: d.conj().T @ y, 200,
+    got = _power_norm(lambda x: d @ x, lambda y: d.conj().T @ y,
                       1e-8, 2000, v0)
     want = np.linalg.svd(d, compute_uv=False)[0]
     assert abs(got - want) < 1e-2 * want
@@ -325,7 +325,7 @@ def test_power_norm_budget_exhaustion_raises():
     d = np.eye(5)
     v0 = _seed_vector(5, "cd" * 32, "test")
     with pytest.raises(NotConverged):
-        _power_norm(lambda x: d @ x, lambda y: d @ y, 5, 1e-12, 1, v0)
+        _power_norm(lambda x: d @ x, lambda y: d @ y, 1e-12, 1, v0)
 
 
 def test_opnorm_diff_rejects_mismatched_bases():
@@ -479,25 +479,27 @@ def test_regularity_ladder_dichotomy_trend():
 
 
 def test_regularity_builds_one_creation_matrix_per_rung(monkeypatch):
-    # H and G of each rung come from one creation matrix and must be
-    # bitwise the operators of assemble_H_direct and assemble_G
+    # H and G of each rung share one creation matrix, built once, and are
+    # bitwise the operators of assemble_H_direct and assemble_G on a
+    # fresh copy of the ladder
     params = gross_model(coupling=0.3, mu=0.1875, m_boson=0.1875)
     bases = ladder(params)
-    creation_matrix = spectral._creation_matrix
+    build = ops._creation_matrix.__wrapped__
     solve = spectral.lowest_eigenpairs
-    boundary_map = spectral._boundary_map
-    creations, hams, maps = [], [], []
-    monkeypatch.setattr(spectral, "_creation_matrix", lambda *a: (
-        creations.append(a), creation_matrix(*a))[1])
+    make_g = spectral.assemble_G
+    builds, hams, maps = [], [], []
+    monkeypatch.setattr(ops._creation_matrix, "__wrapped__", lambda *a: (
+        builds.append(a[0]), build(*a))[1])
     monkeypatch.setattr(spectral, "lowest_eigenpairs", lambda op, *a: (
         hams.append(op.matrix), solve(op, *a))[1])
-    monkeypatch.setattr(spectral, "_boundary_map", lambda *a: (
-        maps.append(boundary_map(*a)), maps[-1])[1])
+    monkeypatch.setattr(spectral, "assemble_G", lambda *a: (
+        maps.append(make_g(*a)), maps[-1])[1])
     regularity_diagnostic(bases, 1, [0.25], lambda_shift=0.5)
-    assert len(creations) == len(hams) == len(maps) == len(bases)
-    for basis, h, g in zip(bases, hams, maps):
+    assert [id(b) for b in builds] == [id(b) for b in bases]
+    assert len(hams) == len(maps) == len(bases)
+    for basis, h, g in zip(ladder(params), hams, maps):
         for got, want in ((h, assemble_H_direct(basis, None, 1).matrix),
-                          (g, assemble_G(basis, None, 0.5).matrix)):
+                          (g.matrix, assemble_G(basis, None, 0.5).matrix)):
             assert got.dtype == want.dtype
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(got, part),
