@@ -674,7 +674,7 @@ def _ibc_base(basis: FockBasis, lambda_uv,
     """Variant-independent part of the boundary route, kept so that a
     sweep of every variant at one (cutoff, shift) builds it once:
     (1-G)*(L+lambda)(1-G) + T_od + diag(-resolvent sums - lambda)."""
-    g = assemble_G(basis, lambda_uv, lambda_shift).matrix
+    g = _boundary_map(basis, lambda_uv, lambda_shift)
     _require_condition_c(basis.params)
     one_minus_g = sparse.csr_array(
         sparse.eye_array(basis.total_dim, format="csr") - g)

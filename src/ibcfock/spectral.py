@@ -57,7 +57,8 @@ from .ops import (
 from .quad import loglog_slope
 
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
-SPLU_DIM_MAX = 2_000_000     # sparse LU is fine for every desk-scale basis
+# relative residual budget of each Schur-complement solve (_ParityFactor)
+SCHUR_RTOL = 1e-10
 # spectral parameter of the resolvent distances in the convergence study
 RESOLVENT_Z = -1.0j
 # margin above uv_degree/gamma in the weight exponent of the T distances
@@ -83,6 +84,14 @@ class EigenResult:
     method: str
 
 
+def _pattern_components(h: sparse.csr_array):
+    """Number of connected components of the stored pattern and the
+    component label of every state."""
+    pattern = sparse.csr_array(
+        (np.ones(h.nnz, dtype=np.int8), h.indices, h.indptr), shape=h.shape)
+    return csgraph.connected_components(pattern, directed=False)
+
+
 def _components(h: sparse.csr_array):
     """Decoupled blocks of a Hermitian matrix, with a lower spectral
     bound for each.
@@ -99,9 +108,7 @@ def _components(h: sparse.csr_array):
         h = h.copy()
         h.sum_duplicates()
     n = h.shape[0]
-    pattern = sparse.csr_array(
-        (np.ones(h.nnz, dtype=np.int8), h.indices, h.indptr), shape=h.shape)
-    n_comp, labels = csgraph.connected_components(pattern, directed=False)
+    n_comp, labels = _pattern_components(h)
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     off = rows != h.indices
     diag_min = np.full(n_comp, np.inf)
@@ -196,62 +203,130 @@ def lowest_eigenpairs(op: SparseOperator, count: int = 1,
 # ---------------------------------------------------------------------------
 # resolvent machinery
 
-class _ResolventFactor:
-    """Cached factorization of (H - z); solves and adjoint solves.
+def _odd_bosons(basis: FockBasis) -> np.ndarray:
+    """Mask of the basis states with an odd number of bosons."""
+    odd = np.zeros(basis.total_dim, dtype=bool)
+    for n in range(1, basis.n_max + 1, 2):
+        odd[basis.sector_slice(n)] = True
+    return odd
 
-    The columns are ordered by minimum degree on the pattern of
-    A^T + A, which for a Hermitian H is just the (symmetric) pattern of
-    H - z.  SuperLU's default COLAMD orders for unsymmetric matrices; on
-    Fock-space operators it eliminates the low-boson "hub" states early
-    and fills every total-momentum block densely: on the 83 810-state
-    convergence preset it leaves 21 times the L+U entries of minimum
-    degree.
+
+class _ParityFactor:
+    """(H - z)^(-1) on the boson-parity Schur complement.
+
+    The off-diagonal part of H (a*(V) + a(V)) changes the boson number
+    by one, so it only joins states of opposite parity; the constructor
+    checks this in one pass over the stored entries and raises
+    ValueError otherwise (H_ibc, whose stored cancellation residues join
+    equal parities, does not qualify).  In the order [smaller class;
+    larger class], `order`, the matrix reads
+
+        H - z = [[Ds - z, C], [B, Dl - z]],   Ds, Dl diagonal,
+
+    and dividing out the larger class (the Feshbach-Schur map, the same
+    elimination of a diagonal free part as the boundary map G) leaves
+    only S = (Ds - z) - C (Dl - z)^(-1) B to factor: a sparse LU under a
+    minimum-degree ordering of its symmetric pattern.  For Hermitian H
+    and z off the real axis |Dl - z| >= |Im z| > 0.  A z that hits an
+    entry of Dl (for a real z this can happen off the spectrum too) or
+    makes S exactly singular raises SolveNotConverged.
+
+    apply and apply_adjoint take and return vectors in `order`, i.e.
+    v[order] for a vector v in basis order; the first ns of them are the
+    smaller class.  Each solve certifies the residual of its S solve
+    against SCHUR_RTOL and raises SolveNotConverged above it; the rows
+    of the larger class then hold by construction up to one rounding.
     """
 
-    def __init__(self, matrix: sparse.csr_array, z: complex):
-        self.shape = matrix.shape
+    def __init__(self, matrix: sparse.csr_array, z: complex,
+                 odd: np.ndarray):
+        n = matrix.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        off = rows != matrix.indices
+        if np.any(odd[rows[off]] == odd[matrix.indices[off]]):
+            raise ValueError("operator couples states of equal boson parity")
+        small = odd if 2 * np.count_nonzero(odd) <= n else ~odd
+        self.order = np.concatenate([np.flatnonzero(small),
+                                     np.flatnonzero(~small)])
+        self.ns = ns = int(np.count_nonzero(small))
         # complex even for a real z: the solves take complex vectors
-        shifted = matrix - complex(z) * sparse.eye_array(self.shape[0])
-        self.lu = spla.splu(shifted.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        d = matrix.diagonal()[self.order] - complex(z)
+        ds, dl = d[:ns], d[ns:]
+        if not np.all(dl != 0):
+            raise SolveNotConverged("z = %r meets a diagonal entry of the "
+                                    "eliminated parity class" % (z,))
+        small_idx, large_idx = self.order[:ns], self.order[ns:]
+        c = sparse.csr_array(matrix[small_idx][:, large_idx], dtype=complex)
+        b = sparse.csr_array(matrix[large_idx][:, small_idx], dtype=complex)
+        # (Dl - z)^(-1) B and its adjoint counterpart, scaled once
+        g = sparse.csr_array(sparse.diags_array(1.0 / dl) @ b)
+        gh = sparse.csr_array(sparse.diags_array(1.0 / dl.conj())
+                              @ c.conj().T)
+        schur = sparse.csr_array(sparse.diags_array(ds) - c @ g)
+        self.lu = None
+        if ns:
+            try:
+                self.lu = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:
+                raise SolveNotConverged(
+                    "Schur complement factorization failed: %s" % exc) from exc
+        self._forward = (dl, c, g, schur, "N")
+        self._adjoint = (dl.conj(), sparse.csr_array(b.conj().T), gh,
+                         sparse.csr_array(schur.conj().T), "H")
+
+    def stored_nnz(self) -> int:
+        """Entries held: both couplings in both directions and L+U of S."""
+        held = sum(m.nnz for m in self._forward[1:3] + self._adjoint[1:3])
+        return held + (self.lu.L.nnz + self.lu.U.nnz if self.ns else 0)
+
+    def _solve(self, v, dl, c, g, schur, trans):
+        ns = self.ns
+        x = np.empty(v.shape, dtype=complex)
+        np.divide(v[ns:], dl, out=x[ns:])
+        if ns:
+            rhs = v[:ns] - c @ x[ns:]
+            xs = self.lu.solve(rhs, trans=trans)
+            res = np.linalg.norm(schur @ xs - rhs)
+            if not res <= SCHUR_RTOL * np.linalg.norm(rhs):
+                raise SolveNotConverged(
+                    "Schur complement residual %.3e above %.1e relative"
+                    % (res, SCHUR_RTOL))
+            x[:ns] = xs
+            x[ns:] -= g @ xs
+        return x
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.asarray(v, dtype=complex))
+        """(H - z)^(-1) v, in `order`."""
+        return self._solve(v, *self._forward)
 
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.asarray(v, dtype=complex), trans="H")
+        """(H - z)^(-*) v, in `order`."""
+        return self._solve(v, *self._adjoint)
 
 
 def resolvent_apply(op: SparseOperator, z: complex, v: np.ndarray,
                     tol: float = 1e-10) -> np.ndarray:
     """Solve (H - z) w = v.
 
-    Uses a sparse LU factorization (desk-scale dimensions) and verifies
-    the residual; iterative refinement through LGMRES picks up the rare
-    borderline factorization.  z must keep H - z invertible: a nonzero
+    Solves on the boson-parity Schur complement (see _ParityFactor) and
+    verifies the full residual against tol times |v|.  H must join
+    states of opposite boson parity only, as H_direct does; any operator
+    with an off-diagonal entry between equal parities, such as H_ibc
+    with its stored cancellation residues, raises ValueError.  z must
+    keep H - z and the eliminated diagonal invertible: a nonzero
     imaginary part always works for Hermitian H.
     """
     h = op.matrix
     v = np.asarray(v, dtype=complex)
     if v.shape != (h.shape[0],):
         raise ValueError("vector length does not match the operator")
-    if h.shape[0] > SPLU_DIM_MAX:
-        raise ValueError("dimension exceeds the factorization cap")
-    try:
-        factor = _ResolventFactor(h, z)
-        w = factor.apply(v)
-    except RuntimeError as exc:
-        raise SolveNotConverged("factorization failed: %s" % exc) from exc
-    shifted = h @ w - z * w
-    vnorm = np.linalg.norm(v)
-    res = np.linalg.norm(shifted - v)
-    if res > tol * max(vnorm, 1e-300):
-        shifted_m = (h - z * sparse.eye_array(h.shape[0])).tocsc()
-        w, info = spla.lgmres(shifted_m, v, x0=w, rtol=tol, atol=0.0,
-                              maxiter=200)
-        res = np.linalg.norm(h @ w - z * w - v)
-        if info != 0 or res > 10 * tol * max(vnorm, 1e-300):
-            raise SolveNotConverged(
-                "residual %.3e above tolerance %.1e" % (res, tol))
+    factor = _ParityFactor(h, z, _odd_bosons(op.basis))
+    w = np.empty_like(v)
+    w[factor.order] = factor.apply(v[factor.order])
+    res = np.linalg.norm(h @ w - z * w - v)
+    if not res <= tol * max(np.linalg.norm(v), 1e-300):
+        raise SolveNotConverged(
+            "residual %.3e above tolerance %.1e" % (res, tol))
     return w
 
 
@@ -273,6 +348,23 @@ def _power_norm(apply_fn, apply_adjoint_fn, tol: float, maxiter: int,
         est_prev = est
         x = y / ny
     raise NotConverged("power iteration did not settle in %d steps" % maxiter)
+
+
+def _block_norm(d: sparse.csr_array) -> float:
+    """Exact spectral norm of a sparse matrix: the largest dense 2-norm
+    over the connected components of its stored pattern, in which it is
+    block diagonal; one-state components are read off the diagonal."""
+    if d.nnz == 0:
+        return 0.0
+    labels = _pattern_components(d)[1]
+    sizes = np.bincount(labels)
+    norm = float(np.abs(d.diagonal()[sizes[labels] == 1]).max(initial=0.0))
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    for c in np.flatnonzero(sizes > 1):
+        idx = order[ends[c] - sizes[c]:ends[c]]
+        norm = max(norm, float(np.linalg.norm(d[idx][:, idx].toarray(), 2)))
+    return norm
 
 
 def opnorm_diff(a: SparseOperator, b: SparseOperator, tol: float = 1e-6,
@@ -325,13 +417,17 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     cutoff ladder, one ConvergenceTable per counterterm variant.
 
     For every cutoff the renormalized operator is assembled on the fixed
-    basis; the resolvent distance ||(H_lam - z)^(-1) - (H_fin - z)^(-1)||
-    at z = RESOLVENT_Z and the weighted distance of the virtual-boson
-    block (difference weighted by (L+1) to the power
-    -(uv_degree/gamma + T_WEIGHT_EPSILON)) are estimated by power
-    iteration through cached factorizations.  A control column carries
-    the unrenormalized ground energy, whose downward drift is the
-    divergence the counterterm subtracts.
+    basis.  The resolvent distance ||(H_lam - z)^(-1) - (H_fin - z)^(-1)||
+    at z = RESOLVENT_Z is estimated by power iteration through one
+    parity factor per cutoff (see _ParityFactor): every solve works on
+    the boson-parity Schur complement, in the factor's state order (the
+    start vector is permuted once), and certifies its residual.  The
+    weighted distance of the virtual-boson block (difference weighted
+    by (L+1) to the power -(uv_degree/gamma + T_WEIGHT_EPSILON)) is
+    exact: the largest dense 2-norm over the pattern components of the
+    difference (see _block_norm).  A control column carries the
+    unrenormalized ground energy, whose downward drift is the divergence
+    the counterterm subtracts.
 
     The creation matrix of each cutoff is built once (kept on the basis,
     see ops) and feeds the control Hamiltonian (free + a + a^dagger, no
@@ -340,8 +436,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     shared by every table, and the counterterm rows of each (cutoff,
     variant) serve both its Hamiltonian and its T block.  Ground energies
     are solved block by block, in real arithmetic when the couplings are
-    real, and the resolvent factorizations use a fill-reducing symmetric
-    ordering (see lowest_eigenpairs and _ResolventFactor).
+    real (see lowest_eigenpairs).
     """
     lams = [float(x) for x in lambda_list]
     variants = [int(v) for v in variants]
@@ -362,7 +457,8 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
         -(max(exps.uv_degree, 0.0) / params.gamma + T_WEIGHT_EPSILON))
     w_diag = sparse.diags_array(weight, format="csr")
     digest = basis_digest(basis)
-    v0 = _seed_vector(basis.total_dim, digest, "study")
+    v0_basis = _seed_vector(basis.total_dim, digest, "study")
+    odd = _odd_bosons(basis)
 
     no_counterterm = np.zeros(basis.nuc_dim)
     a_mats, controls, t_ops = [], [], []
@@ -394,22 +490,21 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
             t_blocks.append(sparse.csr_array(
                 t_op + sparse.diags_array(e_diag, format="csr")))
 
-        fin = _ResolventFactor(hams[-1], RESOLVENT_Z)
+        fin = _ParityFactor(hams[-1], RESOLVENT_Z, odd)
+        v0 = v0_basis[fin.order]
         rows = []
         for k, lam in enumerate(lams):
             if k == len(lams) - 1:
                 r_diff = 0.0
                 t_diff = 0.0
             else:
-                cur = _ResolventFactor(hams[k], RESOLVENT_Z)
+                cur = _ParityFactor(hams[k], RESOLVENT_Z, odd)
                 r_diff = _power_norm(
                     lambda x: cur.apply(x) - fin.apply(x),
                     lambda y: cur.apply_adjoint(y) - fin.apply_adjoint(y),
                     norm_tol, 500, v0)
-                dt = sparse.csr_array((t_blocks[k] - t_blocks[-1]) @ w_diag)
-                dth = dt.conj().T.tocsr()
-                t_diff = 0.0 if dt.nnz == 0 else _power_norm(
-                    lambda x: dt @ x, lambda y: dth @ y, norm_tol, 500, v0)
+                t_diff = _block_norm(
+                    sparse.csr_array((t_blocks[k] - t_blocks[-1]) @ w_diag))
             rows.append(ConvergenceRow(lam, grounds[k], controls[k],
                                        r_diff, t_diff))
         tables[variant] = ConvergenceTable(rows, variant, digest,

@@ -10,6 +10,7 @@ combinatorial factor independently of the production code path.
 import math
 from collections import Counter
 from itertools import permutations, product as iproduct
+import warnings
 
 import numpy as np
 import pytest
@@ -418,8 +419,9 @@ def test_ibc_memo_gives_the_same_operator_in_either_sweep_order(name,
     basis = make()
     variants, shifts = (1, 2), (0.0, 0.5, 3.0)
     builds = []
-    monkeypatch.setattr(ops, "assemble_G",
-                        lambda *a: builds.append(a) or assemble_G(*a))
+    boundary_map = ops._boundary_map
+    monkeypatch.setattr(ops, "_boundary_map",
+                        lambda *a: builds.append(a) or boundary_map(*a))
     variant_outer = {(v, s): assemble_H_ibc(basis, lam, v, s).matrix
                      for v in variants for s in shifts}
     assert len(builds) == 6
@@ -702,6 +704,17 @@ def test_cutoff_beyond_reach_warns_on_every_call(build):
         with pytest.warns(UserWarning, match="exceeds") as caught:
             build(basis)
         assert __file__ in {w.filename for w in caught}
+
+
+def test_ibc_warns_once_beyond_reach_at_its_caller():
+    # the first call builds the kept boundary part, which must not warn
+    # a second time from inside ops
+    basis = small_basis(GROSS1, n_max=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assemble_H_ibc(basis, 5.0, 1, 0.5)
+    assert [(w.filename, str(w.message)) for w in caught] == [
+        (__file__, "cutoff radius 5 exceeds the boson box reach 1")]
 
 
 def test_verify_identity_rejects_mismatched_bases():

@@ -11,6 +11,7 @@ from scipy.sparse import linalg as spla
 from ibcfock import (
     assemble_G,
     assemble_H_direct,
+    assemble_H_ibc,
     assemble_L,
     assemble_creation,
     build_grid,
@@ -27,8 +28,8 @@ from ibcfock.errors import BasisMismatch, InsufficientPoints, NotConverged, \
     SolveNotConverged
 from ibcfock import ops, spectral
 from ibcfock.ops import SparseOperator, basis_digest
-from ibcfock.spectral import DENSE_DIM_MAX, _components, _power_norm, \
-    _ResolventFactor, _seed_vector
+from ibcfock.spectral import DENSE_DIM_MAX, _block_norm, _components, \
+    _odd_bosons, _ParityFactor, _power_norm, _seed_vector
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 
@@ -278,6 +279,114 @@ def test_resolvent_at_eigenvalue_fails_loudly():
         resolvent_apply(op, z, np.ones(basis.total_dim, dtype=complex))
 
 
+def test_resolvent_apply_rejects_equal_parity_couplings():
+    # H_ibc stores cancellation residues (~1e-17) between states of
+    # equal boson parity, so the parity factor refuses it
+    basis = small_basis(n_max=2)
+    op = assemble_H_ibc(basis, 1.0, 1, 0.5)
+    with pytest.raises(ValueError, match="parity"):
+        resolvent_apply(op, 1.0j, np.ones(basis.total_dim, dtype=complex))
+
+
+def test_resolvent_without_bosons_divides_the_diagonal():
+    # n_max = 0: no odd-parity states, nothing left to factor
+    basis = small_basis(n_max=0)
+    op = assemble_H_direct(basis, 1.0, 1)
+    v = np.arange(basis.total_dim) + 1.0j
+    w = resolvent_apply(op, 1.0j, v)
+    assert np.allclose(w, v / (op.matrix.diagonal() - 1.0j),
+                       rtol=1e-15, atol=0.0)
+    tab = cutoff_convergence_study(basis, [0.5, 1.0], (1,))[1]
+    # recorded with a sparse LU of the full H - z
+    assert tab.column("resolvent_diff_to_finest")[0] == pytest.approx(
+        0.20600990515339532, rel=1e-12)
+
+
+def _bipartite_hermitian(rng, n_small, n_large, density, is_complex):
+    """Random Hermitian matrix joining states of opposite parity only,
+    under a random permutation; returns it with its odd-parity mask."""
+    n = n_small + n_large
+    b = sparse.random_array((n_large, n_small), density=density, rng=rng,
+                            format="csr").toarray()
+    if is_complex:
+        b = b * np.exp(2j * np.pi * rng.random(b.shape))
+    dense = np.zeros((n, n), dtype=complex if is_complex else float)
+    dense[n_small:, :n_small] = 3.0 * b
+    dense[:n_small, n_small:] = 3.0 * b.conj().T
+    dense[np.arange(n), np.arange(n)] = rng.uniform(-5.0, 5.0, n)
+    odd = np.arange(n) < n_small
+    if rng.random() < 0.5:
+        odd = ~odd
+    perm = rng.permutation(n)
+    return dense[perm][:, perm], odd[perm]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_small=st.integers(0, 12), extra=st.integers(0, 30),
+       density=st.floats(0.0, 1.0), is_complex=st.booleans(),
+       re_z=st.floats(-6.0, 6.0), im_z=st.floats(0.2, 2.0),
+       sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
+def test_parity_factor_matches_dense_solve(n_small, extra, density,
+                                           is_complex, re_z, im_z, sign,
+                                           seed):
+    rng = np.random.default_rng(seed)
+    dense, odd = _bipartite_hermitian(rng, n_small, n_small + extra + 1,
+                                      density, is_complex)
+    n = dense.shape[0]
+    z = complex(re_z, sign * im_z)
+    factor = _ParityFactor(sparse.csr_array(dense), z, odd)
+    assert factor.ns == n_small
+    order = factor.order
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shifted = dense - z * np.eye(n)
+    for got, want in (
+            (factor.apply(v[order]), np.linalg.solve(shifted, v)),
+            (factor.apply_adjoint(v[order]),
+             np.linalg.solve(shifted.conj().T, v))):
+        assert np.linalg.norm(got - want[order]) \
+            <= 1e-12 * np.linalg.norm(want)
+
+    # a coupling between two states of equal parity is refused
+    i, j = order[n_small], order[-1]
+    if i != j:
+        bad = dense.copy()
+        bad[i, j] = bad[j, i] = 0.5
+        with pytest.raises(ValueError):
+            _ParityFactor(sparse.csr_array(bad), z, odd)
+
+    # a z on the spectrum: cut one state loose and take its energy
+    k = int(rng.integers(n))
+    cut = dense.copy()
+    cut[k, :k] = cut[k, k + 1:] = 0.0
+    cut[:k, k] = cut[k + 1:, k] = 0.0
+    with pytest.raises(SolveNotConverged):
+        f = _ParityFactor(sparse.csr_array(cut), cut[k, k].real, odd)
+        f.apply(v[f.order])
+
+
+def test_parity_factor_certifies_every_solve(monkeypatch):
+    # with a budget no residual can meet, both directions must refuse
+    # to return their solution
+    basis = small_basis()
+    h = assemble_H_direct(basis, 1.0, 1).matrix
+    factor = _ParityFactor(h, -1.0j, _odd_bosons(basis))
+    v = np.ones(basis.total_dim, dtype=complex)
+    monkeypatch.setattr(spectral, "SCHUR_RTOL", -1.0)
+    for solve in (factor.apply, factor.apply_adjoint):
+        with pytest.raises(SolveNotConverged, match="residual"):
+            solve(v)
+
+
+def test_parity_factor_singular_schur_complement_raises():
+    # [[1, 1], [1, 1]] at z = 0: Dl - z = 1, S = 1 - 1 = 0 exactly
+    h = sparse.csr_array(np.ones((2, 2)))
+    with pytest.raises(SolveNotConverged):
+        _ParityFactor(h, 0.0, np.array([True, False]))
+    # z = 2 makes S = -1 - 1/(-1) = 0 as well (eigenvalue 2)
+    with pytest.raises(SolveNotConverged):
+        _ParityFactor(h, 2.0, np.array([True, False]))
+
+
 # ---------------------------------------------------------------------------
 # operator-norm differences
 
@@ -391,17 +500,74 @@ def test_convergence_study_variant2_block_cancels_for_single_nucleon(study_basis
 
 
 def test_resolvent_factor_fill_stays_near_operator_size(study_basis):
-    # minimum degree on the symmetric pattern keeps L+U within a small
-    # multiple of H - z; a column ordering that eliminates the few-boson
-    # states first fills each total-momentum block densely
+    # the parity factor stores the couplings between the parity classes
+    # (for the solve and the adjoint solve) and the L+U of the Schur
+    # complement on the smaller class; together they stay within a small
+    # multiple of H - z
     h = assemble_H_direct(study_basis, 2.0, 1).matrix
     shifted = h + 1.0j * sparse.eye_array(h.shape[0])
-    factor = _ResolventFactor(h, -1.0j)
-    assert factor.lu.L.nnz + factor.lu.U.nnz <= 3 * shifted.nnz
+    factor = _ParityFactor(h, -1.0j, _odd_bosons(study_basis))
+    assert factor.stored_nnz() <= 3 * shifted.nnz
     rng = np.random.default_rng(5)
     v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    w = factor.apply(v)
+    w = np.empty_like(v)
+    w[factor.order] = factor.apply(v[factor.order])
     assert np.linalg.norm(shifted @ w - v) <= 1e-12 * np.linalg.norm(v)
+
+
+# resolvent distances of cutoff_convergence_study(study_basis, [0.5, 1, 2],
+# (1, 2)) computed with a sparse LU of the full H - z, recorded before the
+# parity factor replaced it
+_LU_RESOLVENT_COLUMNS = {1: [0.4331693971120596, 0.32764371252727986],
+                         2: [0.4341396786998331, 0.33272860924375647]}
+# the weighted-T distances of the same study, then estimated by power
+# iteration stopped at 1e-4; a power estimate never exceeds the norm
+_POWER_T_COLUMNS = {1: [0.10468491065251796, 0.016941263312342737],
+                    2: [1.6714741843795896e-15, 1.7221165911319782e-15]}
+
+
+def test_convergence_study_keeps_the_full_lu_resolvent_column(study_basis):
+    tables = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], (1, 2))
+    for variant, tab in tables.items():
+        got = tab.column("resolvent_diff_to_finest")
+        assert got[-1] == 0.0
+        assert np.allclose(got[:-1], _LU_RESOLVENT_COLUMNS[variant],
+                           rtol=1e-12, atol=0.0)
+        t = tab.column("opnorm_t_diff")[:-1]
+        assert np.all(t >= np.array(_POWER_T_COLUMNS[variant]) * (1 - 1e-12))
+        assert np.allclose(t, _POWER_T_COLUMNS[variant], rtol=5e-2, atol=0.0)
+
+
+# power-iteration T distance at cutoff 0.5 against 1.0 on the n_max = 2
+# lattice below, per (shift, variant), from before the exact norm
+_POWER_T_N2 = {(0.0, 1): 0.4607146351180974, (0.0, 2): 0.4592709889370887,
+               (0.5, 1): 0.5013673213561114, (0.5, 2): 0.49979986485198113}
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.5])
+def test_convergence_study_t_column_is_the_exact_norm(shift, monkeypatch):
+    # with two bosons the T differences couple one-boson states, so the
+    # pattern components are not all single states
+    basis = small_basis(n_max=2)
+    seen = []
+
+    def recording(d):
+        norm = _block_norm(d)
+        seen.append((d, norm))
+        return norm
+
+    monkeypatch.setattr(spectral, "_block_norm", recording)
+    tables = cutoff_convergence_study(basis, [0.5, 1.0], (1, 2),
+                                      lambda_shift=shift)
+    assert len(seen) == 2
+    assert any(np.any(d.tocoo().row != d.tocoo().col) for d, _ in seen)
+    for d, norm in seen:
+        assert norm == pytest.approx(np.linalg.norm(d.toarray(), 2),
+                                     rel=1e-12)
+    for variant, tab in tables.items():
+        t = tab.column("opnorm_t_diff")[0]
+        old = _POWER_T_N2[(shift, variant)]
+        assert old * (1 - 1e-12) <= t <= old * (1 + 5e-2)
 
 
 def test_convergence_study_validates_ladder(study_basis):
