@@ -10,11 +10,9 @@ from . import errors
 from .fockgrid import (
     FockBasis,
     MomentumGrid,
-    apply_diag,
     build_grid,
     diagonal_values,
     enumerate_basis,
-    number_values,
     point_index,
     translate,
     translate_indices,
@@ -93,7 +91,6 @@ from .spectral import (
     cutoff_convergence_study,
     divergence_fit,
     lowest_eigenpairs,
-    opnorm_diff,
     regularity_diagnostic,
     resolvent_apply,
 )

@@ -234,6 +234,14 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise ValueError("variants must be distinct values from {1, 2}")
         if any(s < 0 for s in lambda_shifts):
             raise ValueError("lambda_shifts must be >= 0")
+        if ladder and (len(ladder) < 3 or ladder[0] <= 0 or any(
+                b <= a for a, b in zip(ladder, ladder[1:]))):
+            raise ValueError("ladder_k_max needs at least 3 positive, "
+                             "strictly increasing rungs")
+        if any(e < 0 for e in eta_list):
+            raise ValueError("eta_list must be >= 0")
+        if n_samples < 1 or n_p_samples < 1:
+            raise ValueError("n_samples and n_p_samples must be >= 1")
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
 

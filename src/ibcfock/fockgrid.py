@@ -324,15 +324,3 @@ def diagonal_values(basis: FockBasis, f: Callable) -> np.ndarray:
         out[basis.sector_slice(n)] = np.asarray(f(big_p, big_k), dtype=float)
     return out
 
-
-def apply_diag(basis: FockBasis, f: Callable, vec: np.ndarray) -> np.ndarray:
-    """Amplitude-wise multiplication of a state vector by f(P, K)."""
-    vec = np.asarray(vec)
-    if vec.shape[0] != basis.total_dim:
-        raise ValueError("state vector length does not match the basis")
-    return vec * diagonal_values(basis, f)
-
-
-def number_values(basis: FockBasis) -> np.ndarray:
-    """Diagonal of the boson number operator."""
-    return diagonal_values(basis, lambda p, k: np.full(p.shape[0], k.shape[1], dtype=float))

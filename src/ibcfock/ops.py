@@ -25,13 +25,14 @@ Conventions that make the equality exact:
 
 Every builder takes the basis and reads the model from basis.params.
 The pieces the two routes share have one definition each: the free
-diagonal is the basis's cached free_diagonal, the counterterm diagonal
-comes from _counterterm_rows, the creation matrix from _creation_matrix,
-the direct-route sum from _direct_matrix, and both exchange families
-start from _exchange_tables.  _kept keeps one entry each of two on the
-basis instance, as free_diagonal is, never shared by equal bases: the
-creation matrix, which every builder takes, and _ibc_base, the boundary
-route without the counterterm diagonal that assemble_H_ibc adds.
+diagonal is the basis's cached free_diagonal, the lattice counterterm
+diagonal comes from _counterterm_rows (only assemble_Td's continuum mode
+integrates its own), the creation matrix from _creation_matrix, the
+direct-route sum from _direct_matrix, and both exchange families start
+from _exchange_tables.  _kept keeps one entry each of two on the basis
+instance, as free_diagonal is, never shared by equal bases: the creation
+matrix, which every builder takes, and _ibc_base, the boundary route
+without the counterterm diagonal that assemble_H_ibc adds.
 
 Builders that move a nucleon by a boson momentum (creation, G, T, the
 exchange pieces and both Hamiltonians) require the nucleon and boson
@@ -191,39 +192,19 @@ def _kept(build):
     return kept
 
 
-def _counterterm_rows(basis: FockBasis, lambda_uv, variant: int,
-                      quad_mode: str) -> np.ndarray:
+def _counterterm_rows(basis: FockBasis, lambda_uv,
+                      variant: int) -> np.ndarray:
     """Counterterm of every nucleon configuration (boson independent):
-    the per-nucleon lattice twins or continuum integrals, summed over
-    nucleons.  The continuum integral depends on a nucleon only through
-    |p|, so it is memoized on that norm."""
+    the per-nucleon lattice twins, summed over nucleons."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    if quad_mode not in ("grid", "continuum"):
-        raise ValueError("quad_mode must be 'grid' or 'continuum'")
+    _require_shared_lattice(basis)
     params = basis.params
     nuc_table = basis.nucleon_mode_table().astype(np.int64)
     e_rows = np.zeros(basis.nuc_dim)
-    if quad_mode == "grid":
-        _require_shared_lattice(basis)
-        for ell in range(params.n_nucleons):
-            e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
-                                       lambda_uv, variant, params,
-                                       i_nucleon=ell)
-        return e_rows
-    lam_cont = np.inf if lambda_uv is None else lambda_uv
-    points = basis.nucleon_grid.points
-    norms = np.linalg.norm(points, axis=-1)
-    memo = {}
     for ell in range(params.n_nucleons):
-        p_idx = nuc_table[:, ell]
-        for flat in np.unique(p_idx):
-            key = (ell, round(float(norms[flat]), 12))
-            if key not in memo:
-                memo[key] = counterterm(points[flat], lam_cont, variant,
-                                        params, i_nucleon=ell).value
-        e_rows += np.array([memo[(ell, round(float(norms[f]), 12))]
-                            for f in p_idx])
+        e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
+                                   lambda_uv, variant, params, i_nucleon=ell)
     return e_rows
 
 
@@ -344,20 +325,15 @@ def assemble_G(basis: FockBasis, lambda_uv,
 
 def assemble_T_cutoff(basis: FockBasis, lambda_uv,
                       lambda_shift: float) -> SparseOperator:
-    """Virtual-boson block T = -G*(L+lambda)G; the equal product a(V)G is
-    also formed and the agreement recorded in the tags."""
+    """Virtual-boson block T = -G*(L+lambda)G (equal to a(V)G)."""
     _warn_beyond_reach(basis, lambda_uv)
     g = _boundary_map(basis, lambda_uv, lambda_shift)
     w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
-    t_main = sparse.csr_array(-(g.conj().T @ (w @ g)))
-    t_alt = sparse.csr_array(_creation_matrix(basis, lambda_uv).conj().T @ g)
-    diff = (t_main - t_alt).tocoo()
-    agreement = float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    return SparseOperator(basis, t_main,
+    t = sparse.csr_array(-(g.conj().T @ (w @ g)))
+    return SparseOperator(basis, t,
                           {"path": "ibc", "kind": "T_cutoff",
                            "lambda_uv": lambda_uv,
-                           "lambda_shift": lambda_shift,
-                           "product_agreement": agreement}, True)
+                           "lambda_shift": lambda_shift}, True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +390,37 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     """
     params = basis.params
     _require_condition_c(params)
-    diag = basis.nucleon_diagonal(
-        _counterterm_rows(basis, lambda_uv, variant, quad_mode))
+    if quad_mode not in ("grid", "continuum"):
+        raise ValueError("quad_mode must be 'grid' or 'continuum'")
     if quad_mode == "grid":
+        diag = basis.nucleon_diagonal(
+            _counterterm_rows(basis, lambda_uv, variant))
         _subtract_resolvent_sums(basis, diag, lambda_uv, lambda_shift)
     else:
         m_nuc = params.n_nucleons
         nuc_table = basis.nucleon_mode_table().astype(np.int64)
-        theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
+        points = basis.nucleon_grid.points
+        theta_pt = dispersion_nucleon(points, params)
         theta_state = theta_pt[nuc_table].sum(axis=1)
         lam_cont = np.inf if lambda_uv is None else lambda_uv
-        # the subtracted integral depends on the state only through
-        # (|p_ell|, rest energy) -- the same rotation covariance the
-        # axial quadrature already assumes -- so memoize on that pair
+        # the continuum integrals depend on a nucleon only through |p|,
+        # and the subtracted one on the state only through (|p_ell|, rest
+        # energy) -- the same rotation covariance the axial quadrature
+        # already assumes -- so memoize on those
+        p_norm_pt = np.linalg.norm(points, axis=-1)
+        e_rows = np.zeros(basis.nuc_dim)
+        memo = {}
+        for ell in range(m_nuc):
+            p_idx = nuc_table[:, ell]
+            for flat in np.unique(p_idx):
+                key = (ell, round(float(p_norm_pt[flat]), 12))
+                if key not in memo:
+                    memo[key] = counterterm(points[flat], lam_cont, variant,
+                                            params, i_nucleon=ell).value
+            e_rows += np.array([memo[(ell, round(float(p_norm_pt[f]), 12))]
+                                for f in p_idx])
+        diag = basis.nucleon_diagonal(e_rows)
         nuc_p = basis.nucleon_momenta()
-        p_norm_pt = np.linalg.norm(basis.nucleon_grid.points, axis=-1)
         memo_j = {}
         for n in range(basis.n_max):
             memo_i = {}
@@ -661,7 +653,7 @@ def assemble_H_direct(basis: FockBasis, lambda_uv,
     """Direct route: free diagonal plus the cutoff interaction pair plus
     the counterterm diagonal (lattice twins)."""
     _warn_beyond_reach(basis, lambda_uv)
-    e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
+    e_rows = _counterterm_rows(basis, lambda_uv, variant)
     h = _direct_matrix(basis, _creation_matrix(basis, lambda_uv), e_rows)
     return SparseOperator(basis, h, {"path": "direct",
                                      "lambda_uv": lambda_uv,
@@ -700,7 +692,7 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
     """
     _warn_beyond_reach(basis, lambda_uv)
     base = _ibc_base(basis, lambda_uv, lambda_shift)
-    e_rows = _counterterm_rows(basis, lambda_uv, variant, "grid")
+    e_rows = _counterterm_rows(basis, lambda_uv, variant)
     h = sparse.csr_array(base + sparse.diags_array(
         basis.nucleon_diagonal(e_rows), format="csr"))
     return SparseOperator(basis, h, {"path": "ibc",

@@ -536,10 +536,11 @@ def grid_mode_mask(grid: MomentumGrid, lambda_uv, params: ModelParams) -> np.nda
 
 
 def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
-                     i_nucleon: int, lambda_uv, constrain_shift: bool):
+                     i_nucleon: int, lambda_uv):
     """Weights and masks shared by the lattice sums: for every p in
     p_indices and every mode q, the cell weight h^d |v_{p-q}(q)|^2, the
-    shifted dispersion theta(p-q), and the participation mask.
+    shifted dispersion theta(p-q), and the participation mask (|q| within
+    the cutoff and p-q on the lattice).
 
     All three depend on p only through its lattice index, so they are
     evaluated once per distinct index and gathered into the shape
@@ -549,13 +550,8 @@ def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
     mode_mask = grid_mode_mask(grid, lambda_uv, params)
     tgt, valid = translate_indices(grid, flat[:, None],
                                    np.arange(grid.size), sign=-1)
-    mask = (mode_mask & valid) if constrain_shift else \
-        np.broadcast_to(mode_mask, valid.shape)
-    if constrain_shift:
-        shifted = grid.points[tgt]                 # p - q (junk where invalid)
-    else:
-        # evaluate off-lattice shifts exactly rather than via the index map
-        shifted = grid.points[flat][:, None, :] - grid.points
+    mask = mode_mask & valid
+    shifted = grid.points[tgt]                     # p - q (junk where invalid)
     q_pts = np.broadcast_to(grid.points, shifted.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.abs(form_factor(i_nucleon, shifted, q_pts, params)) ** 2
@@ -567,15 +563,14 @@ def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
 
 
 def counterterm_grid(p_indices, grid: MomentumGrid, lambda_uv, variant: int,
-                     params: ModelParams, i_nucleon: int = 0,
-                     constrain_shift: bool = True) -> np.ndarray:
+                     params: ModelParams, i_nucleon: int = 0) -> np.ndarray:
     """Lattice counterterm: cell sum over modes q with |q| <= lambda_uv
-    (and, by default, p-q still on the lattice) of
+    and p-q still on the lattice of
     h^d |v_{p-q}(q)|^2 / denominator."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv, constrain_shift)
+                                            lambda_uv)
     norms = grid.norms()
     om = dispersion_boson_norm(norms, params)
     if variant == 1:
@@ -588,12 +583,11 @@ def counterterm_grid(p_indices, grid: MomentumGrid, lambda_uv, variant: int,
 
 
 def integral_j_grid(p_indices, grid: MomentumGrid, lambda_uv,
-                    params: ModelParams, i_nucleon: int = 0,
-                    constrain_shift: bool = True) -> np.ndarray:
+                    params: ModelParams, i_nucleon: int = 0) -> np.ndarray:
     """Lattice twin of the dispersion-shift integral; equals the
     difference of the two lattice counterterm variants exactly."""
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv, constrain_shift)
+                                            lambda_uv)
     norms = grid.norms()
     om = dispersion_boson_norm(norms, params)
     d1 = dispersion_nucleon_norm(norms, params) + om
@@ -605,8 +599,7 @@ def integral_j_grid(p_indices, grid: MomentumGrid, lambda_uv,
 
 def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
                        params: ModelParams, i_nucleon: int = 0,
-                       lambda_shift: float = 0.0,
-                       constrain_shift: bool = True) -> np.ndarray:
+                       lambda_shift: float = 0.0) -> np.ndarray:
     """Unsubtracted lattice resolvent sum
 
         sum_q h^d |v_{p-q}(q)|^2 / (theta(p-q) + rest + omega(q) + lambda).
@@ -617,7 +610,7 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
     p_indices = np.asarray(p_indices)
     rest = np.broadcast_to(np.asarray(rest_energies, dtype=float), p_indices.shape)
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv, constrain_shift)
+                                            lambda_uv)
     om = dispersion_boson_norm(grid.norms(), params)
     den = theta_shift + rest[..., None] + om + lambda_shift
     with np.errstate(invalid="ignore"):
@@ -627,8 +620,7 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
 
 def integral_i_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
                     params: ModelParams, i_nucleon: int = 0,
-                    lambda_shift: float = 0.0,
-                    constrain_shift: bool = True) -> np.ndarray:
+                    lambda_shift: float = 0.0) -> np.ndarray:
     """Lattice twin of the regularized diagonal integral.
 
     rest_energies holds the spectator energy (other nucleons plus the
@@ -639,7 +631,7 @@ def integral_i_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
     p_indices = np.asarray(p_indices)
     rest = np.broadcast_to(np.asarray(rest_energies, dtype=float), p_indices.shape)
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv, constrain_shift)
+                                            lambda_uv)
     norms = grid.norms()
     om = dispersion_boson_norm(norms, params)
     ref = dispersion_nucleon_norm(norms, params) + om

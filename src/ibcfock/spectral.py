@@ -36,7 +36,6 @@ from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
 from .errors import (
-    BasisMismatch,
     InsufficientPoints,
     NotConverged,
     SolveNotConverged,
@@ -367,19 +366,6 @@ def _block_norm(d: sparse.csr_array) -> float:
     return norm
 
 
-def opnorm_diff(a: SparseOperator, b: SparseOperator, tol: float = 1e-6,
-                maxiter: int = 500) -> float:
-    """Spectral norm of A - B via power iteration on (A-B)*(A-B)."""
-    if a.basis.manifest() != b.basis.manifest():
-        raise BasisMismatch("operators live on different bases")
-    d = (a.matrix - b.matrix).tocsr()
-    if d.nnz == 0:
-        return 0.0
-    dh = d.conj().T.tocsr()
-    v0 = _seed_vector(d.shape[0], basis_digest(a.basis), "opnorm")
-    return _power_norm(lambda x: d @ x, lambda y: dh @ y, tol, maxiter, v0)
-
-
 # ---------------------------------------------------------------------------
 # cutoff convergence study
 
@@ -476,7 +462,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     for variant in variants:
         hams, t_blocks, grounds = [], [], []
         for lam, a_mat, t_op in zip(lams, a_mats, t_ops):
-            e_rows = _counterterm_rows(basis, lam, variant, "grid")
+            e_rows = _counterterm_rows(basis, lam, variant)
             hd = SparseOperator(basis, _direct_matrix(basis, a_mat, e_rows),
                                 {"path": "direct", "lambda_uv": lam,
                                  "variant": variant}, True)

@@ -129,6 +129,13 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     ("identity", "variants = 1, 2", "variants ="),
     ("identity", "lambda_shifts = 0, 1", "lambda_shifts ="),
     ("regularity", "variants = 1, 2", "variants ="),
+    # a regularity ladder needs three or more increasing positive rungs
+    ("regularity", "n_p_samples = 4", "ladder_k_max = 4, 2, 1"),
+    ("regularity", "n_p_samples = 4", "ladder_k_max = 1, 2"),
+    ("regularity", "n_p_samples = 4", "eta_list = -0.25, 0.75"),
+    ("bounds", "n_p_samples = 4", "n_p_samples = 0"),
+    ("check", "n_samples = 4000", "n_samples = 0"),
+    ("identity", "n_samples = 4000", "n_samples = -5"),
 ])
 def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))

@@ -135,9 +135,10 @@ def test_translate_indices_matches_pointwise():
 def test_apply_diag_identity_and_number():
     b = _tiny_basis(n_max=2)
     vec = np.arange(b.total_dim, dtype=complex)
-    out = fg.apply_diag(b, lambda p, k: np.ones(p.shape[0]), vec)
+    out = vec * fg.diagonal_values(b, lambda p, k: np.ones(p.shape[0]))
     np.testing.assert_array_equal(out, vec)
-    nvals = fg.number_values(b)
+    nvals = fg.diagonal_values(
+        b, lambda p, k: np.full(p.shape[0], k.shape[1], dtype=float))
     assert set(nvals[b.sector_slice(2)]) == {2.0}
     assert set(nvals[b.sector_slice(0)]) == {0.0}
 

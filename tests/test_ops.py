@@ -101,7 +101,10 @@ def test_single_mode_hand_values():
     t = assemble_T_cutoff(basis, None, 0.0)
     assert np.allclose(t.matrix.diagonal().real, [-0.5, -2.0 / 3.0, 0.0],
                        atol=1e-15)
-    assert t.tags["product_agreement"] < 1e-14
+    # T = -G*(L+lambda)G equals the product a(V)G
+    avg = (assemble_annihilation(basis, None).matrix
+           @ assemble_G(basis, None, 0.0).matrix)
+    assert np.abs((t.matrix - avg).toarray()).max() < 1e-14
 
     td = assemble_Td(basis, None, 1, "grid")
     assert np.allclose(td.matrix.diagonal().real, [0.0, 1.0 / 6.0, 0.5],

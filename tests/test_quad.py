@@ -322,12 +322,24 @@ def test_grid_massless_sum_is_finite():
 
 
 def test_grid_shift_constraint_matters_at_the_boundary():
+    # at the (2, 2) corner the sum runs only over the modes whose recoil
+    # p - q stays on the lattice; some modes inside the cutoff drop out
     gr = ib.build_grid(2, 2.0, 33)
-    corner = np.array([ib.point_index(gr, np.array([2.0, 2.0]))])
-    constrained = ib.counterterm_grid(corner, gr, 1.0, 2, GROSS)[0]
-    free = ib.counterterm_grid(corner, gr, 1.0, 2, GROSS,
-                               constrain_shift=False)[0]
-    assert free > constrained > 0.0
+    p = np.array([2.0, 2.0])
+    corner = np.array([ib.point_index(gr, p)])
+    want, dropped = 0.0, 0
+    for q in gr.points[gr.norms() <= 1.0 + 1e-12]:
+        if np.max(np.abs(p - q)) > gr.k_max + 1e-9:
+            dropped += 1
+            continue
+        v = ib.form_factor(0, p - q, q, GROSS)
+        want += gr.cell_weight * abs(v) ** 2 / (
+            ib.dispersion_nucleon(p - q, GROSS)
+            + ib.dispersion_boson(q, GROSS))
+    assert dropped > 0
+    got = ib.counterterm_grid(corner, gr, 1.0, 2, GROSS)[0]
+    assert got > 0.0
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_grid_sums_vectorize():
@@ -349,8 +361,7 @@ def test_grid_sums_vectorize():
     assert iv[0] == 0.0 and iv[1] < 0.0
 
 
-@pytest.mark.parametrize("constrain", [True, False])
-def test_grid_sums_equal_per_index_evaluation(constrain):
+def test_grid_sums_equal_per_index_evaluation():
     # the twins evaluate once per distinct lattice index; a repeated,
     # unsorted 2-D index array must give exactly the per-index values
     gr = ib.build_grid(3, 2.0, 5)
@@ -358,15 +369,11 @@ def test_grid_sums_equal_per_index_evaluation(constrain):
     rests = np.linspace(0.0, 2.0, ips.size).reshape(ips.shape)
     flat = list(zip(ips.ravel().tolist(), rests.ravel().tolist()))
     twins = [
-        lambda p, r: ib.counterterm_grid(p, gr, 1.5, 1, ECK,
-                                         constrain_shift=constrain),
-        lambda p, r: ib.counterterm_grid(p, gr, 1.5, 2, ECK,
-                                         constrain_shift=constrain),
-        lambda p, r: ib.integral_j_grid(p, gr, None, ECK,
-                                        constrain_shift=constrain),
+        lambda p, r: ib.counterterm_grid(p, gr, 1.5, 1, ECK),
+        lambda p, r: ib.counterterm_grid(p, gr, 1.5, 2, ECK),
+        lambda p, r: ib.integral_j_grid(p, gr, None, ECK),
         lambda p, r: ib.resolvent_sum_grid(p, r, gr, 1.5, ECK,
-                                           lambda_shift=0.3,
-                                           constrain_shift=constrain),
+                                           lambda_shift=0.3),
     ]
     for twin in twins:
         block = twin(ips, rests)

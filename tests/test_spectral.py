@@ -20,11 +20,10 @@ from ibcfock import (
     enumerate_basis,
     gross_model,
     lowest_eigenpairs,
-    opnorm_diff,
     regularity_diagnostic,
     resolvent_apply,
 )
-from ibcfock.errors import BasisMismatch, InsufficientPoints, NotConverged, \
+from ibcfock.errors import InsufficientPoints, NotConverged, \
     SolveNotConverged
 from ibcfock import ops, spectral
 from ibcfock.ops import SparseOperator, basis_digest
@@ -390,12 +389,6 @@ def test_parity_factor_singular_schur_complement_raises():
 # ---------------------------------------------------------------------------
 # operator-norm differences
 
-def test_opnorm_diff_identical_is_zero():
-    basis = small_basis()
-    op = assemble_H_direct(basis, 1.0, 1)
-    assert opnorm_diff(op, op) == 0.0
-
-
 def test_opnorm_diff_rank_one():
     # a rank-one difference u v* has spectral norm |u||v| exactly
     basis = small_basis()
@@ -403,21 +396,14 @@ def test_opnorm_diff_rank_one():
     rng = np.random.default_rng(11)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a = assemble_L(basis)
-    b = SparseOperator(basis, sparse.csr_array(a.matrix + np.outer(u, v.conj())),
-                       {}, False)
-    got = opnorm_diff(a, b, tol=1e-10)
+    a = assemble_L(basis).matrix
+    b = sparse.csr_array(a + np.outer(u, v.conj()))
+    d = (a - b).tocsr()
+    dh = d.conj().T.tocsr()
+    v0 = _seed_vector(n, basis_digest(basis), "opnorm")
+    got = _power_norm(lambda x: d @ x, lambda y: dh @ y, 1e-10, 500, v0)
     want = np.linalg.norm(u) * np.linalg.norm(v)
     assert abs(got - want) < 1e-8 * want
-
-
-def test_opnorm_diff_nontrivial_matches_dense():
-    basis = small_basis()
-    a = assemble_H_direct(basis, 1.0, 1)
-    b = assemble_L(basis)
-    got = opnorm_diff(a, b, tol=1e-9)
-    want = np.linalg.norm((a.matrix - b.matrix).toarray(), 2)
-    assert abs(got - want) < 1e-4 * want
 
 
 def test_power_norm_matches_dense_svd():
@@ -435,13 +421,6 @@ def test_power_norm_budget_exhaustion_raises():
     v0 = _seed_vector(5, "cd" * 32, "test")
     with pytest.raises(NotConverged):
         _power_norm(lambda x: d @ x, lambda y: d @ y, 1e-12, 1, v0)
-
-
-def test_opnorm_diff_rejects_mismatched_bases():
-    a = assemble_L(small_basis())
-    b = assemble_L(small_basis(nax=5))
-    with pytest.raises(BasisMismatch):
-        opnorm_diff(a, b)
 
 
 # ---------------------------------------------------------------------------
