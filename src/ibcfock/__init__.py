@@ -92,7 +92,6 @@ from .spectral import (
     divergence_fit,
     lowest_eigenpairs,
     regularity_diagnostic,
-    resolvent_apply,
 )
 
 __version__ = "0.1.0"

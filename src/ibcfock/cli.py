@@ -238,6 +238,9 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
                 b <= a for a, b in zip(ladder, ladder[1:]))):
             raise ValueError("ladder_k_max needs at least 3 positive, "
                              "strictly increasing rungs")
+        if len(fit_lambdas) < 3 or min(fit_lambdas) <= 0:
+            raise ValueError("fit_lambda_list needs at least 3 positive "
+                             "cutoffs")
         if any(e < 0 for e in eta_list):
             raise ValueError("eta_list must be >= 0")
         if n_samples < 1 or n_p_samples < 1:
@@ -678,7 +681,6 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
         except BasisTooLarge as exc:
             raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
     rep = regularity_diagnostic(bases, cfg.variants[0], cfg.eta_list,
-                                lambda_uv=None,
                                 lambda_shift=cfg.lambda_shifts[0],
                                 eig_tol=cfg.eig_tol)
     _write_table(manifest, cfg.formats, "regularity",

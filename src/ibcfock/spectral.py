@@ -18,8 +18,7 @@ All continuum-flavored statements are certified Cauchy-style: the
 finest cutoff in the family stands in for the removed-cutoff operator.
 Ground states are solved block by block: lowest_eigenpairs splits the
 operator into its decoupled components and certifies, by a Weyl lower
-bound per component, that the blocks it skips hold no lower eigenvalue,
-so degenerate levels spread over components are counted exactly.
+bound per component, that the blocks it skips hold no lower eigenvalue.
 Solvers are deterministic: start vectors derive from the basis digest.
 Tables are data: ConvergenceTable and RegularityReport hold rows and
 metadata, and the command-line front end writes them.
@@ -119,84 +118,67 @@ def _components(h: sparse.csr_array):
     return labels, diag_min - np.sqrt(off_fro2), one_norm
 
 
-def lowest_eigenpairs(op: SparseOperator, count: int = 1,
-                      tol: float = 1e-9) -> EigenResult:
-    """Smallest `count` eigenvalues and vectors of a Hermitian operator.
+def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
+    """Ground eigenvalue and vector of a Hermitian operator.
 
     The operator is split into the connected components of its stored
     pattern, which it leaves invariant (for the Hamiltonians here each
     lies inside one total-momentum fibre).  Components are visited in
     increasing order of their Weyl lower bound (see _components) and
     solved one by one; the search stops at the first component whose
-    bound is no lower than the count-th smallest eigenvalue found, so
-    the skipped components provably hold no lower eigenvalue.  Each
-    block goes dense below DENSE_DIM_MAX and to implicitly restarted
-    Lanczos above, with a deterministic start vector; an operator with
-    a single component is solved exactly as one block.  The residual of
-    every pair is checked on the full operator against tol times its
-    exact one-norm.  The storage type picks the arithmetic: a
-    real symmetric operator runs ARPACK's dsaupd and has real
-    eigenvectors, a complex Hermitian one znaupd.  method is "lanczos"
-    when some block went to ARPACK, "dense" otherwise.
-
-    Lanczos caveat: within one component above DENSE_DIM_MAX, a
-    single-vector Krylov space meets each exactly invariant eigenspace
-    in at most one direction, so a degenerate multiplet inside that
-    component can be reported once when count > 1.  Degeneracies across
-    components, such as those of a diagonal operator, are counted
-    exactly.
+    bound is no lower than the smallest eigenvalue found, so the skipped
+    components provably hold no lower eigenvalue.  Of equal eigenvalues
+    the block visited first is kept.  Each block goes dense below
+    DENSE_DIM_MAX and to implicitly restarted Lanczos above, with a
+    deterministic start vector; an operator with a single component is
+    solved exactly as one block.  The residual of the pair is checked on
+    the full operator against tol times its exact one-norm.  The storage
+    type picks the arithmetic: a real symmetric operator runs ARPACK's
+    dsaupd and has real eigenvectors, a complex Hermitian one znaupd.
+    The result holds one pair: values (1,), vectors (n, 1).  method is
+    "lanczos" when some block went to ARPACK, "dense" otherwise.
     """
     if not op.hermitian_flag:
         raise ValueError("eigensolver requires a Hermitian-tagged operator")
     h = op.matrix
     n = h.shape[0]
-    if count < 1 or count > n:
-        raise ValueError("count must lie in [1, dim]")
     labels, lower, scale = _components(h)
     order = np.argsort(labels, kind="stable")
     sizes = np.bincount(labels)
     ends = np.cumsum(sizes)
     v0 = None
     method = "dense"
-    pairs = []              # (value, block state indices, block vector)
+    best = None             # (value, block state indices, block vector)
     for c in np.argsort(lower, kind="stable"):
-        if len(pairs) == count and lower[c] >= pairs[-1][0]:
+        if best is not None and lower[c] >= best[0]:
             break
         idx = order[ends[c] - sizes[c]:ends[c]]
         m = idx.size
-        k = min(count, m)
         block = h if m == n else h[idx][:, idx]
-        if m <= DENSE_DIM_MAX or k >= m - 1:
+        if m <= DENSE_DIM_MAX or m <= 2:
             w, v = np.linalg.eigh(block.toarray())
-            w, v = w[:k], v[:, :k]
         else:
             if v0 is None:
                 v0 = _seed_vector(n, basis_digest(op.basis),
                                   "eig").astype(h.dtype)
-            ncv = min(m - 1, max(2 * k + 1, 60))
             try:
-                w, v = spla.eigsh(block, k=k, which="SA", v0=v0[idx],
-                                  ncv=ncv, tol=max(tol, 1e-14))
+                w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx],
+                                  ncv=min(m - 1, 60), tol=max(tol, 1e-14))
             except spla.ArpackNoConvergence as exc:
                 raise NotConverged("Lanczos did not converge: %s"
                                    % exc) from exc
-            ranks = np.argsort(w)
-            w, v = w[ranks], v[:, ranks]
             method = "lanczos"
-        pairs += [(w[j], idx, v[:, j]) for j in range(k)]
-        pairs.sort(key=lambda p: p[0])
-        del pairs[count:]
-    vals = np.array([p[0] for p in pairs])
-    vecs = np.zeros((n, count), dtype=np.result_type(h.dtype, np.float64))
-    for j, (_, idx, v) in enumerate(pairs):
-        vecs[idx, j] = v
-    residuals = np.array([
-        np.linalg.norm(h @ vecs[:, j] - vals[j] * vecs[:, j])
-        for j in range(count)])
-    if np.any(residuals > 10.0 * max(tol, 1e-13) * max(scale, 1.0)):
+        if best is None or w[0] < best[0]:
+            best = (w[0], idx, v[:, 0])
+    val, idx, v = best
+    vec = np.zeros((n, 1), dtype=np.result_type(h.dtype, np.float64))
+    vec[idx, 0] = v
+    residual = np.linalg.norm(h @ vec[:, 0] - val * vec[:, 0])
+    if residual > 10.0 * max(tol, 1e-13) * max(scale, 1.0):
         raise NotConverged("eigenpair residual %.3e exceeds tolerance budget"
-                           % residuals.max())
-    return EigenResult(np.real(vals), vecs, residuals, method)
+                           % residual)
+    return EigenResult(np.real(np.array([val])), vec, np.array([residual]),
+                       method)
 
 
 # ---------------------------------------------------------------------------
@@ -301,32 +283,6 @@ class _ParityFactor:
     def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
         """(H - z)^(-*) v, in `order`."""
         return self._solve(v, *self._adjoint)
-
-
-def resolvent_apply(op: SparseOperator, z: complex, v: np.ndarray,
-                    tol: float = 1e-10) -> np.ndarray:
-    """Solve (H - z) w = v.
-
-    Solves on the boson-parity Schur complement (see _ParityFactor) and
-    verifies the full residual against tol times |v|.  H must join
-    states of opposite boson parity only, as H_direct does; any operator
-    with an off-diagonal entry between equal parities, such as H_ibc
-    with its stored cancellation residues, raises ValueError.  z must
-    keep H - z and the eliminated diagonal invertible: a nonzero
-    imaginary part always works for Hermitian H.
-    """
-    h = op.matrix
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (h.shape[0],):
-        raise ValueError("vector length does not match the operator")
-    factor = _ParityFactor(h, z, _odd_bosons(op.basis))
-    w = np.empty_like(v)
-    w[factor.order] = factor.apply(v[factor.order])
-    res = np.linalg.norm(h @ w - z * w - v)
-    if not res <= tol * max(np.linalg.norm(v), 1e-300):
-        raise SolveNotConverged(
-            "residual %.3e above tolerance %.1e" % (res, tol))
-    return w
 
 
 def _power_norm(apply_fn, apply_adjoint_fn, tol: float, maxiter: int,
@@ -454,7 +410,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
             basis, _direct_matrix(basis, a_mat, no_counterterm),
             {"path": "direct", "lambda_uv": lam, "control": "no-counterterm"},
             True)
-        controls.append(float(lowest_eigenpairs(h_bare, 1, eig_tol).values[0]))
+        controls.append(float(lowest_eigenpairs(h_bare, eig_tol).values[0]))
         t_ops.append(assemble_T_cutoff(basis, lam, lambda_shift).matrix)
         a_mats.append(a_mat)
 
@@ -467,7 +423,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                                 {"path": "direct", "lambda_uv": lam,
                                  "variant": variant}, True)
             hams.append(hd.matrix)
-            grounds.append(float(lowest_eigenpairs(hd, 1, eig_tol).values[0]))
+            grounds.append(float(lowest_eigenpairs(hd, eig_tol).values[0]))
             e_diag = basis.nucleon_diagonal(e_rows)
             # the cutoff block lives on sectors below the top (its
             # intermediates carry one extra boson), so the counterterm is
@@ -583,16 +539,15 @@ class RegularityReport:
     basis_digests: list
 
 
-def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
+def regularity_diagnostic(bases, variant: int, eta_list,
                           lambda_shift: float = 0.0,
                           eig_tol: float = 1e-8) -> RegularityReport:
     """Growth of ||L^eta G psi|| across refinements of the momentum box.
 
     psi is the normalized ground vector of the renormalized operator at
-    each refinement's native cutoff (or the explicit lambda_uv); the
-    split psi = (1-G)psi + G psi uses the boundary map at the same
-    cutoff, built after the solve from the Hamiltonian's kept creation
-    matrix.
+    each refinement's native cutoff; the split psi = (1-G)psi + G psi
+    uses the boundary map at the same cutoff, built after the solve from
+    the Hamiltonian's kept creation matrix.
     Below the threshold exponent the singular norm stabilizes; at and
     above it the norms grow without bound as the box widens.  Every
     refinement must carry the same model.
@@ -614,13 +569,13 @@ def regularity_diagnostic(bases, variant: int, eta_list, lambda_uv=None,
     singular = {e: [] for e in etas}
     for basis in bases:
         _check_shift(basis, lambda_shift)
-        eig = lowest_eigenpairs(assemble_H_direct(basis, lambda_uv, variant),
-                                1, eig_tol)
+        eig = lowest_eigenpairs(assemble_H_direct(basis, None, variant),
+                                eig_tol)
         psi = eig.vectors[:, 0]
         psi = psi / np.linalg.norm(psi)
         energies.append(float(eig.values[0]))
         digests.append(basis_digest(basis))
-        g_psi = assemble_G(basis, lambda_uv, lambda_shift).matrix @ psi
+        g_psi = assemble_G(basis, None, lambda_shift).matrix @ psi
         reg = psi - g_psi
         lv = basis.free_diagonal
         for e in etas:

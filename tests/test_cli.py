@@ -133,6 +133,10 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     ("regularity", "n_p_samples = 4", "ladder_k_max = 4, 2, 1"),
     ("regularity", "n_p_samples = 4", "ladder_k_max = 1, 2"),
     ("regularity", "n_p_samples = 4", "eta_list = -0.25, 0.75"),
+    # the divergence fit needs three or more positive cutoffs
+    ("converge", "n_p_samples = 4", "fit_lambda_list ="),
+    ("converge", "n_p_samples = 4", "fit_lambda_list = 8, 16"),
+    ("converge", "n_p_samples = 4", "fit_lambda_list = 0, 8, 16"),
     ("bounds", "n_p_samples = 4", "n_p_samples = 0"),
     ("check", "n_samples = 4000", "n_samples = 0"),
     ("identity", "n_samples = 4000", "n_samples = -5"),

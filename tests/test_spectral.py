@@ -21,7 +21,6 @@ from ibcfock import (
     gross_model,
     lowest_eigenpairs,
     regularity_diagnostic,
-    resolvent_apply,
 )
 from ibcfock.errors import InsufficientPoints, NotConverged, \
     SolveNotConverged
@@ -42,14 +41,17 @@ def small_basis(params=GROSS1, k_max=1.0, nax=3, n_max=1):
 # eigenpairs
 
 def test_lowest_eigenpairs_diagonal_exact():
-    # dense regime: a diagonal operator's lowest eigenvalues are the
-    # sorted diagonal, degeneracies included
+    # dense regime: a diagonal operator's ground pair is its smallest
+    # entry and the basis state that holds it
     basis = small_basis()                       # dim 90
     op = assemble_L(basis)
-    lv = np.sort(np.real(op.matrix.diagonal()))
-    res = lowest_eigenpairs(op, count=3)
+    lv = np.real(op.matrix.diagonal())
+    res = lowest_eigenpairs(op)
     assert res.method == "dense"
-    assert np.allclose(res.values, lv[:3], atol=1e-12)
+    assert res.values.shape == res.residuals.shape == (1,)
+    assert res.vectors.shape == (basis.total_dim, 1)
+    assert abs(res.values[0] - lv.min()) <= 1e-12
+    assert abs(abs(res.vectors[np.argmin(lv), 0]) - 1.0) <= 1e-12
     assert np.all(res.residuals < 1e-10)
 
 
@@ -57,7 +59,7 @@ def test_lowest_eigenpairs_lanczos_ground():
     # dim 495, but a diagonal operator splits into one-state blocks
     basis = small_basis(n_max=2)
     op = assemble_L(basis)
-    res = lowest_eigenpairs(op, count=1, tol=1e-10)
+    res = lowest_eigenpairs(op, tol=1e-10)
     assert res.method == "dense"
     assert abs(res.values[0] - np.real(op.matrix.diagonal()).min()) < 1e-9
 
@@ -65,8 +67,8 @@ def test_lowest_eigenpairs_lanczos_ground():
 def test_lowest_eigenpairs_deterministic():
     basis = small_basis(nax=5, n_max=1)         # dim 650
     op = assemble_H_direct(basis, 1.0, 1)
-    a = lowest_eigenpairs(op, count=1)
-    b = lowest_eigenpairs(op, count=1)
+    a = lowest_eigenpairs(op)
+    b = lowest_eigenpairs(op)
     assert a.values[0] == b.values[0]
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -74,11 +76,14 @@ def test_lowest_eigenpairs_deterministic():
 def test_lowest_eigenpairs_matches_dense_on_coupled_operator():
     basis = small_basis(nax=5, n_max=1)
     op = assemble_H_direct(basis, 1.0, 1)
-    res = lowest_eigenpairs(op, count=2, tol=1e-12)
-    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    res = lowest_eigenpairs(op, tol=1e-12)
+    w, v = np.linalg.eigh(op.matrix.toarray())
     # dim 650 in components of at most 14 states
     assert res.method == "dense"
-    assert np.allclose(res.values, dense[:2], atol=1e-8)
+    assert np.allclose(res.values, w[:1], atol=1e-8)
+    # the ground level is simple, so the vectors agree up to a phase
+    assert w[1] - w[0] > 1e-3
+    assert abs(abs(np.vdot(v[:, 0], res.vectors[:, 0])) - 1.0) < 1e-8
 
 
 def test_lowest_eigenpairs_complex_couplings_match_dense():
@@ -90,7 +95,7 @@ def test_lowest_eigenpairs_complex_couplings_match_dense():
     assert basis.total_dim > DENSE_DIM_MAX
     op = assemble_H_direct(basis, 1.0, 1)
     assert np.any(op.matrix.data.imag != 0.0)
-    res = lowest_eigenpairs(op, count=1, tol=1e-12)
+    res = lowest_eigenpairs(op, tol=1e-12)
     # components of at most 42 states
     assert res.method == "dense"
     assert np.iscomplexobj(res.vectors)
@@ -108,30 +113,29 @@ def test_lowest_eigenpairs_coupling_phase_is_gauge():
         basis = small_basis(gross_model(coupling=coupling, mu=1.0,
                                         m_boson=1.0), nax=5)
         op = assemble_H_direct(basis, 1.0, 1)
-        res = lowest_eigenpairs(op, count=1, tol=1e-12)
+        res = lowest_eigenpairs(op, tol=1e-12)
         assert res.method == "dense"
         assert np.iscomplexobj(res.vectors) == isinstance(coupling, complex)
         energies.append(res.values[0])
     assert abs(energies[0] - energies[1]) < 1e-9
 
 
-def test_lowest_eigenpairs_counts_degeneracies_above_dense_limit():
+def test_lowest_eigenpairs_ground_above_dense_limit():
     # a diagonal operator above DENSE_DIM_MAX: every state is its own
-    # block, so the lowest values are the sorted diagonal with their
-    # multiplicities (1, then 4 x sqrt 2, then sqrt 3)
+    # block, so the ground pair is the unique lowest basis state (the
+    # next level, sqrt 2, is fourfold)
     basis = small_basis(n_max=2)                # dim 495
     assert basis.total_dim > DENSE_DIM_MAX
     op = assemble_L(basis)
-    lv = np.sort(np.real(op.matrix.diagonal()))
-    assert lv[1] == lv[2] == lv[3] == lv[4]
-    for count in (3, 6):
-        res = lowest_eigenpairs(op, count=count)
-        assert res.method == "dense"
-        assert np.array_equal(res.values, lv[:count])
-        # distinct basis states, one per reported value
-        hits = np.abs(res.vectors) == 1.0
-        assert np.all(hits.sum(axis=0) == 1)
-        assert len(set(np.argmax(hits, axis=0))) == count
+    lv = np.real(op.matrix.diagonal())
+    low = np.sort(lv)
+    assert low[0] < low[1] == low[2] == low[3] == low[4]
+    res = lowest_eigenpairs(op)
+    assert res.method == "dense"
+    assert np.array_equal(res.values, low[:1])
+    hits = np.abs(res.vectors[:, 0]) == 1.0
+    assert np.flatnonzero(hits).tolist() == [np.argmin(lv)]
+    assert np.count_nonzero(res.vectors) == 1
 
 
 @pytest.mark.parametrize("phase", [1.0, np.exp(0.9j)], ids=["real", "complex"])
@@ -147,21 +151,21 @@ def test_lowest_eigenpairs_lanczos_on_one_large_component(phase):
     assert n > DENSE_DIM_MAX and labels.max() == 0
     op = SparseOperator(basis, h, {}, True)
     dense = np.linalg.eigvalsh(h.toarray())
-    for count in (1, 2):
-        res = lowest_eigenpairs(op, count=count, tol=1e-12)
-        assert res.method == "lanczos"
-        assert np.allclose(res.values, dense[:count], atol=1e-8)
+    res = lowest_eigenpairs(op, tol=1e-12)
+    assert res.method == "lanczos"
+    assert np.allclose(res.values, dense[:1], atol=1e-8)
     v0 = _seed_vector(n, basis_digest(basis), "eig").astype(h.dtype)
-    whole = spla.eigsh(h, k=2, which="SA", v0=v0, ncv=60, tol=1e-12)[0]
-    assert np.array_equal(res.values, np.sort(whole))
+    w, v = spla.eigsh(h, k=1, which="SA", v0=v0, ncv=60, tol=1e-12)
+    assert np.array_equal(res.values, w)
+    assert np.array_equal(res.vectors, v)
 
 
 @settings(max_examples=80, deadline=None)
 @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
        is_complex=st.booleans(), degenerate=st.booleans(),
-       count=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
-                                          count, seed):
+                                          seed):
     # random Hermitian blocks, hidden under a random permutation; with
     # `degenerate` the diagonals come from three values and the first
     # block is repeated, so spectra coincide exactly across components
@@ -178,7 +182,6 @@ def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
     if degenerate:
         blocks.append(blocks[0])
     n = sum(b.shape[0] for b in blocks)
-    count = min(count, n)
     perm = rng.permutation(n)
     dense = np.zeros((n, n), dtype=blocks[0].dtype)
     start = 0
@@ -189,8 +192,8 @@ def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
     dense = dense[perm][:, perm]
     h = sparse.csr_array(dense)
     op = SparseOperator(SimpleNamespace(total_dim=n), h, {}, True)
-    res = lowest_eigenpairs(op, count=count)
-    want = np.linalg.eigvalsh(dense)[:count]
+    res = lowest_eigenpairs(op)
+    want = np.linalg.eigvalsh(dense)[:1]
     assert np.allclose(res.values, want, rtol=0.0, atol=1e-10)
     labels, lower, scale = _components(h)
     for c, bound in enumerate(lower):
@@ -219,7 +222,7 @@ def test_lowest_eigenpairs_requires_hermitian_tag():
     basis = small_basis()
     a = assemble_creation(basis, 0.5)
     with pytest.raises(ValueError):
-        lowest_eigenpairs(a, count=1)
+        lowest_eigenpairs(a)
 
 
 def test_free_hamiltonian_ground_is_vacuum():
@@ -227,7 +230,7 @@ def test_free_hamiltonian_ground_is_vacuum():
     # with the nucleon at rest and energy mu = 1
     basis = small_basis(nax=5)
     op = assemble_H_direct(basis, 0.0, 1)
-    res = lowest_eigenpairs(op, count=1)
+    res = lowest_eigenpairs(op)
     assert abs(res.values[0] - 1.0) < 1e-12
     rest_mode = int(np.argmin(basis.nucleon_grid.norms()))
     idx = int(basis.state_index(0, rest_mode, 0))
@@ -236,6 +239,18 @@ def test_free_hamiltonian_ground_is_vacuum():
 
 # ---------------------------------------------------------------------------
 # resolvent
+
+def resolvent_apply(op, z, v, tol=1e-10):
+    """Solve (H - z) w = v through the study's parity factor, in basis
+    order, and check the full residual against tol times |v|."""
+    h = op.matrix
+    v = np.asarray(v, dtype=complex)
+    factor = _ParityFactor(h, z, _odd_bosons(op.basis))
+    w = np.empty_like(v)
+    w[factor.order] = factor.apply(v[factor.order])
+    assert np.linalg.norm(h @ w - z * w - v) <= tol * np.linalg.norm(v)
+    return w
+
 
 def test_resolvent_apply_round_trip():
     basis = small_basis(nax=5)
@@ -261,13 +276,6 @@ def test_resolvent_apply_diagonal_entrywise():
     assert np.allclose(w, v / (lv + 2.0), atol=1e-12)
     # a real z on a real operator still solves complex right-hand sides
     assert np.array_equal(resolvent_apply(op, -2.0, v), w)
-
-
-def test_resolvent_apply_rejects_bad_vector():
-    basis = small_basis()
-    op = assemble_L(basis)
-    with pytest.raises(ValueError):
-        resolvent_apply(op, 1.0j, np.ones(3))
 
 
 def test_resolvent_at_eigenvalue_fails_loudly():
@@ -549,6 +557,29 @@ def test_convergence_study_t_column_is_the_exact_norm(shift, monkeypatch):
         assert old * (1 - 1e-12) <= t <= old * (1 + 5e-2)
 
 
+@pytest.mark.filterwarnings("ignore:cutoff radius")
+@pytest.mark.parametrize("params, n_max", [
+    (GROSS1, 1), (GROSS1, 2),
+    (gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
+                 n_nucleons=2), 1)], ids=["n1", "n2", "complex"])
+def test_convergence_study_resolvent_column_bounds_the_exact_norm(params,
+                                                                  n_max):
+    # the power estimate of ||(H_lam - z)^(-1) - (H_fin - z)^(-1)|| never
+    # exceeds the norm beyond rounding, and stopped at 1e-4 it lies
+    # within 1e-2 below it
+    basis = small_basis(params, n_max=n_max)
+    lams = [0.5, 1.0, np.sqrt(2.0)]
+    tab = cutoff_convergence_study(basis, lams, (1,))[1]
+    eye = np.eye(basis.total_dim)
+    inv = [np.linalg.inv(assemble_H_direct(basis, lam, 1).matrix.toarray()
+                         - spectral.RESOLVENT_Z * eye) for lam in lams]
+    got = tab.column("resolvent_diff_to_finest")
+    assert got[-1] == 0.0
+    for est, r in zip(got[:-1], inv[:-1]):
+        exact = np.linalg.norm(r - inv[-1], 2)
+        assert exact * (1 - 1e-2) <= est <= exact * (1 + 1e-12)
+
+
 def test_convergence_study_validates_ladder(study_basis):
     with pytest.raises(ValueError):
         cutoff_convergence_study(study_basis, [1.0, 0.5], (1,))
@@ -601,11 +632,11 @@ def ladder(params, k_maxes=(1.0, 2.0, 4.0)):
 
 
 def test_regularity_zero_cutoff_family():
-    # with cutoff 0 the boundary map vanishes: the singular part is zero
-    # at every refinement and all growth slopes are exactly 0; the
+    # with coupling 0 the boundary map vanishes: the singular part is
+    # zero at every refinement and all growth slopes are exactly 0; the
     # regular part of the free vacuum has unit weighted norm (mu = 1)
-    rep = regularity_diagnostic(ladder(GROSS1), 1, [0.0, 0.25, 0.75],
-                                lambda_uv=0.0)
+    rep = regularity_diagnostic(ladder(gross_model(coupling=0.0)), 1,
+                                [0.0, 0.25, 0.75])
     assert all(v == 0.0 for v in rep.slopes.values())
     for row in rep.rows:
         assert row.norm_singular == 0.0
