@@ -263,19 +263,21 @@ def ff_sq_axial(i, p_norm, k_norm, cos_angle, params: ModelParams):
 
     Builds explicit momenta with p along the first axis and k tilted by
     the given cosine in the (first, second) plane, so plugin form factors
-    work as long as they are rotation covariant.  k_norm may be an array.
+    work as long as they are rotation covariant.  k_norm and cos_angle
+    may be arrays that broadcast together.
     """
     k_norm = np.asarray(k_norm, dtype=float)
+    cos_angle = np.asarray(cos_angle, dtype=float)
     if params.d == 1:
         p = np.array([float(p_norm)])
-        k = (k_norm * float(cos_angle))[..., None]
+        k = (k_norm * cos_angle)[..., None]
         amp = form_factor(i, p, k, params)
         return np.abs(amp) ** 2
-    s = np.sqrt(max(0.0, 1.0 - float(cos_angle) ** 2))
+    s = np.sqrt(np.maximum(0.0, 1.0 - cos_angle ** 2))
     p = np.zeros(params.d)
     p[0] = p_norm
-    k = np.zeros(k_norm.shape + (params.d,))
-    k[..., 0] = k_norm * float(cos_angle)
+    k = np.zeros(np.broadcast_shapes(k_norm.shape, cos_angle.shape) + (params.d,))
+    k[..., 0] = k_norm * cos_angle
     k[..., 1] = k_norm * s
     amp = form_factor(i, p, k, params)
     return np.abs(amp) ** 2

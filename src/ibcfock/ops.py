@@ -109,6 +109,13 @@ class SparseOperator:
     def nnz(self) -> int:
         return int(self.matrix.nnz)
 
+    @functools.cached_property
+    def _max_abs_entry(self) -> float:
+        """Largest entry magnitude (0 when nothing is stored), taken once:
+        verify_identity compares one operator against several others."""
+        m = self.matrix
+        return float(np.abs(m.data).max()) if m.nnz else 0.0
+
     def hermiticity_defect(self) -> float:
         diff = (self.matrix - self.matrix.conj().T).tocoo()
         return float(np.abs(diff.data).max()) if diff.nnz else 0.0
@@ -221,7 +228,8 @@ def assemble_L(basis: FockBasis) -> SparseOperator:
 # creation / annihilation
 
 def _warn_beyond_reach(basis: FockBasis, lambda_uv) -> None:
-    """Warn at the public builder's caller if the cutoff exceeds the box."""
+    """Warn at the caller of the public function that calls this (the
+    builders and the convergence study) if the cutoff exceeds the box."""
     k_max = basis.boson_grid.k_max
     if lambda_uv is not None and lambda_uv > k_max * (1 + 1e-12):
         warnings.warn("cutoff radius %.6g exceeds the boson box reach %.6g"
@@ -323,13 +331,19 @@ def assemble_G(basis: FockBasis, lambda_uv,
                                      "lambda_shift": lambda_shift}, False)
 
 
+def _t_cutoff_matrix(basis: FockBasis, lambda_uv,
+                     lambda_shift: float) -> sparse.csr_array:
+    """-G*(L+lambda)G from the kept creation matrix."""
+    g = _boundary_map(basis, lambda_uv, lambda_shift)
+    w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
+    return sparse.csr_array(-(g.conj().T @ (w @ g)))
+
+
 def assemble_T_cutoff(basis: FockBasis, lambda_uv,
                       lambda_shift: float) -> SparseOperator:
     """Virtual-boson block T = -G*(L+lambda)G (equal to a(V)G)."""
     _warn_beyond_reach(basis, lambda_uv)
-    g = _boundary_map(basis, lambda_uv, lambda_shift)
-    w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
-    t = sparse.csr_array(-(g.conj().T @ (w @ g)))
+    t = _t_cutoff_matrix(basis, lambda_uv, lambda_shift)
     return SparseOperator(basis, t,
                           {"path": "ibc", "kind": "T_cutoff",
                            "lambda_uv": lambda_uv,
@@ -723,7 +737,9 @@ def verify_identity(a: SparseOperator, b: SparseOperator,
     The bound is sqrt(||D||_1 ||D||_inf), the square root of the largest
     column sum of |D| times the largest row sum (Higham, Accuracy and
     Stability of Numerical Algorithms, section 6.3); it is exact for a
-    diagonal D and costs one pass over the stored entries.
+    diagonal D and costs one pass over the stored entries.  Each
+    operator's largest entry magnitude is taken once and kept on it, so
+    an operator must not be changed in place after its first check.
     """
     if a.basis.manifest() != b.basis.manifest():
         raise BasisMismatch("operators live on different bases")
@@ -736,10 +752,7 @@ def verify_identity(a: SparseOperator, b: SparseOperator,
         starts = d.indptr[:-1][np.diff(d.indptr) > 0]
         row_sum = np.add.reduceat(mag, starts).max()
         bound = float(np.sqrt(col_sum * row_sum))
-    scale = 0.0
-    for m in (a.matrix, b.matrix):
-        if m.nnz:
-            scale = max(scale, float(np.abs(m.data).max()))
+    scale = max(a._max_abs_entry, b._max_abs_entry)
     max_rel = max_abs / scale if scale > 0 else 0.0
     return IdentityReport(max_abs, max_rel, bound, tol, bool(max_rel <= tol))
 

@@ -7,9 +7,16 @@ condition.  All integrands are axisymmetric around the nucleon momentum,
 so integrals reduce to a radial x angular product rule: Gauss nodes for
 the angular weight (1-u^2)^((d-3)/2) and adaptive panels for the radial
 direction, with the |k|^(-2*alpha) origin singularity tamed by the
-r^(d-1) Jacobian.  Improper radial integrals are truncated at an
-adaptive radius and finished with an analytic power-law tail whose
-exponent is measured from the integrand itself.
+r^(d-1) Jacobian.  The radial engine is numpy only: adaptive
+Gauss-Kronrod G10/K21 panels (QUADPACK's qk21 rule and error estimate),
+split first at the kink radii, then bisected where the error sits.  The
+radial integrals of all angular nodes advance together, so each
+refinement round is one call of the integrand on arrays of radii and
+cosines.  A finite radial range may use at most PANEL_BUDGET panels;
+past that, QuadNotConverged is raised rather than a value returned.
+Improper radial integrals are truncated at an adaptive radius and
+finished with an analytic power-law tail whose exponent is measured from
+the integrand itself.
 
 Subtracted integrands are always combined into a single expression
 before integration; the two separately divergent pieces never meet a
@@ -22,12 +29,11 @@ Riemann sum on both sides of an identity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import ExponentWindowViolated, QuadNotConverged
 from .fockgrid import MomentumGrid, translate_indices
@@ -123,63 +129,194 @@ def _angular_rule(d: int, n: int, u_kinks: Sequence[float] = ()):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _power_tail(f: Callable, r0: float, floor: float):
-    """Integral of f over [r0, inf) assuming a local power law.
+# Gauss-Kronrod G10/K21 pair (QUADPACK qk21, Piessens et al. 1983): the
+# eleven nonnegative Kronrod abscissae, their weights, and the weights of
+# the 10-point Gauss rule, whose nodes are every second Kronrod node.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.zeros(11)
+_WG[1::2] = (0.066671344308688137593568809893332,
+             0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163,
+             0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338)
+# the full 21-node rule on [-1, 1], in increasing order of the node
+_XK = np.concatenate([-_XGK, _XGK[-2::-1]])
+_WK = np.concatenate([_WGK, _WGK[-2::-1]])
+_WGAUSS = np.concatenate([_WG, _WG[-2::-1]])
 
-    The decay exponent is measured from evaluations at r0, 2*r0, 4*r0;
-    returns (tail, error_guess, usable) where usable is False if the
-    samples do not look like a settled decaying power.  A tail whose
-    crude bound already sits below floor counts as zero (this catches
-    super-power decay, where the exponent estimate never settles).
+# most panels one finite radial range may be split into before the
+# integral counts as not converged (QUADPACK's limit in the same role)
+PANEL_BUDGET = 300
+
+
+def _gk21(fv: np.ndarray, half: np.ndarray):
+    """Value and QUADPACK error estimate of the K21 rule on each panel,
+    from the integrand values fv (panels x 21) and the half-widths."""
+    resk = fv @ _WK
+    resg = fv @ _WGAUSS
+    resabs = np.abs(fv) @ _WK * half
+    resasc = np.abs(fv - 0.5 * resk[:, None]) @ _WK * half
+    err = np.abs(resk - resg) * half
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((resasc != 0.0) & (err != 0.0),
+                       resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5),
+                       err)
+    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    return resk * half, err
+
+
+def _gk_panels(f: Callable, lo, hi, owner, u, epsabs: float, epsrel: float):
+    """Adaptive G10/K21 integrals of f(r, u) over unions of panels.
+
+    Panel i, from lo[i] to hi[i], belongs to integral owner[i], which is
+    taken at cosine u[owner[i]].  Each round evaluates f once, on the 21
+    nodes of every new panel; an integral stops once its summed error
+    estimate is within max(epsabs, epsrel*|value|), and otherwise bisects
+    its largest-error panels until the rest hold under half that bound.
+    Returns value, error estimate and evaluation count per integral;
+    raises QuadNotConverged when an integral would need more than
+    PANEL_BUDGET panels.
     """
-    f0, f1, f2 = f(r0), f(2.0 * r0), f(4.0 * r0)
-    crude = 4.0 * r0 * (abs(f0) + abs(f1) + abs(f2))
-    if crude <= floor:
-        return 0.0, crude, True
-    if f0 == 0.0 or np.sign(f0) != np.sign(f1) or np.sign(f1) != np.sign(f2):
-        return 0.0, np.inf, False
-    q1 = np.log(abs(f0 / f1)) / np.log(2.0)
-    q2 = np.log(abs(f1 / f2)) / np.log(2.0)
-    if q2 <= 1.05 or abs(q1 - q2) > 0.2 * max(1.0, abs(q2)):
-        return 0.0, np.inf, False
-    tail = f0 * r0 / (q2 - 1.0)
-    # spread between the two exponent estimates bounds the model error
-    alt = f0 * r0 / (q1 - 1.0) if q1 > 1.05 else 2.0 * tail
-    return tail, abs(tail - alt) + 1e-16 * abs(tail), True
+    n = len(u)
+    value, error = np.zeros(n), np.zeros(n)
+    n_evals = np.zeros(n, dtype=np.int64)
+    k_lo = k_hi = k_val = k_err = np.zeros(0)
+    k_own = np.zeros(0, dtype=np.int64)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    owner = np.asarray(owner, dtype=np.int64)
+    while lo.size:
+        half = 0.5 * (hi - lo)
+        r = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
+        fv = f(r, np.broadcast_to(u[owner][:, None], r.shape))
+        if not np.all(np.isfinite(fv)):
+            raise QuadNotConverged("integrand is not finite on a radial panel")
+        val, err = _gk21(fv, half)
+        n_evals += _XK.size * np.bincount(owner, minlength=n)
+        k_lo, k_hi = np.concatenate([k_lo, lo]), np.concatenate([k_hi, hi])
+        k_own = np.concatenate([k_own, owner])
+        k_val, k_err = np.concatenate([k_val, val]), np.concatenate([k_err, err])
+
+        present = np.bincount(k_own, minlength=n) > 0
+        total = np.bincount(k_own, k_val, minlength=n)
+        total_err = np.bincount(k_own, k_err, minlength=n)
+        value[present], error[present] = total[present], total_err[present]
+        tol = np.maximum(epsabs, epsrel * np.abs(total))
+        keep = (total_err > tol)[k_own]
+        if not keep.any():
+            break
+        k_lo, k_hi, k_own = k_lo[keep], k_hi[keep], k_own[keep]
+        k_val, k_err = k_val[keep], k_err[keep]
+
+        # per integral, largest errors first: split each panel while it
+        # and the smaller ones after it still sum to over half the tolerance
+        order = np.lexsort((-k_err, k_own))
+        e_sorted, o_sorted = k_err[order], k_own[order]
+        before = np.cumsum(e_sorted) - e_sorted
+        first = np.searchsorted(o_sorted, o_sorted)
+        rest = total_err[o_sorted] - (before - before[first])
+        split = np.zeros(k_err.size, dtype=bool)
+        split[order] = rest > 0.5 * tol[o_sorted]
+        counts = (np.bincount(k_own, minlength=n)
+                  + np.bincount(k_own[split], minlength=n))
+        if counts.max() > PANEL_BUDGET:
+            raise QuadNotConverged(
+                "radial integral needs more than %d panels" % PANEL_BUDGET)
+        mid = 0.5 * (k_lo[split] + k_hi[split])
+        lo = np.concatenate([k_lo[split], mid])
+        hi = np.concatenate([mid, k_hi[split]])
+        owner = np.tile(k_own[split], 2)
+        k_lo, k_hi, k_own = k_lo[~split], k_hi[~split], k_own[~split]
+        k_val, k_err = k_val[~split], k_err[~split]
+    return value, error, n_evals
 
 
-def _radial_integral(f: Callable, lo: float, hi: float, kinks: Sequence[float],
-                     epsabs: float, epsrel: float):
-    """Adaptive integral of f over [lo, hi) with interior break points;
-    hi may be inf, in which case an analytic power tail finishes the
-    integral beyond an adaptively grown radius."""
-    n_evals = 0
-    pts = sorted({float(x) for x in kinks if lo < x < (hi if np.isfinite(hi) else np.inf)})
-    if np.isfinite(hi):
-        val, err, info = integrate.quad(f, lo, hi, points=pts or None,
-                                        epsabs=epsabs, epsrel=epsrel,
-                                        limit=300, full_output=True)[:3]
-        return val, 0.0, err, info["neval"]
+def _power_tail(f: Callable, r0, floor):
+    """Integrals of f over [r0, inf) assuming a local power law.
 
-    r0 = max(8.0, lo * 2.0, *(4.0 * p for p in pts)) if pts else max(8.0, lo * 2.0)
-    inner, err, info = integrate.quad(f, lo, r0, points=pts or None,
-                                      epsabs=epsabs, epsrel=epsrel,
-                                      limit=300, full_output=True)[:3]
-    n_evals += info["neval"]
+    r0 and floor are arrays, one entry per integral; f maps radii of
+    shape (m, 3) to values, and is called once on r0, 2*r0, 4*r0, from
+    which the decay exponent is measured.  Returns arrays (tail,
+    error_guess, usable) where usable is False if the samples do not look
+    like a settled decaying power.  A tail whose crude bound already sits
+    below floor counts as zero (this catches super-power decay, where the
+    exponent estimate never settles).
+    """
+    r0 = np.asarray(r0, dtype=float)
+    f0, f1, f2 = f(r0[:, None] * np.array([1.0, 2.0, 4.0])).T
+    crude = 4.0 * r0 * (np.abs(f0) + np.abs(f1) + np.abs(f2))
+    negligible = crude <= floor
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = np.log(np.abs(f0 / f1)) / np.log(2.0)
+        q2 = np.log(np.abs(f1 / f2)) / np.log(2.0)
+        settled = ((f0 != 0.0) & (np.sign(f0) == np.sign(f1))
+                   & (np.sign(f1) == np.sign(f2)) & (q2 > 1.05)
+                   & (np.abs(q1 - q2) <= 0.2 * np.maximum(1.0, np.abs(q2))))
+        tail = np.where(settled, f0 * r0 / (q2 - 1.0), 0.0)
+        # spread between the two exponent estimates bounds the model error
+        alt = np.where(q1 > 1.05, f0 * r0 / (q1 - 1.0), 2.0 * tail)
+    guess = np.where(settled, np.abs(tail - alt) + 1e-16 * np.abs(tail), np.inf)
+    return (np.where(negligible, 0.0, tail), np.where(negligible, crude, guess),
+            negligible | settled)
+
+
+def _radial_integrals(f: Callable, u, lo: float, hi: float, kinks,
+                      epsabs: float, epsrel: float):
+    """Integrals of f(r, u_j) over [lo, hi) for every cosine u_j, with the
+    interior break points kinks[j]; hi may be inf, in which case an
+    analytic power tail finishes each integral beyond an adaptively grown
+    radius.  Returns arrays (inner, tail, error, n_evals) over j."""
+    finite = np.isfinite(hi)
+    p_lo, p_hi, p_own, r0 = [], [], [], []
+    for j, ks in enumerate(kinks):
+        pts = sorted({float(x) for x in ks if lo < x < hi})
+        end = hi if finite else max(8.0, lo * 2.0, *(4.0 * p for p in pts))
+        edges = [lo] + pts + [end]
+        p_lo += edges[:-1]
+        p_hi += edges[1:]
+        p_own += [j] * (len(edges) - 1)
+        r0.append(end)
+    inner, err, n_evals = _gk_panels(f, p_lo, p_hi, p_own, u, epsabs, epsrel)
+    tail = np.zeros(len(u))
+    if finite:
+        return inner, tail, err, n_evals
+
+    r0 = np.array(r0)
+    active = np.arange(len(u))
     for _ in range(60):
-        floor = 0.5 * max(epsabs, epsrel * abs(inner))
-        tail, tail_err, usable = _power_tail(f, r0, floor)
-        n_evals += 3
-        scale = max(abs(inner + tail), 1e-12)
-        if usable and tail_err <= max(epsabs, epsrel * scale):
-            return inner, tail, err + tail_err, n_evals
-        piece, perr, info = integrate.quad(f, r0, 2.0 * r0, epsabs=epsabs,
-                                           epsrel=epsrel, limit=200,
-                                           full_output=True)[:3]
-        inner += piece
-        err += perr
-        n_evals += info["neval"]
-        r0 *= 2.0
+        ua = u[active]
+        floor = 0.5 * np.maximum(epsabs, epsrel * np.abs(inner[active]))
+        t, t_err, usable = _power_tail(
+            lambda r: f(r, np.broadcast_to(ua[:, None], r.shape)),
+            r0[active], floor)
+        n_evals[active] += 3
+        scale = np.maximum(np.abs(inner[active] + t), 1e-12)
+        done = usable & (t_err <= np.maximum(epsabs, epsrel * scale))
+        tail[active[done]] = t[done]
+        err[active[done]] += t_err[done]
+        active = active[~done]
+        if not active.size:
+            return inner, tail, err, n_evals
+        ra = r0[active]
+        piece, p_err, p_evals = _gk_panels(f, ra, 2.0 * ra,
+                                           np.arange(active.size), u[active],
+                                           epsabs, epsrel)
+        inner[active] += piece
+        err[active] += p_err
+        n_evals[active] += p_evals
+        r0[active] = 2.0 * ra
     raise QuadNotConverged("radial tail did not settle into a power law")
 
 
@@ -193,25 +330,30 @@ def axisymmetric_integral(integrand: Callable, d: int, lo: float, hi: float,
     """Integral over {lo <= |k| <= hi} of an axisymmetric integrand.
 
     integrand(r, u) is the integrand value at radius r and cosine u of
-    the angle to the symmetry axis; kinks(u) may supply radii where the
-    radial profile loses smoothness, u_kinks are cosines where the
-    angular profile does.  The angular rule is refined by doubling
-    until stable.
+    the angle to the symmetry axis, evaluated elementwise on two float
+    arrays of the same shape (a batch of radii, each with its cosine);
+    kinks(u) may supply, for one cosine, radii where the radial profile
+    loses smoothness, u_kinks are cosines where the angular profile does.
+    The angular rule is refined by doubling until stable.  Each radial
+    integral runs adaptive G10/K21 panels, split first at the kinks, to
+    within max(epsabs, epsrel*|value|), using at most PANEL_BUDGET panels
+    per finite range; QuadNotConverged is raised when that budget runs
+    out, when the integrand is not finite at a node, when a power tail
+    does not settle, or when the angular rule has not converged by
+    n_angular_max nodes.
     """
+
+    def radial(r, u):
+        v = np.broadcast_to(np.asarray(integrand(r, u), dtype=float), r.shape)
+        return r ** (d - 1) * v if d > 1 else v
 
     def evaluate(n_nodes: int):
         nodes, weights = _angular_rule(d, n_nodes, u_kinks)
-        inner = tail = err = 0.0
-        n_evals = 0
-        for u, w in zip(nodes, weights):
-            radial = lambda r, _u=u: r ** (d - 1) * integrand(r, _u)
-            ks = kinks(u) if kinks is not None else ()
-            a, b, e, n = _radial_integral(radial, lo, hi, ks, epsabs, epsrel)
-            inner += w * a
-            tail += w * b
-            err += abs(w) * e
-            n_evals += n
-        return inner, tail, err, n_evals
+        ks = [kinks(u) if kinks is not None else () for u in nodes]
+        inner, tail, err, n_evals = _radial_integrals(radial, nodes, lo, hi, ks,
+                                                      epsabs, epsrel)
+        return (float(weights @ inner), float(weights @ tail),
+                float(np.abs(weights) @ err), int(n_evals.sum()))
 
     if d == 1:
         inner, tail, err, n_evals = evaluate(2)
@@ -286,13 +428,13 @@ def counterterm(p, lambda_uv: float, variant: int, params: ModelParams,
     p_norm = _norm_of(p)
 
     def integrand(r, u):
-        w = float(ff_sq_axial(i_nucleon, p_norm, r, -u, params))
+        w = ff_sq_axial(i_nucleon, p_norm, r, -u, params)
         if variant == 1:
             den = dispersion_nucleon_norm(r, params) + dispersion_boson_norm(r, params)
         else:
             rho = _shift_norm(p_norm, r, u)
             den = dispersion_nucleon_norm(rho, params) + dispersion_boson_norm(r, params)
-        return w / float(den)
+        return w / den
 
     return axisymmetric_integral(integrand, params.d, 0.0, float(lambda_uv),
                                  kinks=_default_kinks(p_norm),
@@ -318,11 +460,11 @@ def integral_J(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0,
     p_norm = _norm_of(p)
 
     def integrand(r, u):
-        w = float(ff_sq_axial(i_nucleon, p_norm, r, -u, params))
-        om = float(dispersion_boson_norm(r, params))
-        d1 = float(dispersion_nucleon_norm(r, params)) + om
+        w = ff_sq_axial(i_nucleon, p_norm, r, -u, params)
+        om = dispersion_boson_norm(r, params)
+        d1 = dispersion_nucleon_norm(r, params) + om
         rho = _shift_norm(p_norm, r, u)
-        d2 = float(dispersion_nucleon_norm(rho, params)) + om
+        d2 = dispersion_nucleon_norm(rho, params) + om
         return w * (d2 - d1) / (d1 * d2)
 
     return axisymmetric_integral(integrand, params.d, 0.0, float(lambda_uv),
@@ -357,11 +499,11 @@ def integral_I(P, K_hat, lambda_uv: float, ell: int, params: ModelParams,
     p_norm = float(np.linalg.norm(P[ell]))
 
     def integrand(r, u):
-        w = float(ff_sq_axial(ell, p_norm, r, -u, params))
-        om = float(dispersion_boson_norm(r, params))
-        ref = float(dispersion_nucleon_norm(r, params)) + om
+        w = ff_sq_axial(ell, p_norm, r, -u, params)
+        om = dispersion_boson_norm(r, params)
+        ref = dispersion_nucleon_norm(r, params) + om
         rho = _shift_norm(p_norm, r, u)
-        shifted = float(dispersion_nucleon_norm(rho, params)) + rest + om
+        shifted = dispersion_nucleon_norm(rho, params) + rest + om
         return w * (ref - shifted) / (shifted * ref)
 
     return axisymmetric_integral(integrand, params.d, 0.0, float(lambda_uv),
@@ -390,12 +532,12 @@ def condition_b_lhs(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0
     p_norm = _norm_of(p)
 
     def integrand(r, u):
-        w = float(ff_sq_axial(i_nucleon, p_norm, r, -u, params))
-        om = float(dispersion_boson_norm(r, params))
-        d1 = float(dispersion_nucleon_norm(r, params))
+        w = ff_sq_axial(i_nucleon, p_norm, r, -u, params)
+        om = dispersion_boson_norm(r, params)
+        d1 = dispersion_nucleon_norm(r, params)
         rho = _shift_norm(p_norm, r, u)
-        d2 = float(dispersion_nucleon_norm(rho, params))
-        return w * abs(d1 - d2) / ((d2 + om) * (d1 + om))
+        d2 = dispersion_nucleon_norm(rho, params)
+        return w * np.abs(d1 - d2) / ((d2 + om) * (d1 + om))
 
     u_kinks = [0.0]
     if p_norm > 0.0 and lambda_uv > 0.0 and p_norm / (2.0 * lambda_uv) < 1.0:
@@ -432,8 +574,6 @@ def scaling_lhs(p, omega_shift: float, lambda_uv: float, exps: ScalingExponents,
         rho = _shift_norm(p_norm, r, u)
         num = r ** (-nu) if nu else 1.0
         if sig:
-            if rho == 0.0:
-                return 0.0  # measure-zero point; integrable since sigma < d
             num = num * rho ** (-sig)
         den = (rho ** gam + r ** bet + omega_shift) ** rr
         return num / den

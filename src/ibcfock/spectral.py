@@ -47,9 +47,10 @@ from .ops import (
     _counterterm_rows,
     _creation_matrix,
     _direct_matrix,
+    _t_cutoff_matrix,
+    _warn_beyond_reach,
     assemble_G,
     assemble_H_direct,
-    assemble_T_cutoff,
     basis_digest,
 )
 from .quad import loglog_slope
@@ -373,12 +374,13 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
 
     The creation matrix of each cutoff is built once (kept on the basis,
     see ops) and feeds the control Hamiltonian (free + a + a^dagger, no
-    counterterm), assemble_T_cutoff and every variant's renormalized
-    Hamiltonian.  The control is solved and T built once per cutoff,
-    shared by every table, and the counterterm rows of each (cutoff,
-    variant) serve both its Hamiltonian and its T block.  Ground energies
-    are solved block by block, in real arithmetic when the couplings are
-    real (see lowest_eigenpairs).
+    counterterm), the block T (the matrix of assemble_T_cutoff) and every
+    variant's renormalized Hamiltonian.  The control is solved and T
+    built once per cutoff, shared by every table, and the counterterm
+    rows of each (cutoff, variant) serve both its Hamiltonian and its T
+    block.  Ground energies are solved block by block, in real arithmetic
+    when the couplings are real (see lowest_eigenpairs).  A cutoff beyond
+    the boson box (but inside the grid reach) warns once, at the caller.
     """
     lams = [float(x) for x in lambda_list]
     variants = [int(v) for v in variants]
@@ -405,13 +407,14 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     no_counterterm = np.zeros(basis.nuc_dim)
     a_mats, controls, t_ops = [], [], []
     for lam in lams:
+        _warn_beyond_reach(basis, lam)
         a_mat = _creation_matrix(basis, lam)
         h_bare = SparseOperator(
             basis, _direct_matrix(basis, a_mat, no_counterterm),
             {"path": "direct", "lambda_uv": lam, "control": "no-counterterm"},
             True)
         controls.append(float(lowest_eigenpairs(h_bare, eig_tol).values[0]))
-        t_ops.append(assemble_T_cutoff(basis, lam, lambda_shift).matrix)
+        t_ops.append(_t_cutoff_matrix(basis, lam, lambda_shift))
         a_mats.append(a_mat)
 
     tables = {}

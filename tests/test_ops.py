@@ -757,6 +757,26 @@ def test_verify_identity_is_symmetric_and_leaves_inputs_unchanged():
         assert np.array_equal(op.matrix.indptr, indptr)
 
 
+def test_verify_identity_takes_each_operator_scale_once(monkeypatch):
+    # the identity sweep checks one direct operator against every shift;
+    # its largest entry is taken once, and the reports do not change
+    basis = small_basis(GROSS1, n_max=2)
+    hd = assemble_H_direct(basis, 1.0, 1)
+    others = [assemble_H_ibc(basis, 1.0, 1, s) for s in (0.0, 0.5, 1.0)]
+    prop = SparseOperator.__dict__["_max_abs_entry"]
+    seen = []
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda op: seen.append(op) or real(op))
+    reps = [verify_identity(hd, o) for o in others]
+    reps += [verify_identity(o, hd) for o in others]
+    assert len(seen) == 1 + len(others)
+    for op in (hd, *others):
+        assert sum(x is op for x in seen) == 1
+    for rep, o in zip(reps, others + others):
+        scale = max(np.abs(hd.matrix.data).max(), np.abs(o.matrix.data).max())
+        assert rep.max_rel_diff == rep.max_abs_diff / scale
+
+
 # The bound sqrt(||D||_1 ||D||_inf) may meet the spectral norm (it does for
 # a diagonal D), where the dense SVD norm and the bound each carry a few
 # ulps of rounding; 1e-15 relative absorbs that and nothing more.

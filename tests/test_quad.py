@@ -1,6 +1,10 @@
 """Quadrature oracles: closed forms, exchange identities, lattice twins."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibcfock as ib
+from ibcfock import quad
 from ibcfock.errors import ExponentWindowViolated, QuadNotConverged
 
 GROSS = ib.gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
@@ -21,7 +26,7 @@ def test_gaussian_integral_every_dimension():
     # int exp(-|k|^2) dk over R^d is pi^(d/2); a spurious angular break
     # point must not change the composite rule
     for d in (1, 2, 3):
-        res = ib.axisymmetric_integral(lambda r, u: math.exp(-r * r), d,
+        res = ib.axisymmetric_integral(lambda r, u: np.exp(-r * r), d,
                                        0.0, np.inf, u_kinks=(0.3,))
         exact = math.pi ** (d / 2.0)
         assert abs(res.value - exact) <= 1e-10 * exact
@@ -33,8 +38,107 @@ def test_non_power_tail_refused():
     # 1/(r log^2 r) decays too slowly for the power-law tail model
     with pytest.raises(QuadNotConverged):
         ib.axisymmetric_integral(
-            lambda r, u: 1.0 / ((r + 2.0) * math.log(r + 2.0) ** 2),
+            lambda r, u: 1.0 / ((r + 2.0) * np.log(r + 2.0) ** 2),
             1, 0.0, np.inf)
+
+
+def test_gauss_kronrod_pair_exactness():
+    # K21 integrates polynomials to degree 31 and its G10 subset to
+    # degree 19 exactly on [-1, 1]
+    for k in range(32):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(quad._WK @ quad._XK ** k - exact) <= 1e-15
+        if k < 20:
+            assert abs(quad._WGAUSS @ quad._XK ** k - exact) <= 1e-15
+    assert np.count_nonzero(quad._WGAUSS) == 10
+
+
+def test_panel_budget_exhaustion_raises():
+    # infinitely many oscillations at r = 0: no panel set reaches the
+    # tolerance, and the engine must say so instead of returning
+    with pytest.raises(QuadNotConverged, match="panels"):
+        ib.axisymmetric_integral(
+            lambda r, u: np.sin(1.0 / (r * r + 1e-300)) / (r + 1e-3),
+            1, 0.0, 1.0)
+
+
+def test_non_finite_integrand_raises():
+    with pytest.raises(QuadNotConverged, match="not finite"):
+        ib.axisymmetric_integral(
+            lambda r, u: np.where(r > 0.5, np.inf, 1.0), 1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("d, hi", [(1, np.inf), (2, np.inf), (3, 4.0)])
+def test_n_evals_counts_every_point(d, hi):
+    # tails included: the count is the number of (r, u) points the
+    # integrand saw, over every angular level and tail sample
+    seen = []
+
+    def counting(r, u):
+        assert r.shape == u.shape
+        seen.append(r.size)
+        return 1.0 / (1.0 + r * r) ** 3 * (1.5 + u)
+
+    res = ib.axisymmetric_integral(counting, d, 0.5, hi,
+                                   kinks=lambda u: (1.0 + u,))
+    assert res.n_evals == sum(seen) > 0
+    if hi == np.inf:
+        assert res.tail_contribution > 0.0
+
+
+def test_import_leaves_scipy_integrate_and_optimize_out():
+    # neither the package nor its continuum integrals need
+    # scipy.integrate, which would also load scipy.optimize
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import ibcfock.cli\n"
+            "import ibcfock as ib\n"
+            "g = ib.gross_model()\n"
+            "lams = (1.0, 2.0, 4.0)\n"
+            "ib.divergence_fit(lams, [ib.counterterm(np.zeros(2), l, 1, g)"
+            ".value for l in lams])\n"
+            "ib.condition_b_lhs(np.array([1.0, 0.0]), 1.0, g)\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize')"
+            " if m in sys.modules])\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# power tail
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(min_value=1.05, max_value=6.0, exclude_min=True),
+       d=st.sampled_from([1, 2, 3]))
+def test_power_tail_property(q, d):
+    # the engine sees the radial profile r^(d-1) r^(-q), a power law of
+    # exponent qe = q - d + 1, and tries its tail first at r0 = 8
+    qe = q - d + 1.0
+    r0 = 8.0
+    inner = ((1.0 - r0 ** (1.0 - qe)) / (qe - 1.0) if qe != 1.0
+             else math.log(r0))
+    floor = 0.5 * max(quad.EPSABS_DEFAULT, quad.EPSREL_DEFAULT * abs(inner))
+    tail, guess, usable = quad._power_tail(lambda r: r ** -qe,
+                                           np.array([r0]), np.array([floor]))
+    if usable[0]:
+        exact = r0 ** (1.0 - qe) / (qe - 1.0)
+        # guess covers the model error; its 1e-16 floor does not cover
+        # the rounding of the measured exponent, which reaches a few
+        # 1e-15 relative as qe nears 1.05
+        assert abs(tail[0] - exact) <= guess[0] + 1e-13 * exact
+        res = ib.axisymmetric_integral(lambda r, u: r ** -q, d, 1.0, np.inf)
+        area = 2.0 if d == 1 else 2.0 * math.pi if d == 2 else 4.0 * math.pi
+        whole = area / (qe - 1.0)
+        assert abs(res.value - whole) <= res.abs_error_estimate
+    else:
+        with pytest.raises(QuadNotConverged):
+            ib.axisymmetric_integral(lambda r, u: r ** -q, d, 1.0, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +341,27 @@ def test_scaling_sigma_positive_tolerance_consistency():
     tight = ib.scaling_lhs(p, 1.0, 2.0, exps, GROSS,
                            epsabs=1e-11, epsrel=1e-10)
     assert abs(loose.value - tight.value) <= 1e-7 * abs(tight.value)
+
+
+def test_error_estimate_bounds_every_closed_form_error():
+    # the exactly known integrals of this file: the reported estimate
+    # covers the true error of each
+    line = math.pi ** 0.5
+    cases = [(ib.axisymmetric_integral(lambda r, u: np.exp(-r * r), d, 0.0,
+                                       np.inf, u_kinks=(0.3,)), line ** d)
+             for d in (1, 2, 3)]
+    cases += [(ib.counterterm(np.zeros(2), lam, 1, GROSS),
+               0.5 * math.pi * math.log1p(lam * lam))
+              for lam in (1.0, 2.0, 4.0, 8.0, 16.0)]
+    cases += [(ib.counterterm(np.zeros(3), lam, 1, ECK),
+               2.0 * math.pi * (math.asinh(lam) - lam / math.hypot(1.0, lam)))
+              for lam in (1.0, 2.0)]
+    cases += [(ib.scaling_lhs(0.0, om, 0.0, FLAT, CUSTOM_1D),
+               math.pi / math.sqrt(2.0 * om)) for om in (0.5, 1.0, 4.0)]
+    cases += [(ib.scaling_lhs(0.0, 2.0, lam, FLAT, CUSTOM_1D),
+               math.pi / 2.0 - math.atan(lam)) for lam in (1.0, 3.0)]
+    for res, exact in cases:
+        assert abs(res.value - exact) <= res.abs_error_estimate, (res, exact)
 
 
 def test_loglog_slope_rejects_nonpositive():

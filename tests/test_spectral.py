@@ -1,5 +1,6 @@
 """Tests for eigen/resolvent plumbing and the three numerical studies."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -578,6 +579,18 @@ def test_convergence_study_resolvent_column_bounds_the_exact_norm(params,
     for est, r in zip(got[:-1], inv[:-1]):
         exact = np.linalg.norm(r - inv[-1], 2)
         assert exact * (1 - 1e-2) <= est <= exact * (1 + 1e-12)
+
+
+def test_convergence_study_reach_warning_names_the_caller():
+    # a cutoff above k_max but inside the grid reach warns once, at this
+    # call and not inside the package
+    basis = small_basis()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cutoff_convergence_study(basis, [0.5, 1.0, np.sqrt(2.0)], (1,))
+    reach = [w for w in caught if "cutoff radius" in str(w.message)]
+    assert len(reach) == 1
+    assert reach[0].filename == __file__
 
 
 def test_convergence_study_validates_ladder(study_basis):
