@@ -14,7 +14,6 @@ from .fockgrid import (
     diagonal_values,
     enumerate_basis,
     point_index,
-    translate,
     translate_indices,
 )
 from .model import (
@@ -74,7 +73,6 @@ from .quad import (
     grid_mode_mask,
     integral_I,
     integral_J,
-    integral_i_grid,
     integral_j_grid,
     loglog_slope,
     resolvent_sum_grid,

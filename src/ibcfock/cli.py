@@ -245,6 +245,9 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise ValueError("eta_list must be >= 0")
         if n_samples < 1 or n_p_samples < 1:
             raise ValueError("n_samples and n_p_samples must be >= 1")
+        # a nan or inf tolerance would switch the residual checks off
+        if not (0 < eig_tol < np.inf and 0 < norm_tol < np.inf):
+            raise ValueError("eig_tol and norm_tol must be finite and > 0")
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
 
@@ -252,6 +255,9 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         seed = int(seed_override)
     if tol_override is not None:
         tol_identity = float(tol_override)
+    if not 0 <= tol_identity < np.inf:
+        raise CommandError(EXIT_CONFIG, "invalid config: tol_identity "
+                           "(or --tol) must be finite and >= 0")
 
     digest_src = json.dumps({"raw": raw, "seed": seed,
                              "tol_identity": tol_identity}, sort_keys=True)

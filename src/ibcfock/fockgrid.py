@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -106,16 +106,6 @@ def point_index(grid: MomentumGrid, p) -> int:
     if not np.allclose(grid.axis[idx], p, rtol=0, atol=1e-9 * max(1.0, grid.k_max)):
         raise ValueError("point is not a lattice point")
     return int(np.dot(idx, grid.n_per_axis ** np.arange(grid.d - 1, -1, -1)))
-
-
-def translate(grid: MomentumGrid, p, k) -> Optional[np.ndarray]:
-    """p + k as an exact lattice point, or None if it leaves the box."""
-    ip = point_index(grid, p)
-    ik = point_index(grid, k)
-    tgt, valid = translate_indices(grid, np.array([ip]), np.array([ik]))
-    if not valid[0]:
-        return None
-    return grid.points[tgt[0]].copy()
 
 
 def translate_indices(grid: MomentumGrid, ip, ik, sign: int = 1):

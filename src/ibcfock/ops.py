@@ -24,15 +24,18 @@ Conventions that make the equality exact:
   stays a plain diagonal at every sector.
 
 Every builder takes the basis and reads the model from basis.params.
-The pieces the two routes share have one definition each: the free
-diagonal is the basis's cached free_diagonal, the lattice counterterm
-diagonal comes from _counterterm_rows (only assemble_Td's continuum mode
-integrates its own), the creation matrix from _creation_matrix, the
-direct-route sum from _direct_matrix, and both exchange families start
-from _exchange_tables.  _kept keeps one entry each of two on the basis
-instance, as free_diagonal is, never shared by equal bases: the creation
-matrix, which every builder takes, and _ibc_base, the boundary route
-without the counterterm diagonal that assemble_H_ibc adds.
+Every operator is a lattice cell sum: the continuum integrals of quad
+are the limits these sums are compared against in the tests, never an
+input to an operator.  The pieces the two routes share have one
+definition each: the free diagonal is the basis's cached free_diagonal,
+the counterterm diagonal comes from _counterterm_rows, the resolvent
+sums of T_d from _subtract_resolvent_sums, the creation matrix from
+_creation_matrix, the direct-route sum from _direct_matrix, and both
+exchange families start from _exchange_tables.  _kept keeps one entry
+each of two on the basis instance, as free_diagonal is, never shared by
+equal bases: the creation matrix, which every builder takes, and
+_ibc_base, the boundary route without the counterterm diagonal that
+assemble_H_ibc adds.
 
 Builders that move a nucleon by a boson momentum (creation, G, T, the
 exchange pieces and both Hamiltonians) require the nucleon and boson
@@ -70,14 +73,7 @@ from .model import (
     dispersion_nucleon,
     form_factor,
 )
-from .quad import (
-    counterterm,
-    counterterm_grid,
-    grid_mode_mask,
-    integral_I,
-    integral_J,
-    resolvent_sum_grid,
-)
+from .quad import counterterm_grid, grid_mode_mask, resolvent_sum_grid
 
 
 @dataclass
@@ -392,7 +388,7 @@ def _subtract_resolvent_sums(basis: FockBasis, diag: np.ndarray, lambda_uv,
     return diag
 
 
-def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
+def assemble_Td(basis: FockBasis, lambda_uv, variant: int,
                 lambda_shift: float = 0.0) -> SparseOperator:
     """Diagonal multiplier of the renormalized virtual-boson block.
 
@@ -402,73 +398,12 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int, quad_mode: str,
     sectors this is the familiar subtracted combination (variant 1 drops
     the dispersion-shift part, variant 2 includes it).
     """
-    params = basis.params
-    _require_condition_c(params)
-    if quad_mode not in ("grid", "continuum"):
-        raise ValueError("quad_mode must be 'grid' or 'continuum'")
-    if quad_mode == "grid":
-        diag = basis.nucleon_diagonal(
-            _counterterm_rows(basis, lambda_uv, variant))
-        _subtract_resolvent_sums(basis, diag, lambda_uv, lambda_shift)
-    else:
-        m_nuc = params.n_nucleons
-        nuc_table = basis.nucleon_mode_table().astype(np.int64)
-        points = basis.nucleon_grid.points
-        theta_pt = dispersion_nucleon(points, params)
-        theta_state = theta_pt[nuc_table].sum(axis=1)
-        lam_cont = np.inf if lambda_uv is None else lambda_uv
-        # the continuum integrals depend on a nucleon only through |p|,
-        # and the subtracted one on the state only through (|p_ell|, rest
-        # energy) -- the same rotation covariance the axial quadrature
-        # already assumes -- so memoize on those
-        p_norm_pt = np.linalg.norm(points, axis=-1)
-        e_rows = np.zeros(basis.nuc_dim)
-        memo = {}
-        for ell in range(m_nuc):
-            p_idx = nuc_table[:, ell]
-            for flat in np.unique(p_idx):
-                key = (ell, round(float(p_norm_pt[flat]), 12))
-                if key not in memo:
-                    memo[key] = counterterm(points[flat], lam_cont, variant,
-                                            params, i_nucleon=ell).value
-            e_rows += np.array([memo[(ell, round(float(p_norm_pt[f]), 12))]
-                                for f in p_idx])
-        diag = basis.nucleon_diagonal(e_rows)
-        nuc_p = basis.nucleon_momenta()
-        memo_j = {}
-        for n in range(basis.n_max):
-            memo_i = {}
-            b_dim = basis.bos_dim(n)
-            omega_b = dispersion_boson(basis.boson_momenta(n),
-                                       params).sum(axis=-1)
-            bos_k = basis.boson_momenta(n)
-            sector = np.empty(basis.sector_dims[n])
-            for a in range(basis.nuc_dim):
-                for b in range(b_dim):
-                    val = 0.0
-                    for ell in range(m_nuc):
-                        flat = int(nuc_table[a, ell])
-                        rest = (theta_state[a] - theta_pt[flat] + omega_b[b])
-                        key = (ell, round(float(p_norm_pt[flat]), 12),
-                               round(float(rest), 12))
-                        if key not in memo_i:
-                            memo_i[key] = integral_I(
-                                nuc_p[a], bos_k[b], lam_cont, ell, params,
-                                lambda_shift=lambda_shift).value
-                        val -= memo_i[key]
-                        if variant == 2:
-                            jkey = (ell, round(float(p_norm_pt[flat]), 12))
-                            if jkey not in memo_j:
-                                memo_j[jkey] = integral_J(
-                                    nuc_p[a, ell], lam_cont, params,
-                                    i_nucleon=ell).value
-                            val -= memo_j[jkey]
-                    sector[a * b_dim + b] = val
-            diag[basis.sector_slice(n)] = sector
+    _require_condition_c(basis.params)
+    diag = basis.nucleon_diagonal(_counterterm_rows(basis, lambda_uv, variant))
+    _subtract_resolvent_sums(basis, diag, lambda_uv, lambda_shift)
     return _diag_op(basis, diag, {"path": "ibc", "kind": "Td",
                                   "lambda_uv": lambda_uv, "variant": variant,
-                                  "lambda_shift": lambda_shift,
-                                  "quad_mode": quad_mode})
+                                  "lambda_shift": lambda_shift})
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +439,7 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
                    lambda_shift: float = 0.0) -> SparseOperator:
     """Nucleon-exchange piece: the virtual boson is emitted by nucleon i
     and reabsorbed by nucleon ell (i != ell), the boson content of the
-    state unchanged.  Always a lattice sum: continuum quadrature applies
-    only to diagonal multipliers.
+    state unchanged.
     """
     if i == ell:
         raise IndexError("theta needs two distinct nucleon indices")
@@ -557,7 +491,6 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
     """Boson-exchange piece: nucleon i emits a boson while nucleon ell
     absorbs one already present (i = ell allowed).  Vanishes on the
     vacuum sector and on the top sector (no room for the intermediate).
-    Always a lattice sum, as for assemble_theta.
     """
     (active, tbl_minus, tbl_plus, nuc_table, strides, theta_pt, theta_state,
      om) = _exchange_tables(basis, i, ell, lambda_uv)

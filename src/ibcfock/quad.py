@@ -22,9 +22,11 @@ Subtracted integrands are always combined into a single expression
 before integration; the two separately divergent pieces never meet a
 quadrature rule on their own.
 
-A lattice twin of each integral (a plain cell sum over a MomentumGrid)
-is provided so that the operator-identity tests can use the exact same
-Riemann sum on both sides of an identity.
+The operators are built from lattice twins (plain cell sums over a
+MomentumGrid), so that both sides of the operator identity use the exact
+same Riemann sum: counterterm_grid for the counterterm, integral_j_grid
+for J, and resolvent_sum_grid for the unsubtracted resolvent sum, which
+minus counterterm_grid of variant 1 is the twin of I.
 """
 
 from __future__ import annotations
@@ -252,15 +254,18 @@ def _power_tail(f: Callable, r0, floor):
     error_guess, usable) where usable is False if the samples do not look
     like a settled decaying power.  A tail whose crude bound already sits
     below floor counts as zero (this catches super-power decay, where the
-    exponent estimate never settles).
+    exponent estimate never settles), unless the measured exponent is
+    below 1.2: for r^-q the crude bound covers the tail f0*r0/(q-1) only
+    when 4(q-1)(1 + 2^-q + 4^-q) >= 1, i.e. q >= 1.15.
     """
     r0 = np.asarray(r0, dtype=float)
     f0, f1, f2 = f(r0[:, None] * np.array([1.0, 2.0, 4.0])).T
     crude = 4.0 * r0 * (np.abs(f0) + np.abs(f1) + np.abs(f2))
-    negligible = crude <= floor
     with np.errstate(divide="ignore", invalid="ignore"):
         q1 = np.log(np.abs(f0 / f1)) / np.log(2.0)
         q2 = np.log(np.abs(f1 / f2)) / np.log(2.0)
+        # all-zero samples give q2 = nan and stay negligible
+        negligible = (crude <= floor) & ~(q2 < 1.2)
         settled = ((f0 != 0.0) & (np.sign(f0) == np.sign(f1))
                    & (np.sign(f1) == np.sign(f2)) & (q2 > 1.05)
                    & (np.abs(q1 - q2) <= 0.2 * np.maximum(1.0, np.abs(q2))))
@@ -744,8 +749,9 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
 
         sum_q h^d |v_{p-q}(q)|^2 / (theta(p-q) + rest + omega(q) + lambda).
 
-    This is the raw quantity mediated by one virtual boson; subtracting
-    the lattice counterterm of variant 1 yields integral_i_grid exactly.
+    This is the raw quantity mediated by one virtual boson; minus the
+    lattice counterterm of variant 1 it is the cell sum of the
+    regularized diagonal integral integral_I.
     """
     p_indices = np.asarray(p_indices)
     rest = np.broadcast_to(np.asarray(rest_energies, dtype=float), p_indices.shape)
@@ -755,27 +761,4 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
     den = theta_shift + rest[..., None] + om + lambda_shift
     with np.errstate(invalid="ignore"):
         terms = np.where(mask, w / den, 0.0)
-    return terms.sum(axis=-1)
-
-
-def integral_i_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
-                    params: ModelParams, i_nucleon: int = 0,
-                    lambda_shift: float = 0.0) -> np.ndarray:
-    """Lattice twin of the regularized diagonal integral.
-
-    rest_energies holds the spectator energy (other nucleons plus the
-    bosons of the configuration) for each entry of p_indices; the
-    resolvent denominator gains rest + lambda_shift while the reference
-    term does not.
-    """
-    p_indices = np.asarray(p_indices)
-    rest = np.broadcast_to(np.asarray(rest_energies, dtype=float), p_indices.shape)
-    w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv)
-    norms = grid.norms()
-    om = dispersion_boson_norm(norms, params)
-    ref = dispersion_nucleon_norm(norms, params) + om
-    shifted = theta_shift + rest[..., None] + om + lambda_shift
-    with np.errstate(invalid="ignore"):
-        terms = np.where(mask, w * (ref - shifted) / (shifted * ref), 0.0)
     return terms.sum(axis=-1)

@@ -141,6 +141,8 @@ def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
     """
     if not op.hermitian_flag:
         raise ValueError("eigensolver requires a Hermitian-tagged operator")
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     h = op.matrix
     n = h.shape[0]
     labels, lower, scale = _components(h)

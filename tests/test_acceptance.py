@@ -126,7 +126,7 @@ def test_vacuum_sector_counterterm_cancellation():
 
         # the diagonal renormalized block is a real multiplier
         for variant in (1, 2):
-            td = ib.assemble_Td(basis, lam, variant, "grid")
+            td = ib.assemble_Td(basis, lam, variant)
             coo = td.matrix.tocoo()
             assert np.all(coo.row == coo.col), "off-diagonal entries"
             assert np.abs(coo.data.imag).max() <= 1e-15

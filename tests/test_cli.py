@@ -140,10 +140,26 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     ("bounds", "n_p_samples = 4", "n_p_samples = 0"),
     ("check", "n_samples = 4000", "n_samples = 0"),
     ("identity", "n_samples = 4000", "n_samples = -5"),
+    # a non-finite or non-positive tolerance switches a certificate off
+    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    eig_tol = nan"),
+    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    eig_tol = inf"),
+    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    norm_tol = -1e-4"),
+    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    norm_tol = nan"),
+    ("identity", "n_samples = 4000",
+     "n_samples = 4000\n    tol_identity = nan"),
+    ("identity", "n_samples = 4000",
+     "n_samples = 4000\n    tol_identity = -1e-10"),
 ])
 def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
     assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
+def test_out_of_range_tol_flag_exits_one(tmp_path, tol):
+    path = write_cfg(tmp_path, TINY_GROSS)
+    assert cli.main(["identity", "--config", path, "--tol=" + tol,
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
 

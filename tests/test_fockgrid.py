@@ -108,10 +108,12 @@ def test_dimension_mismatch_and_cap():
 # translation on the lattice
 
 def test_translate_examples():
+    # points -1, 0, 1 at flat indices 0, 1, 2: 0 + 0 = 0, 1 + 1 leaves
+    # the box, 1 + (-1) = 0
     g = fg.build_grid(1, 1.0, 3)
-    np.testing.assert_array_equal(fg.translate(g, [0.0], [0.0]), [0.0])
-    assert fg.translate(g, [1.0], [1.0]) is None
-    np.testing.assert_array_equal(fg.translate(g, [1.0], [-1.0]), [0.0])
+    tgt, valid = fg.translate_indices(g, [1, 2, 2], [1, 2, 0])
+    np.testing.assert_array_equal(valid, [True, False, True])
+    np.testing.assert_array_equal(g.points[tgt[valid]], [[0.0], [0.0]])
 
 
 def test_translate_indices_matches_pointwise():

@@ -42,11 +42,12 @@ from ibcfock import (
     form_factor,
     grid_mode_mask,
     gross_model,
+    integral_I,
+    integral_J,
     integral_j_grid,
     load_triplets,
     nelson_model,
     point_index,
-    translate,
     verify_identity,
 )
 from ibcfock.errors import (
@@ -69,6 +70,16 @@ def single_mode_basis(n_max=2):
 def small_basis(params, d=2, k_max=1.0, nax=3, n_max=2):
     g = build_grid(d, k_max, nax)
     return enumerate_basis(params, g, g, n_max=n_max)
+
+
+def shifted_index(grid, p, k):
+    """Reference lattice shift for the loop oracles, independent of
+    fockgrid.translate_indices: the flat index of p + k by coordinate
+    arithmetic, or None when p + k leaves the box."""
+    target = np.asarray(p, dtype=float) + np.asarray(k, dtype=float)
+    if np.max(np.abs(target)) > grid.k_max + 0.5 * grid.spacing:
+        return None
+    return point_index(grid, target)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +117,7 @@ def test_single_mode_hand_values():
            @ assemble_G(basis, None, 0.0).matrix)
     assert np.abs((t.matrix - avg).toarray()).max() < 1e-14
 
-    td = assemble_Td(basis, None, 1, "grid")
+    td = assemble_Td(basis, None, 1)
     assert np.allclose(td.matrix.diagonal().real, [0.0, 1.0 / 6.0, 0.5],
                        atol=1e-15)
 
@@ -173,11 +184,10 @@ def _ordered_creation_blocks(basis, params):
                 for i in range(m_nuc):
                     # the source nucleon sits at p + q (the target's p
                     # recoiled by the emitted q); off-lattice sources drop
-                    src_p = translate(g_n, g_n.points[modes[i]],
-                                      g_b.points[kq])
-                    if src_p is None:
+                    src_mode = shifted_index(g_n, g_n.points[modes[i]],
+                                             g_b.points[kq])
+                    if src_mode is None:
                         continue
-                    src_mode = point_index(g_n, src_p)
                     src_nu = nu + (src_mode - modes[i]) * strides[i]
                     src_tup = tup[:j] + tup[j + 1:]
                     amp = (sqrt_w * form_factor(i, g_n.points[modes[i]],
@@ -224,8 +234,7 @@ def _exchange_oracle(basis, i, ell, lambda_uv, shift, kind):
         grid_mode_mask(g_b, lambda_uv, params))]
 
     def shifted(x, q, sign):
-        p = translate(g_n, g_n.points[x], sign * g_b.points[q])
-        return None if p is None else point_index(g_n, p)
+        return shifted_index(g_n, g_n.points[x], sign * g_b.points[q])
 
     def energy(nuc, bos):
         return (sum(float(dispersion_nucleon(g_n.points[x], params))
@@ -516,7 +525,7 @@ def test_t_cutoff_vacuum_diagonal_is_minus_variant2_counterterm():
 
 def test_td_is_real_diagonal_and_vacuum_values():
     basis = small_basis(GROSS1, n_max=1)
-    td1 = assemble_Td(basis, 1.0, 1, "grid")
+    td1 = assemble_Td(basis, 1.0, 1)
     m = td1.matrix.tocoo()
     assert np.all(m.row == m.col)
     assert np.abs(m.data.imag).max() == 0.0
@@ -525,7 +534,7 @@ def test_td_is_real_diagonal_and_vacuum_values():
     jg = integral_j_grid(p_idx, basis.boson_grid, 1.0, GROSS1)
     assert np.abs(td1.matrix.diagonal().real[:basis.nuc_dim] - jg).max() < 1e-15
     # variant 2 vacuum diagonal vanishes identically at zero shift
-    td2 = assemble_Td(basis, 1.0, 2, "grid")
+    td2 = assemble_Td(basis, 1.0, 2)
     assert np.abs(td2.matrix.diagonal().real[:basis.nuc_dim]).max() < 1e-15
 
 
@@ -617,31 +626,49 @@ def test_cutoff_growth_adds_only_annulus_modes():
 
 
 # ---------------------------------------------------------------------------
-# continuum quadrature mode
+# lattice T_d against the continuum integrals
 
-def test_continuum_td_agrees_in_the_interior():
+@pytest.mark.parametrize("variant, shift", [(1, 0.0), (1, 0.5), (2, 0.0),
+                                            (2, 0.5)])
+def test_continuum_td_agrees_in_the_interior(variant, shift):
+    # on the vacuum of one nucleon T_d is counterterm_grid minus
+    # resolvent_sum_grid, the cell sum of -I (variant 1) or -I - J
+    # (variant 2); both integrals depend on p only through |p|
     params = GROSS1
     lam_uv = 0.5
     g = build_grid(2, 1.0, 9)
     basis = enumerate_basis(params, g, g, n_max=1)
-    tg = assemble_Td(basis, lam_uv, 1, "grid").matrix.diagonal().real
-    tc = assemble_Td(basis, lam_uv, 1, "continuum").matrix.diagonal().real
-    diff = np.abs(tg - tc)[:basis.nuc_dim]
+    tg = assemble_Td(basis, lam_uv, variant, lambda_shift=shift)
+    tg = tg.matrix.diagonal()[:basis.nuc_dim]
     norms = np.linalg.norm(g.points, axis=-1)
+    _, first, inverse = np.unique(np.round(norms, 12), return_index=True,
+                                  return_inverse=True)
+    tc = np.array([
+        -integral_I(g.points[i], None, lam_uv, 0, params,
+                    lambda_shift=shift).value
+        - (integral_J(g.points[i], lam_uv, params).value if variant == 2
+           else 0.0)
+        for i in first])[inverse]
+    diff = np.abs(tg - tc)
     interior = norms <= g.k_max - lam_uv - 1e-9
-    # interior states see only quadrature error; edge states also see the
+    # interior states see only the lattice error; edge states also see the
     # recoil modes the box drops, an order-one modeling difference
     assert diff[interior].max() < 5e-3
-    assert diff[int(np.argmin(norms))] < 1e-12
     assert diff[~interior].max() < 0.5
+    if shift == 0.0:
+        assert diff[int(np.argmin(norms))] < 1e-12
+    if (variant, shift) == (2, 0.0):
+        # the continuum side vanishes on the vacuum: I = -J at zero rest
+        # energy (the lattice side: test_td_is_real_diagonal_and_vacuum_values)
+        assert np.abs(tc).max() < 1e-8
 
 
-def test_continuum_variant2_vacuum_zero():
-    params = GROSS1
-    basis = small_basis(params, nax=5, n_max=1)
-    td2 = assemble_Td(basis, 1.0, 2, "continuum")
-    vac = td2.matrix.diagonal().real[:basis.nuc_dim]
-    assert np.abs(vac).max() < 1e-8
+def test_operators_bind_no_continuum_integral():
+    # every operator is a lattice sum; the continuum integrals are only
+    # what the tests compare the sums against
+    for name in ("counterterm", "integral_I", "integral_J",
+                 "axisymmetric_integral"):
+        assert not hasattr(ops, name)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +689,7 @@ def test_condition_violation_blocks_renormalized_diagonal():
     params = custom_model(3, alpha=0.3, beta=1.0, gamma=1.0, mu=1.0)
     basis = small_basis(params, d=3, n_max=1)
     with pytest.raises(ConditionCViolated):
-        assemble_Td(basis, 1.0, 1, "grid")
+        assemble_Td(basis, 1.0, 1)
 
 
 def test_grid_mode_requires_shared_lattice():
@@ -672,7 +699,7 @@ def test_grid_mode_requires_shared_lattice():
     g_b = build_grid(2, 0.9, 3)
     basis = enumerate_basis(GROSS1, g_n, g_b, n_max=1)
     with pytest.raises(ValueError):
-        assemble_Td(basis, 0.5, 1, "grid")
+        assemble_Td(basis, 0.5, 1)
     with pytest.raises(ValueError):
         assemble_H_direct(basis, 0.5, 1)
     with pytest.raises(ValueError):
@@ -916,7 +943,7 @@ def test_operator_dtype_follows_couplings():
         "annihilation": assemble_annihilation(basis, 1.0),
         "G": assemble_G(basis, 1.0, 0.5),
         "T_cutoff": assemble_T_cutoff(basis, 1.0, 0.5),
-        "T_d": assemble_Td(basis, 1.0, 1, "grid", lambda_shift=0.5),
+        "T_d": assemble_Td(basis, 1.0, 1, lambda_shift=0.5),
         "theta": assemble_theta(basis, 0, 1, 1.0, 0.5),
         "tau": assemble_tau(basis, 0, 1, 1.0, 0.5),
         "T_od": assemble_T_od(basis, 1.0, lambda_shift=0.5),
@@ -931,7 +958,7 @@ def test_operator_dtype_follows_couplings():
                          m_boson=1.0, n_nucleons=2)
     cb = small_basis(params)
     assert assemble_L(cb).matrix.dtype == np.float64
-    assert assemble_Td(cb, 1.0, 1, "grid").matrix.dtype == np.float64
+    assert assemble_Td(cb, 1.0, 1).matrix.dtype == np.float64
     hd = assemble_H_direct(cb, 1.0, 1)
     hi = assemble_H_ibc(cb, 1.0, 1, 0.5)
     for op in (assemble_creation(cb, 1.0), assemble_annihilation(cb, 1.0),

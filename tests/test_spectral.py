@@ -226,6 +226,15 @@ def test_lowest_eigenpairs_requires_hermitian_tag():
         lowest_eigenpairs(a)
 
 
+def test_lowest_eigenpairs_refuses_non_finite_tol():
+    # a nan or inf tol would make the residual check pass whatever the
+    # residual is
+    op = assemble_L(small_basis())
+    for tol in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            lowest_eigenpairs(op, tol=tol)
+
+
 def test_free_hamiltonian_ground_is_vacuum():
     # cutoff 0 leaves the free operator; its ground state is the vacuum
     # with the nucleon at rest and energy mu = 1
