@@ -48,7 +48,7 @@ from .errors import (
     QuadNotConverged,
     SolveNotConverged,
 )
-from .fockgrid import FockBasis, MomentumGrid, build_grid, enumerate_basis
+from .fockgrid import FockBasis, build_grid, enumerate_basis
 from .model import (
     ModelKind,
     ModelParams,

@@ -31,11 +31,11 @@ minus counterterm_grid of variant 1 is the twin of I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import ExponentWindowViolated, QuadNotConverged
 from .fockgrid import MomentumGrid, translate_indices
@@ -92,6 +92,33 @@ class ScalingExponents:
 # ---------------------------------------------------------------------------
 # axisymmetric product-rule engine
 
+def _gauss_jacobi(n: int, alpha: float, beta: float):
+    """Gauss-Jacobi nodes and weights for the weight
+    (1-x)^alpha (1+x)^beta on [-1, 1] (alpha, beta > -1), by Golub-Welsch:
+    the nodes are the eigenvalues of the n x n Jacobi matrix of the
+    monic recurrence, and the weights mu0 times the squared first
+    components of its eigenvectors.  The k = 0 diagonal and k = 1
+    off-diagonal terms are written in their cancelled forms, which stay
+    finite at alpha + beta = 0 and alpha + beta = -1."""
+    ab = alpha + beta
+    k = np.arange(n, dtype=float)
+    t = 2.0 * k + ab
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (t[1:] * (t[1:] + 2.0))
+    off2 = np.empty(max(n - 1, 0))
+    off2[:1] = 4.0 * (1.0 + alpha) * (1.0 + beta) / (
+        (ab + 2.0) ** 2 * (ab + 3.0))
+    k, t = k[2:], t[2:]
+    off2[1:] = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (
+        t * t * (t + 1.0) * (t - 1.0))
+    off = np.sqrt(off2)
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = 2.0 ** (ab + 1.0) * math.gamma(alpha + 1.0) * math.gamma(
+        beta + 1.0) / math.gamma(ab + 2.0)
+    return x, mu0 * v[0] ** 2
+
+
 def _angular_rule(d: int, n: int, u_kinks: Sequence[float] = ()):
     """Nodes/weights for f(k) dk = sum_j w_j int r^(d-1) f(r, u_j) dr.
 
@@ -106,24 +133,24 @@ def _angular_rule(d: int, n: int, u_kinks: Sequence[float] = ()):
         return np.array([1.0, -1.0]), np.array([1.0, 1.0])
     a = (d - 3) / 2.0
     # surface area of the (d-2)-sphere carried by the remaining angles
-    s = 2.0 * np.pi ** ((d - 1) / 2.0) / special.gamma((d - 1) / 2.0)
+    s = 2.0 * np.pi ** ((d - 1) / 2.0) / math.gamma((d - 1) / 2.0)
     edges = [-1.0] + sorted({float(u) for u in u_kinks if -1.0 < u < 1.0}) + [1.0]
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         if lo == -1.0 and hi == 1.0:
-            u, wt = special.roots_jacobi(n, a, a)
+            u, wt = _gauss_jacobi(n, a, a)
             wt = s * wt
         elif lo == -1.0:
-            x, w = special.roots_jacobi(n, 0.0, a)
+            x, w = _gauss_jacobi(n, 0.0, a)
             u = mid + half * x
             wt = s * w * half ** (a + 1.0) * (1.0 - u) ** a
         elif hi == 1.0:
-            x, w = special.roots_jacobi(n, a, 0.0)
+            x, w = _gauss_jacobi(n, a, 0.0)
             u = mid + half * x
             wt = s * w * half ** (a + 1.0) * (1.0 + u) ** a
         else:
-            x, w = special.roots_legendre(n)
+            x, w = np.polynomial.legendre.leggauss(n)
             u = mid + half * x
             wt = s * w * half * (1.0 - u * u) ** a
         nodes.append(u)

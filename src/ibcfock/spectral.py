@@ -17,8 +17,12 @@ Three numerical experiments live here on top of generic solver plumbing:
 All continuum-flavored statements are certified Cauchy-style: the
 finest cutoff in the family stands in for the removed-cutoff operator.
 Ground states are solved block by block: lowest_eigenpairs splits the
-operator into its decoupled components and certifies, by a Weyl lower
-bound per component, that the blocks it skips hold no lower eigenvalue.
+operator into its decoupled components, solves the one with the lowest
+Weyl bound, and certifies that the blocks it skips hold no lower
+eigenvalue, by the Weyl bound or, for the few that bound leaves open,
+by a Collatz-Wielandt bound (Gershgorin on a positively scaled block,
+lowered by an explicit rounding slack), so one block solve per ground
+state is the rule.
 Solvers are deterministic: start vectors derive from the basis digest.
 Tables are data: ConvergenceTable and RegularityReport hold rows and
 metadata, and the command-line front end writes them.
@@ -56,6 +60,8 @@ from .ops import (
 from .quad import loglog_slope
 
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
+# power steps the Collatz-Wielandt certificate may take (_certify)
+CERTIFY_STEPS = 60
 # relative residual budget of each Schur-complement solve (_ParityFactor)
 SCHUR_RTOL = 1e-10
 # spectral parameter of the resolvent distances in the convergence study
@@ -92,15 +98,17 @@ def _pattern_components(h: sparse.csr_array):
 
 
 def _components(h: sparse.csr_array):
-    """Decoupled blocks of a Hermitian matrix, with a lower spectral
-    bound for each.
+    """Decoupled blocks of a Hermitian matrix, with a cheap lower
+    spectral bound for each.
 
     Returns the component label of every state (connected components of
-    the stored pattern); per component c, lower_c = min(Re diag_c) -
-    ||O_c||_F, where O_c is the off-diagonal part of block c; and the
-    exact ||H||_1, the largest column sum of |H|.  By Weyl's inequality
-    and ||O_c||_2 <= ||O_c||_F no eigenvalue of block c lies below
-    lower_c.  One pass over the stored entries.
+    the stored pattern); per component c, the Weyl bound lower_c =
+    min(Re diag_c) - ||O_c||_F, where O_c is the off-diagonal part of
+    block c; and the exact ||H||_1, the largest column sum of |H|.  By
+    Weyl's inequality and ||O_c||_2 <= ||O_c||_F no eigenvalue of block c
+    lies below lower_c.  One pass over the stored entries.  The bound is
+    loose on large blocks; lowest_eigenpairs uses it only to order the
+    blocks and to pick the few that _certify must then clear.
     """
     if not h.has_canonical_format:
         # duplicate entries would be squared apart, not summed first
@@ -119,25 +127,87 @@ def _components(h: sparse.csr_array):
     return labels, diag_min - np.sqrt(off_fro2), one_norm
 
 
+def _certify(block: sparse.csr_array, starts: np.ndarray,
+             target: float) -> np.ndarray:
+    """Collatz-Wielandt lower bounds of the diagonal blocks of `block`,
+    which start at the offsets `starts` (block k holds the states
+    starts[k]:starts[k+1]) and are not coupled to each other.
+
+    For any Hermitian block B with diagonal d and any x > 0, Gershgorin's
+    theorem applied to X^(-1) B X (X = diag x) puts every eigenvalue of
+    B at or above
+
+        min_i [d_i - (A x)_i / x_i],   A = |offdiag(B)|,
+
+    for real and complex entries alike.  At the Perron vector of
+    sigma I - M, M = diag(d) - A and sigma = max d, the bound equals
+    lambda_min(M), which is lambda_min(B) when B is stoquastic up to a
+    diagonal sign or phase gauge, as the Hamiltonians with real
+    couplings are under (-1)^N.  Power steps of sigma I - M, one sigma
+    per block and normalized per block, drive x towards that vector; each step's bound
+    holds on its own and the best one is kept.  The steps stop once
+    every bound reaches target, when no unfinished bound rises fast
+    enough to reach it within the remaining budget, or after
+    CERTIFY_STEPS.  Rounding: each row ratio is lowered by the slack
+    (nnz_i + 2) eps (|d_i| + (A x)_i / x_i), with nnz_i the stored
+    entries of row i and eps the machine epsilon (twice the unit
+    roundoff); it covers the rounding of the |entries|, of the products
+    and the row sum, of the division and of the subtraction.
+    """
+    m = block.shape[0]
+    rows = np.repeat(np.arange(m), np.diff(block.indptr))
+    off = rows != block.indices
+    a = sparse.csr_array((np.where(off, np.abs(block.data), 0.0),
+                          block.indices, block.indptr), shape=block.shape)
+    d = np.real(block.diagonal())
+    slack = (np.diff(block.indptr) + 2) * np.finfo(float).eps
+    comp = np.repeat(np.arange(starts.size), np.diff(np.append(starts, m)))
+    shift = np.maximum.reduceat(d, starts)[comp] - d
+    x = np.ones(m)
+    bound = prev = np.full(starts.size, -np.inf)
+    for step in range(CERTIFY_STEPS):
+        ax = a @ x
+        q = ax / x
+        now = np.minimum.reduceat(d - q - slack * (np.abs(d) + q), starts)
+        prev2, prev, bound = prev, bound, np.maximum(bound, now)
+        gap = target - bound
+        # a bound may stall for one step (on a bipartite pattern such as
+        # that of a*(V) + a(V), every other step), so the rate spans two
+        rate = (bound - prev2) / 2
+        if not np.any((gap > 0) & (rate * (CERTIFY_STEPS - 1 - step) >= gap)):
+            break
+        # x stays positive also where a row's stored couplings are zero
+        x = np.maximum(shift * x + ax, np.finfo(float).tiny)
+        x /= np.add.reduceat(x, starts)[comp]
+    return bound
+
+
 def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
     """Ground eigenvalue and vector of a Hermitian operator.
 
     The operator is split into the connected components of its stored
     pattern, which it leaves invariant (for the Hamiltonians here each
-    lies inside one total-momentum fibre).  Components are visited in
-    increasing order of their Weyl lower bound (see _components) and
-    solved one by one; the search stops at the first component whose
-    bound is no lower than the smallest eigenvalue found, so the skipped
-    components provably hold no lower eigenvalue.  Of equal eigenvalues
-    the block visited first is kept.  Each block goes dense below
-    DENSE_DIM_MAX and to implicitly restarted Lanczos above, with a
-    deterministic start vector; an operator with a single component is
-    solved exactly as one block.  The residual of the pair is checked on
-    the full operator against tol times its exact one-norm.  The storage
-    type picks the arithmetic: a real symmetric operator runs ARPACK's
-    dsaupd and has real eigenvectors, a complex Hermitian one znaupd.
-    The result holds one pair: values (1,), vectors (n, 1).  method is
-    "lanczos" when some block went to ARPACK, "dense" otherwise.
+    lies inside one total-momentum fibre).  The component with the
+    lowest Weyl bound (see _components) is solved first.  Only the
+    components whose Weyl bound lies below that energy can hold a lower
+    eigenvalue; their Collatz-Wielandt bounds (see _certify, with its
+    rounding slack) are computed together, and those certified at or
+    above the energy found are skipped.  The rest are solved in
+    increasing order of their Weyl bound, and the search stops at the
+    first whose Weyl bound is no lower than the smallest eigenvalue
+    found, so the skipped components provably hold no lower eigenvalue.
+    A component is skipped only when its bound is no lower than the
+    energy found, so the block kept and its solve do not depend on the
+    certificate.  Of equal eigenvalues the block visited first is kept.
+    Each block goes dense below DENSE_DIM_MAX and to implicitly
+    restarted Lanczos above, with a deterministic start vector; an
+    operator with a single component is solved exactly as one block.
+    The residual of the pair is checked on the full operator against
+    tol times its exact one-norm.  The storage type picks the
+    arithmetic: a real symmetric operator runs ARPACK's dsaupd and has
+    real eigenvectors, a complex Hermitian one znaupd.  The result holds
+    one pair: values (1,), vectors (n, 1).  method is "lanczos" when
+    some block went to ARPACK, "dense" otherwise.
     """
     if not op.hermitian_flag:
         raise ValueError("eigensolver requires a Hermitian-tagged operator")
@@ -146,33 +216,52 @@ def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
     h = op.matrix
     n = h.shape[0]
     labels, lower, scale = _components(h)
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels)
-    ends = np.cumsum(sizes)
     v0 = None
     method = "dense"
-    best = None             # (value, block state indices, block vector)
-    for c in np.argsort(lower, kind="stable"):
-        if best is not None and lower[c] >= best[0]:
-            break
-        idx = order[ends[c] - sizes[c]:ends[c]]
+
+    def solve(idx):
+        nonlocal v0, method
         m = idx.size
         block = h if m == n else h[idx][:, idx]
         if m <= DENSE_DIM_MAX or m <= 2:
-            w, v = np.linalg.eigh(block.toarray())
-        else:
-            if v0 is None:
-                v0 = _seed_vector(n, basis_digest(op.basis),
-                                  "eig").astype(h.dtype)
-            try:
-                w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx],
-                                  ncv=min(m - 1, 60), tol=max(tol, 1e-14))
-            except spla.ArpackNoConvergence as exc:
-                raise NotConverged("Lanczos did not converge: %s"
-                                   % exc) from exc
-            method = "lanczos"
-        if best is None or w[0] < best[0]:
-            best = (w[0], idx, v[:, 0])
+            return np.linalg.eigh(block.toarray())
+        if v0 is None:
+            v0 = _seed_vector(n, basis_digest(op.basis), "eig").astype(h.dtype)
+        try:
+            w, v = spla.eigsh(block, k=1, which="SA", v0=v0[idx],
+                              ncv=min(m - 1, 60), tol=max(tol, 1e-14))
+        except spla.ArpackNoConvergence as exc:
+            raise NotConverged("Lanczos did not converge: %s" % exc) from exc
+        method = "lanczos"
+        return w, v
+
+    first = int(np.argmin(lower))
+    idx = np.flatnonzero(labels == first)
+    w, v = solve(idx)
+    best = (w[0], idx, v[:, 0])      # (value, block state indices, vector)
+    rest = np.flatnonzero(lower < best[0])
+    rest = rest[rest != first]
+    if rest.size:
+        # the candidates' states, grouped by component in Weyl order
+        rest = rest[np.argsort(lower[rest], kind="stable")]
+        rank = np.full(lower.size, -1)
+        rank[rest] = np.arange(rest.size)
+        members = np.flatnonzero(rank[labels] >= 0)
+        key = rank[labels[members]]
+        members = members[np.argsort(key, kind="stable")]
+        sizes = np.bincount(key, minlength=rest.size)
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        cw = _certify(h[members][:, members], starts, best[0])
+        for k, c in enumerate(rest):
+            if lower[c] >= best[0]:
+                break
+            if cw[k] >= best[0]:
+                continue
+            idx = members[starts[k]:ends[k]]
+            w, v = solve(idx)
+            if w[0] < best[0]:
+                best = (w[0], idx, v[:, 0])
     val, idx, v = best
     vec = np.zeros((n, 1), dtype=np.result_type(h.dtype, np.float64))
     vec[idx, 0] = v
@@ -392,6 +481,9 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
         raise ValueError("variants must be nonempty")
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda_list must be strictly increasing")
+    for name, tol in (("eig_tol", eig_tol), ("norm_tol", norm_tol)):
+        if not (np.isfinite(tol) and tol > 0):
+            raise ValueError("%s must be finite and positive" % name)
     reach = basis.boson_grid.k_max * np.sqrt(basis.boson_grid.d)
     if max(lams) > reach * (1 + 1e-12):
         raise ValueError("largest cutoff %.6g exceeds the grid reach %.6g"

@@ -86,20 +86,11 @@ def test_n_evals_counts_every_point(d, hi):
         assert res.tail_contribution > 0.0
 
 
-def test_import_leaves_scipy_integrate_and_optimize_out():
-    # neither the package nor its continuum integrals need
-    # scipy.integrate, which would also load scipy.optimize
-    code = ("import sys\n"
-            "import numpy as np\n"
-            "import ibcfock.cli\n"
-            "import ibcfock as ib\n"
-            "g = ib.gross_model()\n"
-            "lams = (1.0, 2.0, 4.0)\n"
-            "ib.divergence_fit(lams, [ib.counterterm(np.zeros(2), l, 1, g)"
-            ".value for l in lams])\n"
-            "ib.condition_b_lhs(np.array([1.0, 0.0]), 1.0, g)\n"
-            "print([m for m in ('scipy.integrate', 'scipy.optimize')"
-            " if m in sys.modules])\n")
+def _modules_after(code: str, names) -> str:
+    """Run code in a fresh interpreter on this checkout and return the
+    printed list of the named modules it left in sys.modules."""
+    code = ("import sys\n" + code +
+            "print([m for m in %r if m in sys.modules])\n" % (tuple(names),))
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -107,7 +98,44 @@ def test_import_leaves_scipy_integrate_and_optimize_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_integrate_and_optimize_out():
+    # neither the package nor its continuum integrals need
+    # scipy.integrate, which would also load scipy.optimize
+    code = ("import numpy as np\n"
+            "import ibcfock.cli\n"
+            "import ibcfock as ib\n"
+            "g = ib.gross_model()\n"
+            "lams = (1.0, 2.0, 4.0)\n"
+            "ib.divergence_fit(lams, [ib.counterterm(np.zeros(2), l, 1, g)"
+            ".value for l in lams])\n"
+            "ib.condition_b_lhs(np.array([1.0, 0.0]), 1.0, g)\n")
+    assert _modules_after(code, ("scipy.integrate", "scipy.optimize")) == "[]"
+
+
+def test_import_leaves_scipy_special_out():
+    # the angular Gauss rules are numpy-only (Golub-Welsch, leggauss)
+    assert _modules_after("import ibcfock.cli\n", ("scipy.special",)) == "[]"
+
+
+def test_gauss_jacobi_integrates_polynomials_exactly():
+    # an n-point rule is exact to degree 2n - 1; the moments of
+    # (1-x)^a (1+x)^b against (1+x)^j are Beta functions
+    for alpha, beta in ((-0.5, -0.5), (0.0, -0.5), (-0.5, 0.0), (0.0, 0.0),
+                        (0.5, 0.5), (0.0, 0.5)):
+        for n in (1, 2, 5, 16, 64, 128):
+            x, w = quad._gauss_jacobi(n, alpha, beta)
+            assert np.all(np.diff(x) > 0) and np.all(w > 0)
+            assert -1.0 < x[0] and x[-1] < 1.0
+            for j in sorted({0, 1, n, 2 * n - 1}):
+                # in logs: the moment of degree 255 is about 2^256
+                want = ((alpha + beta + j + 1) * math.log(2.0)
+                        + math.lgamma(alpha + 1) + math.lgamma(beta + j + 1)
+                        - math.lgamma(alpha + beta + j + 2))
+                got = math.log(float(w @ (1.0 + x) ** j))
+                assert abs(got - want) <= 1e-12, (alpha, beta, n, j)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for eigen/resolvent plumbing and the three numerical studies."""
 
 import warnings
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,8 +28,8 @@ from ibcfock.errors import InsufficientPoints, NotConverged, \
     SolveNotConverged
 from ibcfock import ops, spectral
 from ibcfock.ops import SparseOperator, basis_digest
-from ibcfock.spectral import DENSE_DIM_MAX, _block_norm, _components, \
-    _odd_bosons, _ParityFactor, _power_norm, _seed_vector
+from ibcfock.spectral import DENSE_DIM_MAX, _block_norm, _certify, \
+    _components, _odd_bosons, _ParityFactor, _power_norm, _seed_vector
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 
@@ -161,15 +162,43 @@ def test_lowest_eigenpairs_lanczos_on_one_large_component(phase):
     assert np.array_equal(res.vectors, v)
 
 
+def exact_psd(a: np.ndarray) -> bool:
+    """Whether a Hermitian float matrix is positive semidefinite, decided
+    in exact rational arithmetic (every float is a Fraction).  A complex
+    matrix X + iY is tested through its real form [[X, -Y], [Y, X]]."""
+    if np.iscomplexobj(a):
+        x, y = a.real, a.imag
+        a = np.block([[x, -y], [y, x]])
+    m = [[Fraction(float(v)) for v in row] for row in a]
+    n = len(m)
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            # a zero pivot leaves room only for a zero row
+            if any(m[k][j] != 0 for j in range(k + 1, n)):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f:
+                for j in range(k + 1, n):
+                    m[i][j] -= f * m[k][j]
+    return True
+
+
 @settings(max_examples=80, deadline=None)
 @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
        is_complex=st.booleans(), degenerate=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
+       stoquastic=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
-                                          seed):
+                                          stoquastic, seed):
     # random Hermitian blocks, hidden under a random permutation; with
     # `degenerate` the diagonals come from three values and the first
-    # block is repeated, so spectra coincide exactly across components
+    # block is repeated, so spectra coincide exactly across components;
+    # with `stoquastic` the off-diagonals are -|a_ij| up to a random
+    # diagonal sign or phase gauge, otherwise their signs are mixed
     rng = np.random.default_rng(seed)
     blocks = []
     for m in sizes:
@@ -177,6 +206,13 @@ def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
         if is_complex:
             a = a + 1j * rng.standard_normal((m, m))
         blk = (a + a.conj().T) / 2
+        if stoquastic:
+            diag = np.diag(blk).real.copy()
+            blk = -np.abs(blk)
+            np.fill_diagonal(blk, diag)
+            gauge = (np.exp(2j * np.pi * rng.random(m)) if is_complex
+                     else rng.choice([-1.0, 1.0], m))
+            blk = gauge[:, None] * blk * gauge.conj()[None, :]
         if degenerate:
             np.fill_diagonal(blk, rng.choice([-1.0, 0.0, 0.5], m))
         blocks.append(blk)
@@ -197,15 +233,53 @@ def test_lowest_eigenpairs_block_property(sizes, is_complex, degenerate,
     want = np.linalg.eigvalsh(dense)[:1]
     assert np.allclose(res.values, want, rtol=0.0, atol=1e-10)
     labels, lower, scale = _components(h)
+    # every component at once, grouped in label order; a target at the
+    # top of the spectrum keeps the power steps going until they stall
+    order = np.argsort(labels, kind="stable")
+    starts = np.searchsorted(labels[order], np.arange(lower.size))
+    cw = _certify(sparse.csr_array(h[order][:, order]), starts,
+                  np.linalg.eigvalsh(dense)[-1])
     for c, bound in enumerate(lower):
         inside = labels == c
-        assert bound <= np.linalg.eigvalsh(dense[inside][:, inside])[0]
+        blk = dense[inside][:, inside]
+        assert bound <= np.linalg.eigvalsh(blk)[0]
+        # no eigenvalue of the block lies below its certificate: blk - cw I
+        # is positive semidefinite, decided exactly
+        assert exact_psd(blk - cw[c] * np.eye(blk.shape[0]))
     # the residual scale is the exact ||H||_1, also when every entry is
     # stored as two halves (a non-canonical CSR)
     split = sparse.csr_array((np.repeat(h.data / 2, 2), np.repeat(h.indices, 2),
                               2 * h.indptr), shape=h.shape)
     assert scale == pytest.approx(np.abs(dense).sum(axis=0).max(), rel=1e-14)
     assert _components(split)[2] == scale
+
+
+def test_lowest_eigenpairs_certificate_solves_one_block(monkeypatch):
+    # one nucleon on a 5 x 5 lattice: 650 states in total-momentum
+    # fibres of up to 26; the Weyl bound alone leaves several fibres
+    # below the ground energy, the certificate clears all of them
+    basis = small_basis(gross_model(coupling=0.3, mu=1.0, m_boson=1.0),
+                        k_max=2.0, nax=5)
+    op = assemble_H_direct(basis, 2.0, 1)
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        solved.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    res = lowest_eigenpairs(op)
+    assert len(solved) == 1
+    solved.clear()
+    monkeypatch.setattr(spectral, "_certify",
+                        lambda block, starts, target: np.full(starts.size,
+                                                              -np.inf))
+    ref = lowest_eigenpairs(op)
+    assert len(solved) > 1
+    # skipping never changes the block kept or its solve
+    assert np.array_equal(res.values, ref.values)
+    assert np.array_equal(res.vectors, ref.vectors)
 
 
 def test_components_bound_sums_duplicate_entries():
@@ -600,6 +674,20 @@ def test_convergence_study_reach_warning_names_the_caller():
     reach = [w for w in caught if "cutoff radius" in str(w.message)]
     assert len(reach) == 1
     assert reach[0].filename == __file__
+
+
+@pytest.mark.parametrize("name", ["eig_tol", "norm_tol"])
+@pytest.mark.parametrize("tol", [np.nan, -1e-4, 0.0])
+def test_convergence_study_validates_tolerances(study_basis, name, tol,
+                                                monkeypatch):
+    # refused before any assembly, not after 500 power steps
+    def no_assembly(*args):
+        raise AssertionError("assembled before validating")
+
+    monkeypatch.setattr(spectral, "_creation_matrix", no_assembly)
+    with pytest.raises(ValueError, match=name):
+        cutoff_convergence_study(study_basis, [0.5, 1.0], (1,),
+                                 **{name: tol})
 
 
 def test_convergence_study_validates_ladder(study_basis):
