@@ -134,7 +134,10 @@ class RunConfig:
 
 
 def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+    values = tuple(float(x) for x in text.replace(",", " ").split())
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value in %r" % text.strip())
+    return values
 
 
 def _complexes(text: str) -> tuple:
@@ -234,6 +237,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise ValueError("variants must be distinct values from {1, 2}")
         if any(s < 0 for s in lambda_shifts):
             raise ValueError("lambda_shifts must be >= 0")
+        if min(lambda_list) <= 0:
+            raise ValueError("lambda_list cutoffs must be > 0")
         if ladder and (len(ladder) < 3 or ladder[0] <= 0 or any(
                 b <= a for a, b in zip(ladder, ladder[1:]))):
             raise ValueError("ladder_k_max needs at least 3 positive, "
@@ -625,7 +630,7 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
             if np.any(diff.row != diff.col) else 0.0
         j_rows = np.zeros(basis.nuc_dim)
         grid = basis.boson_grid
-        table = basis.nucleon_mode_table().astype(np.int64)
+        table = basis.nucleon_mode_table()
         for ell in range(cfg.params.n_nucleons):
             j_rows += integral_j_grid(table[:, ell], grid, lam, cfg.params,
                                       i_nucleon=ell)

@@ -10,6 +10,12 @@ by the operator assembly.
 Out-of-range momentum shifts are dropped (matrix element zero) rather
 than wrapped periodically, because the dispersions are not periodic;
 the resulting truncation error is part of the grid-refinement studies.
+
+FockBasis alone knows the state layout.  The builders reach states only
+through sector_slice, sector_states, state_index, nucleon_mode_table,
+nucleon_shift and nucleon_diagonal; a basis listing some of the states
+(one total-momentum fibre, say) that gives these the same meaning runs
+them unchanged.
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ def build_grid(d: int, k_max: float, n_per_axis: int) -> MomentumGrid:
     single-mode lattice {0}, with the whole box as its cell)."""
     if n_per_axis < 1 or n_per_axis % 2 == 0:
         raise EvenAxisCount("n_per_axis must be odd and positive, got %d" % n_per_axis)
-    if k_max <= 0:
-        raise ValueError("k_max must be positive")
+    if not 0 < k_max < np.inf:
+        raise ValueError("k_max must be finite and positive, got %r" % k_max)
     if n_per_axis == 1:
         axis = np.zeros(1)
         spacing = 2.0 * k_max
@@ -159,14 +165,42 @@ class FockBasis:
     def sector_slice(self, n: int) -> slice:
         return slice(self.offsets[n], self.offsets[n] + self.sector_dims[n])
 
-    def nucleon_mode_table(self) -> np.ndarray:
-        """(nuc_dim, M) table of per-nucleon lattice indices."""
-        idx = np.arange(self.nuc_dim)
-        m = self.params.n_nucleons
-        table = np.empty((self.nuc_dim, m), dtype=np.int32)
-        for j in range(m - 1, -1, -1):
-            idx, table[:, j] = np.divmod(idx, self.nucleon_grid.size)
+    @cached_property
+    def _mode_table(self) -> np.ndarray:
+        table = np.stack(np.unravel_index(
+            np.arange(self.nuc_dim, dtype=np.int64),
+            (self.nucleon_grid.size,) * self.params.n_nucleons), axis=1)
+        table.flags.writeable = False
         return table
+
+    def nucleon_mode_table(self) -> np.ndarray:
+        """(nuc_dim, M) int64 table of per-nucleon lattice indices, built
+        once per basis and read-only."""
+        return self._mode_table
+
+    def nucleon_shift(self, i: int, sign: int) -> np.ndarray:
+        """(nuc_dim, G) table of the configuration reached when nucleon i
+        moves by sign*k_q, -1 where it leaves the lattice (boson modes are
+        read on the nucleon lattice).  Built once per (i, sign), read-only."""
+        if self.nucleon_grid != self.boson_grid:
+            raise ValueError("nucleon shifts need one shared lattice")
+        tables = vars(self).setdefault("_shift_tables", {})
+        if (i, sign) not in tables:
+            src = self.nucleon_mode_table()[:, i, None]
+            tgt, ok = translate_indices(self.nucleon_grid, src,
+                                        np.arange(self.boson_grid.size), sign)
+            stride = self.nucleon_grid.size ** (self.params.n_nucleons - 1 - i)
+            cfg = np.arange(self.nuc_dim, dtype=np.int64)[:, None]
+            table = np.where(ok, cfg + (tgt - src) * stride, -1)
+            table.flags.writeable = False
+            tables[(i, sign)] = table
+        return tables[(i, sign)]
+
+    def sector_states(self, n: int):
+        """(configurations, boson ranks) of sector_slice(n)'s states, in order."""
+        b_dim = self.bos_dim(n)
+        return (np.repeat(np.arange(self.nuc_dim, dtype=np.int64), b_dim),
+                np.tile(np.arange(b_dim, dtype=np.int64), self.nuc_dim))
 
     def nucleon_diagonal(self, rows) -> np.ndarray:
         """Diagonal over every state from a per-nucleon-configuration
@@ -227,14 +261,21 @@ class FockBasis:
 
     def index_of(self, n: int, nuc_modes, bos_modes_sorted) -> int:
         """Flat index of a state given per-nucleon lattice indices and a
-        boson multiset (any order; sorted internally)."""
-        nuc_modes = np.asarray(nuc_modes, dtype=np.int64)
-        i_nuc = 0
-        for j in range(self.params.n_nucleons):
-            i_nuc = i_nuc * self.nucleon_grid.size + nuc_modes[j]
+        boson multiset (any order; sorted internally).  Raises on a sector
+        outside 0..n_max, a wrong number of nucleon modes or bosons, or a
+        mode outside its lattice."""
+        if not 0 <= n <= self.n_max:
+            raise IndexError("sector %r outside 0..%d" % (n, self.n_max))
+        nuc = np.asarray(nuc_modes, dtype=np.int64)
         bos = np.sort(np.asarray(bos_modes_sorted, dtype=np.int64))
-        i_bos = int(self.rank_bosons(n, bos))
-        return int(self.state_index(n, i_nuc, i_bos))
+        if nuc.shape != (self.params.n_nucleons,) or bos.shape != (n,):
+            raise ValueError("sector %d needs %d nucleon modes and %d bosons"
+                             % (n, self.params.n_nucleons, n))
+        if (np.any((nuc < 0) | (nuc >= self.nucleon_grid.size))
+                or np.any((bos < 0) | (bos >= self.boson_grid.size))):
+            raise IndexError("mode index outside its lattice")
+        i_nuc = np.ravel_multi_index(nuc, (self.nucleon_grid.size,) * nuc.size)
+        return int(self.state_index(n, i_nuc, self.rank_bosons(n, bos)))
 
     def manifest(self) -> dict:
         return {

@@ -90,6 +90,9 @@ def validate_params(params: ModelParams) -> None:
         raise ValueError("d must be a positive integer")
     if params.n_nucleons < 1:
         raise ValueError("n_nucleons must be a positive integer")
+    if not np.isfinite([params.alpha, params.beta, params.gamma, params.mu,
+                        params.m_boson, *params.couplings]).all():
+        raise ValueError("exponents, masses and couplings must be finite")
     if not 0 <= params.alpha < params.d / 2:
         raise ValueError("alpha must lie in [0, d/2)")
     if not 0 < params.beta <= params.gamma:

@@ -39,8 +39,9 @@ assemble_H_ibc adds.
 
 Builders that move a nucleon by a boson momentum (creation, G, T, the
 exchange pieces and both Hamiltonians) require the nucleon and boson
-grids to share one lattice, and fockgrid.translate_indices is the only
-lattice shift.
+grids to share one lattice, and FockBasis.nucleon_shift is the only
+configuration shift.  Builders loop over the states that
+FockBasis.sector_states lists and never see the state layout.
 
 The scalar type is decided in one place, _csr: values with no nonzero
 imaginary part are stored as float64, others as complex128.  Every other
@@ -65,7 +66,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import BasisMismatch, ConditionCViolated, MasslessWithoutShift
-from .fockgrid import FockBasis, translate_indices
+from .fockgrid import FockBasis
 from .model import (
     check_condition_c,
     dispersion_boson,
@@ -195,6 +196,17 @@ def _kept(build):
     return kept
 
 
+def _form_factors(basis: FockBasis, j: int, modes) -> np.ndarray:
+    """(len(modes), lattice size) table of nucleon j's form factor: one
+    call per boson mode over the whole lattice, so that every builder
+    sees the same values bit for bit."""
+    nuc = basis.nucleon_grid
+    return np.array([
+        np.broadcast_to(form_factor(j, nuc.points, basis.boson_grid.points[q],
+                                    basis.params), nuc.size)
+        for q in modes]).reshape(len(modes), nuc.size)
+
+
 def _counterterm_rows(basis: FockBasis, lambda_uv,
                       variant: int) -> np.ndarray:
     """Counterterm of every nucleon configuration (boson independent):
@@ -203,7 +215,7 @@ def _counterterm_rows(basis: FockBasis, lambda_uv,
         raise ValueError("variant must be 1 or 2")
     _require_shared_lattice(basis)
     params = basis.params
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
+    nuc_table = basis.nucleon_mode_table()
     e_rows = np.zeros(basis.nuc_dim)
     for ell in range(params.n_nucleons):
         e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
@@ -236,43 +248,28 @@ def _warn_beyond_reach(basis: FockBasis, lambda_uv) -> None:
 def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
     _require_shared_lattice(basis)
     params = basis.params
-    nuc, bos = basis.nucleon_grid, basis.boson_grid
-    mask = grid_mode_mask(bos, lambda_uv, params)
-    lattice = np.arange(nuc.size)
-    recoil, inside = translate_indices(nuc, lattice[:, None], lattice, sign=-1)
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    m_nuc = params.n_nucleons
-    strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
-    sqrt_w = bos.cell_weight ** 0.5
-    nuc_flat = np.arange(basis.nuc_dim, dtype=np.int64)
+    mask = grid_mode_mask(basis.boson_grid, lambda_uv, params)
+    nuc_table = basis.nucleon_mode_table()
+    sqrt_w = basis.boson_grid.cell_weight ** 0.5
     rows, cols, vals = [], [], []
     for n in range(basis.n_max):
         modes = basis.bos_modes[n]
-        b_dim = basis.bos_dim(n)
-        all_bos = np.arange(b_dim, dtype=np.int64)
+        cfg, rank = basis.sector_states(n)
+        start = basis.sector_slice(n).start
         for q in np.flatnonzero(mask):
-            q_pt = bos.points[q]
-            new_modes = _insert_mode(modes.astype(np.int64), q)
-            tgt_bos = basis.rank_bosons(n + 1, new_modes)
+            tgt_bos = basis.rank_bosons(
+                n + 1, _insert_mode(modes.astype(np.int64), q))
             mult = np.sqrt((modes == q).sum(axis=1) + 1.0)
-            for i in range(m_nuc):
-                src_mode = nuc_table[:, i]
-                tgt_mode = recoil[src_mode, q]
-                ok = inside[src_mode, q]
-                if not ok.any():
+            for i in range(params.n_nucleons):
+                tgt = basis.nucleon_shift(i, -1)[:, q][cfg]
+                src = np.flatnonzero(tgt >= 0)
+                if src.size == 0:
                     continue
-                src_nuc = nuc_flat[ok]
-                tgt_nuc = src_nuc + (tgt_mode[ok] - src_mode[ok]) * strides[i]
-                amp = np.broadcast_to(
-                    np.asarray(form_factor(i, nuc.points[tgt_mode[ok]], q_pt,
-                                           params) * sqrt_w),
-                    src_nuc.shape)
-                r = basis.state_index(n + 1, tgt_nuc[:, None], tgt_bos[None, :])
-                c = basis.state_index(n, src_nuc[:, None], all_bos[None, :])
-                v = amp[:, None] * mult[None, :]
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-                vals.append(v.ravel())
+                tgt, r = tgt[src], rank[src]
+                amp = _form_factors(basis, i, [q])[0] * sqrt_w
+                rows.append(basis.state_index(n + 1, tgt, tgt_bos[r]))
+                cols.append(start + src)
+                vals.append(amp[nuc_table[:, i][tgt]] * mult[r])
     return _csr(rows, cols, vals, basis.total_dim)
 
 
@@ -367,24 +364,23 @@ def _subtract_resolvent_sums(basis: FockBasis, diag: np.ndarray, lambda_uv,
     """Subtract from diag, in place, the lattice resolvent sum over the
     one-boson intermediates of every state below the top sector."""
     params = basis.params
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
+    nuc_table = basis.nucleon_mode_table()
     theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
     theta_state = theta_pt[nuc_table].sum(axis=1)
     for n in range(basis.n_max):
-        b_dim = basis.bos_dim(n)
-        sl = basis.sector_slice(n)
+        cfg, rank = basis.sector_states(n)
         omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
         for ell in range(params.n_nucleons):
-            p_rep = np.repeat(nuc_table[:, ell], b_dim)
-            rest = (np.repeat(theta_state - theta_pt[nuc_table[:, ell]], b_dim)
-                    + np.tile(omega_b, basis.nuc_dim))
-            out = np.empty(p_rep.shape[0])
-            for lo in range(0, p_rep.shape[0], _TD_CHUNK):
-                hi = min(lo + _TD_CHUNK, p_rep.shape[0])
+            p_ell = nuc_table[:, ell][cfg]
+            rest = ((theta_state - theta_pt[nuc_table[:, ell]])[cfg]
+                    + omega_b[rank])
+            out = np.empty(cfg.shape[0])
+            for lo in range(0, cfg.shape[0], _TD_CHUNK):
+                hi = min(lo + _TD_CHUNK, cfg.shape[0])
                 out[lo:hi] = resolvent_sum_grid(
-                    p_rep[lo:hi], rest[lo:hi], basis.boson_grid, lambda_uv,
+                    p_ell[lo:hi], rest[lo:hi], basis.boson_grid, lambda_uv,
                     params, i_nucleon=ell, lambda_shift=lambda_shift)
-            diag[sl] -= out
+            diag[basis.sector_slice(n)] -= out
     return diag
 
 
@@ -411,28 +407,20 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int,
 
 def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
     """Lattice tables both exchange families share, for a validated
-    nucleon pair: the active boson modes, the p - q and p + q shift
-    tables, the per-nucleon index table with its flat-index strides, the
-    nucleon dispersion per lattice point and per configuration, and the
-    boson dispersion per mode."""
+    nucleon pair: the active boson modes, the configuration shift tables
+    of nucleon i emitting and nucleon ell absorbing, the nucleon
+    dispersion per lattice point and per configuration, and the boson
+    dispersion per mode."""
     params = basis.params
     m_nuc = params.n_nucleons
     if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
         raise IndexError("nucleon index out of range")
     _require_shared_lattice(basis)
-    nuc, bos = basis.nucleon_grid, basis.boson_grid
-    nuc_table = basis.nucleon_mode_table().astype(np.int64)
-    theta_pt = dispersion_nucleon(nuc.points, params)
-    strides = nuc.size ** np.arange(m_nuc - 1, -1, -1, dtype=np.int64)
-    lattice = np.arange(nuc.size)
-    tbl_minus, tbl_plus = (
-        np.where(ok, tgt, -1) for tgt, ok in
-        (translate_indices(nuc, lattice[:, None], lattice, sign=s)
-         for s in (-1, 1)))
-    return (np.flatnonzero(grid_mode_mask(bos, lambda_uv, params)),
-            tbl_minus, tbl_plus, nuc_table, strides, theta_pt,
-            theta_pt[nuc_table].sum(axis=1),
-            dispersion_boson_norm(bos.norms(), params))
+    theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
+    return (np.flatnonzero(grid_mode_mask(basis.boson_grid, lambda_uv, params)),
+            basis.nucleon_shift(i, -1), basis.nucleon_shift(ell, 1), theta_pt,
+            theta_pt[basis.nucleon_mode_table()].sum(axis=1),
+            dispersion_boson_norm(basis.boson_grid.norms(), params))
 
 
 def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
@@ -443,42 +431,31 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
     """
     if i == ell:
         raise IndexError("theta needs two distinct nucleon indices")
-    (active, tbl_minus, tbl_plus, nuc_table, strides, theta_pt, theta_state,
-     om) = _exchange_tables(basis, i, ell, lambda_uv)
-    params = basis.params
-    nuc, bos = basis.nucleon_grid, basis.boson_grid
-    nuc_flat = np.arange(basis.nuc_dim, dtype=np.int64)
+    active, emit, absorb, theta_pt, theta_state, om = _exchange_tables(
+        basis, i, ell, lambda_uv)
+    nuc_table = basis.nucleon_mode_table()
+    ff_i, ff_ell = (_form_factors(basis, j, active) for j in (i, ell))
     rows, cols, vals = [], [], []
     for n in range(basis.n_max):           # intermediates live in sector n+1
-        b_dim = basis.bos_dim(n)
-        all_bos = np.arange(b_dim, dtype=np.int64)
-        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
-        for q in active:
-            q_pt = bos.points[q]
-            src_i = nuc_table[:, i]
-            z_i = tbl_minus[src_i, q]
-            x_ell = tbl_plus[nuc_table[:, ell], q]
-            ok = (z_i >= 0) & (x_ell >= 0)
-            if not ok.any():
+        cfg, rank = basis.sector_states(n)
+        start = basis.sector_slice(n).start
+        omega_b = dispersion_boson(basis.boson_momenta(n),
+                                   basis.params).sum(axis=-1)
+        for a, q in enumerate(active):
+            z = emit[:, q][cfg]              # nucleon i has emitted q
+            x = absorb[:, q][z]              # nucleon ell has absorbed it
+            src = np.flatnonzero((z >= 0) & (x >= 0))
+            if src.size == 0:
                 continue
-            src_nuc = nuc_flat[ok]
-            tgt_nuc = (src_nuc + (z_i[ok] - src_i[ok]) * strides[i]
-                       + (x_ell[ok] - nuc_table[ok, ell]) * strides[ell])
-            wgt = np.broadcast_to(
-                np.asarray(np.conj(form_factor(ell,
-                                               nuc.points[nuc_table[ok, ell]],
-                                               q_pt, params))
-                           * form_factor(i, nuc.points[z_i[ok]], q_pt, params)
-                           * bos.cell_weight),
-                src_nuc.shape)
-            theta_z = theta_state[ok] - theta_pt[src_i[ok]] + theta_pt[z_i[ok]]
-            den = (theta_z[:, None] + omega_b[None, :]
-                   + (om[q] + lambda_shift))
-            r = basis.state_index(n, tgt_nuc[:, None], all_bos[None, :])
-            c = basis.state_index(n, src_nuc[:, None], all_bos[None, :])
-            rows.append(r.ravel())
-            cols.append(c.ravel())
-            vals.append((wgt[:, None] / den).ravel())
+            c, z, x, r = cfg[src], z[src], x[src], rank[src]
+            z_i = nuc_table[z, i]
+            wgt = (np.conj(ff_ell[a, nuc_table[c, ell]]) * ff_i[a, z_i]
+                   * basis.boson_grid.cell_weight)
+            theta_z = theta_state[c] - theta_pt[nuc_table[c, i]] + theta_pt[z_i]
+            den = theta_z + omega_b[r] + (om[q] + lambda_shift)
+            rows.append(basis.state_index(n, x, r))
+            cols.append(start + src)
+            vals.append(wgt / den)
     m = _csr(rows, cols, vals, basis.total_dim)
     return SparseOperator(basis, m, {"path": "ibc", "kind": "theta",
                                      "i": i, "ell": ell,
@@ -492,69 +469,56 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
     absorbs one already present (i = ell allowed).  Vanishes on the
     vacuum sector and on the top sector (no room for the intermediate).
     """
-    (active, tbl_minus, tbl_plus, nuc_table, strides, theta_pt, theta_state,
-     om) = _exchange_tables(basis, i, ell, lambda_uv)
-    params = basis.params
-    nuc, bos = basis.nucleon_grid, basis.boson_grid
-    # nucleon side: y --(i emits q2)--> z --(ell absorbs q)--> x; rows run
-    # over the created mode q2 in active order, columns over configurations
-    src_i = nuc_table[:, i]
-    z_i = tbl_minus[src_i[None, :], active[:, None]]
-    z_ell = z_i if i == ell else np.broadcast_to(nuc_table[:, ell], z_i.shape)
-
-    # form factor of nucleon j per (active mode, lattice point): one call
-    # per mode with a single boson momentum, as in _creation_matrix and
-    # assemble_theta, so every assembly sees the same values bit for bit
-    def ff_table(j):
-        return np.array([
-            np.broadcast_to(form_factor(j, nuc.points, bos.points[q], params),
-                            nuc.size)
-            for q in active]).reshape(active.size, nuc.size)
-
-    ff_i = ff_table(i)
-    ff_ell = ff_i if i == ell else ff_table(ell)
+    active, emit, absorb, theta_pt, theta_state, om = _exchange_tables(
+        basis, i, ell, lambda_uv)
+    nuc_table = basis.nucleon_mode_table()
+    ff_i = _form_factors(basis, i, active)
+    ff_ell = ff_i if i == ell else _form_factors(basis, ell, active)
     rows, cols, vals = [], [], []
     for n in range(1, basis.n_max):        # intermediates live in sector n+1
         modes = basis.bos_modes[n].astype(np.int64)
-        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
+        cfg, rank = basis.sector_states(n)
+        start = basis.sector_slice(n).start
+        omega_b = dispersion_boson(basis.boson_momenta(n),
+                                   basis.params).sum(axis=-1)
         for a, q in enumerate(active):     # mode removed from the source
+            # a state y --(i emits q2)--> z --(ell absorbs q)--> x; pairs
+            # run over the created mode q2 in active order, then over the
+            # source states holding q
             cnt_q = (modes == q).sum(axis=1)
-            r_sel = np.flatnonzero(cnt_q >= 1)
-            if r_sel.size == 0:
+            src = np.flatnonzero(cnt_q[rank] >= 1)
+            if src.size == 0:
                 continue
+            r_sel = np.flatnonzero(cnt_q >= 1)
             reduced = _remove_mode(modes[r_sel], q)
             cnt_q_r = cnt_q[r_sel].astype(float)
-            x_ell = tbl_plus[np.maximum(z_ell, 0), q]
-            ok_all = (z_i >= 0) & (x_ell >= 0)
+            c = cfg[src]
+            pos = np.searchsorted(r_sel, rank[src])   # row of r_sel
             # blocks of created modes q2, at most _TD_CHUNK (mode, state) pairs
-            step = max(1, _TD_CHUNK // (basis.nuc_dim * r_sel.size))
+            step = max(1, _TD_CHUNK // src.size)
             for lo in range(0, active.size, step):
-                blk = slice(lo, lo + step)
-                k2, src_nuc = np.nonzero(ok_all[blk])
-                if src_nuc.size == 0:
+                q2 = active[lo:lo + step]
+                z = emit[:, q2].T[:, c]
+                x = absorb[:, q][z]
+                k2, s = np.nonzero((z >= 0) & (x >= 0))
+                if s.size == 0:
                     continue
-                q2 = active[blk]
                 tgt_bos = basis.rank_bosons(n, _insert_mode(reduced,
                                                             q2[:, None]))
                 cnt_q2 = (modes[r_sel] == q2[:, None, None]).sum(axis=-1)
                 bf = np.where((q2 == q)[:, None], cnt_q_r,
                               np.sqrt(cnt_q_r * (cnt_q2 + 1.0)))
-                zi = z_i[blk][k2, src_nuc]
-                ze = z_ell[blk][k2, src_nuc]
-                tgt_nuc = (src_nuc + (zi - src_i[src_nuc]) * strides[i]
-                           + (x_ell[blk][k2, src_nuc] - ze) * strides[ell])
-                wgt = (np.conj(ff_ell[a, ze]) * ff_i[blk][k2, zi]
-                       * bos.cell_weight)
-                theta_z = (theta_state[src_nuc] - theta_pt[src_i[src_nuc]]
+                zs, p = z[k2, s], pos[s]
+                zi, ze = nuc_table[zs, i], nuc_table[zs, ell]
+                wgt = (np.conj(ff_ell[a, ze]) * ff_i[lo + k2, zi]
+                       * basis.boson_grid.cell_weight)
+                theta_z = (theta_state[c[s]] - theta_pt[nuc_table[c[s], i]]
                            + theta_pt[zi])
-                den = (theta_z[:, None] + omega_b[r_sel][None, :]
-                       + (om[q2[k2]] + lambda_shift)[:, None])
-                v = wgt[:, None] * bf[k2] / den
-                r = basis.state_index(n, tgt_nuc[:, None], tgt_bos[k2])
-                c = basis.state_index(n, src_nuc[:, None], r_sel[None, :])
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-                vals.append(v.ravel())
+                den = (theta_z + omega_b[r_sel[p]]
+                       + (om[q2[k2]] + lambda_shift))
+                rows.append(basis.state_index(n, x[k2, s], tgt_bos[k2, p]))
+                cols.append(start + src[s])
+                vals.append(wgt * bf[k2, p] / den)
     m = _csr(rows, cols, vals, basis.total_dim)
     return SparseOperator(basis, m, {"path": "ibc", "kind": "tau",
                                      "i": i, "ell": ell,
@@ -665,7 +629,8 @@ def verify_identity(a: SparseOperator, b: SparseOperator,
     """Entrywise comparison of two assembled operators on the same basis,
     with a rigorous upper bound on the spectral norm of their difference
     D = a - b; passes when the largest entry difference, scaled by the
-    largest entry magnitude, stays below tol.
+    largest entry magnitude, stays below tol.  A non-finite difference or
+    scale fails, with max_rel_diff NaN.
 
     The bound is sqrt(||D||_1 ||D||_inf), the square root of the largest
     column sum of |D| times the largest row sum (Higham, Accuracy and
@@ -686,7 +651,10 @@ def verify_identity(a: SparseOperator, b: SparseOperator,
         row_sum = np.add.reduceat(mag, starts).max()
         bound = float(np.sqrt(col_sum * row_sum))
     scale = max(a._max_abs_entry, b._max_abs_entry)
-    max_rel = max_abs / scale if scale > 0 else 0.0
+    if not np.isfinite([max_abs, a._max_abs_entry, b._max_abs_entry]).all():
+        max_rel = float("nan")
+    else:
+        max_rel = max_abs / scale if scale > 0 else 0.0
     return IdentityReport(max_abs, max_rel, bound, tol, bool(max_rel <= tol))
 
 

@@ -149,6 +149,19 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
      "n_samples = 4000\n    tol_identity = nan"),
     ("identity", "n_samples = 4000",
      "n_samples = 4000\n    tol_identity = -1e-10"),
+    # a non-finite or non-positive cutoff would select no mode, or every
+    # mode, without saying so
+    ("identity", "lambda_list = 1, 2", "lambda_list = nan, 2"),
+    ("identity", "lambda_list = 1, 2", "lambda_list = -1, 2"),
+    ("identity", "lambda_list = 1, 2", "lambda_list = 1, inf"),
+    ("converge", "lambda_list = 1, 2", "lambda_list = nan, 2"),
+    # every other study or grid value must be finite too
+    ("identity", "lambda_shifts = 0, 1", "lambda_shifts = 0, nan"),
+    ("converge", "n_p_samples = 4", "fit_lambda_list = 8, nan, 32"),
+    ("regularity", "n_p_samples = 4", "ladder_k_max = 1, 2, nan"),
+    ("regularity", "n_p_samples = 4", "eta_list = 0.25, nan"),
+    ("identity", "k_max = 2.0", "k_max = nan"),
+    ("regularity", "k_max = 2.0", "k_max = nan"),
 ])
 def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
@@ -196,6 +209,18 @@ def test_alpha_at_upper_boundary_exits_two(tmp_path):
         gamma = 1.0
         """)
     assert cli.main(["check", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_CONDITION
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("check", "m_boson = 1.0", "m_boson = inf"),
+    ("identity", "m_boson = 1.0", "m_boson = nan"),
+    ("identity", "mu = 1.0", "mu = inf"),
+    ("identity", "coupling = 1.0", "coupling = nan"),
+])
+def test_non_finite_model_values_exit_two(tmp_path, command, old, new):
+    path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
+    assert cli.main([command, "--config", path,
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONDITION
 
 

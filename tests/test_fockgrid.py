@@ -85,6 +85,96 @@ def test_multiset_symmetry_of_lookup():
     assert i1 == i2 == i3
 
 
+@pytest.mark.parametrize("n, nuc, bos, error", [
+    (1, (0,), (9,), IndexError),       # boson mode past the lattice
+    (1, (0,), (3, 4), ValueError),     # two bosons in sector 1
+    (1, (9,), (0,), IndexError),       # nucleon mode past the lattice
+    (1, (-1,), (0,), IndexError),
+    (0, (0,), (5,), ValueError),       # a boson in the vacuum sector
+    (1, (0, 0), (0,), ValueError),     # two nucleon modes for one nucleon
+    (3, (0,), (0, 0, 0), IndexError),  # sector past n_max
+    (-1, (0,), (), IndexError),
+])
+def test_index_of_rejects_malformed_states(n, nuc, bos, error):
+    # each of these used to return the index of some other state
+    grid = fg.build_grid(2, 1.0, 3)
+    b = fg.enumerate_basis(ib.gross_model(), grid, grid, 2)
+    with pytest.raises(error):
+        b.index_of(n, nuc, bos)
+
+
+def _shift_oracle(basis, i, sign):
+    """nucleon_shift by coordinate arithmetic on point_index, independent
+    of translate_indices."""
+    grid = basis.nucleon_grid
+    out = np.full((basis.nuc_dim, basis.boson_grid.size), -1)
+    for c, modes in enumerate(itertools.product(range(grid.size),
+                                                repeat=basis.params.n_nucleons)):
+        for q, k in enumerate(basis.boson_grid.points):
+            moved = list(modes)
+            try:
+                moved[i] = fg.point_index(grid, grid.points[modes[i]] + sign * k)
+            except ValueError:
+                continue
+            out[c, q] = int(np.ravel_multi_index(moved, (grid.size,) * len(moved)))
+    return out
+
+
+@pytest.mark.parametrize("d, n_nucleons", [(2, 1), (2, 2), (2, 3), (3, 1),
+                                           (3, 2)])
+def test_nucleon_shift_matches_coordinate_oracle(d, n_nucleons):
+    params = ib.custom_model(d=d, alpha=0.4, beta=1.0, gamma=1.0, mu=1.0,
+                             n_nucleons=n_nucleons)
+    grid = fg.build_grid(d, 1.0, 3)
+    b = fg.enumerate_basis(params, grid, grid, 0)
+    for i in range(n_nucleons):
+        for sign in (-1, 1):
+            table = b.nucleon_shift(i, sign)
+            assert table.shape == (b.nuc_dim, grid.size)
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(table, _shift_oracle(b, i, sign))
+            assert (table == -1).any() and (table >= 0).any()
+            assert b.nucleon_shift(i, sign) is table   # built once
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+
+def test_nucleon_shift_needs_one_shared_lattice():
+    # a boson mode index is read on the nucleon lattice
+    params = ib.gross_model()
+    b = fg.enumerate_basis(params, fg.build_grid(2, 2.0, 5),
+                           fg.build_grid(2, 1.0, 3), 0)
+    with pytest.raises(ValueError):
+        b.nucleon_shift(0, 1)
+
+
+def test_nucleon_mode_table_is_kept_read_only_int64():
+    b = _tiny_basis(n_max=1, n_nucleons=2)
+    table = b.nucleon_mode_table()
+    assert table.dtype == np.int64 and b.nucleon_mode_table() is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def test_sector_states_reproduce_decode():
+    for b in (_tiny_basis(n_max=3), _tiny_basis(n_max=2, n_nucleons=2)):
+        table = b.nucleon_mode_table()
+        for n in range(b.n_max + 1):
+            cfg, rank = b.sector_states(n)
+            flat = range(b.sector_slice(n).start, b.sector_slice(n).stop)
+            assert len(cfg) == len(rank) == len(flat)
+            np.testing.assert_array_equal(b.state_index(n, cfg, rank), flat)
+            for i, c, r in zip(flat, cfg, rank):
+                assert b.decode(i) == (n, tuple(table[c].tolist()),
+                                       tuple(b.bos_modes[n][r].tolist()))
+
+
+def test_build_grid_rejects_non_finite_k_max():
+    for k_max in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            fg.build_grid(2, k_max, 3)
+
+
 def test_enumeration_is_lexicographic():
     b = _tiny_basis(n_max=2)
     modes = b.bos_modes[2]

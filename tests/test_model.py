@@ -295,6 +295,23 @@ def test_validate_rejects_bad_records():
                        beta=1.0, gamma=1.0, mu=0.0, m_boson=1.0, couplings=(1.0,))
 
 
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "mu", "m_boson",
+                                   "coupling"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_non_finite_records(field, bad):
+    # nan fails every comparison, so "mu < 0" let it through
+    kw = dict(d=3, alpha=0.5, beta=1.0, gamma=2.0, mu=1.0, m_boson=1.0,
+              coupling=1.0)
+    kw[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ib.custom_model(**kw)
+    if field in ("mu", "m_boson", "coupling"):
+        with pytest.raises(ValueError, match="finite"):
+            ib.gross_model(**{field: bad})
+    with pytest.raises(ValueError, match="finite"):
+        ib.nelson_model(coupling=[1.0, complex(0.0, bad)], n_nucleons=2)
+
+
 def test_couplings_spread_and_explicit():
     m = ib.gross_model(coupling=0.5, n_nucleons=3)
     assert m.couplings == (0.5 + 0j,) * 3

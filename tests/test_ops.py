@@ -671,6 +671,12 @@ def test_operators_bind_no_continuum_integral():
         assert not hasattr(ops, name)
 
 
+def test_operators_bind_no_lattice_shift():
+    # FockBasis.nucleon_shift is the only configuration shift: the
+    # builders never translate lattice indices themselves
+    assert not hasattr(ops, "translate_indices")
+
+
 # ---------------------------------------------------------------------------
 # input validation and bookkeeping
 
@@ -767,6 +773,21 @@ def test_verify_identity_flags_perturbation():
     # one diagonal entry: the bound is the norm itself
     assert rep.opnorm_diff_bound == pytest.approx(rep.max_abs_diff, rel=1e-12)
     assert rep.opnorm_diff_bound == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_verify_identity_fails_non_finite_entries(bad):
+    # a NaN scale made the relative deviation 0 and the check pass
+    basis = small_basis(GROSS1, n_max=1)
+    h = assemble_H_direct(basis, None, 1)
+    m = h.matrix.copy()
+    m.data[3] = bad
+    h_bad = SparseOperator(basis, m, dict(h.tags), h.hermitian_flag)
+    for a, b in ((h_bad, h_bad), (h, h_bad), (h_bad, h)):
+        rep = verify_identity(a, b)
+        assert not rep.passed
+        assert np.isnan(rep.max_rel_diff)
+    assert verify_identity(h, h).passed
 
 
 def test_verify_identity_is_symmetric_and_leaves_inputs_unchanged():
