@@ -11,7 +11,6 @@ from .fockgrid import (
     FockBasis,
     MomentumGrid,
     build_grid,
-    diagonal_values,
     enumerate_basis,
     point_index,
     translate_indices,

@@ -37,10 +37,8 @@ from . import __version__
 from .errors import (
     BasisTooLarge,
     ConditionCViolated,
-    DimensionMismatch,
     EckmannMassless,
     EpsilonTooLarge,
-    EvenAxisCount,
     ExponentWindowViolated,
     MasslessNucleon,
     MasslessWithoutShift,
@@ -226,6 +224,14 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             in ("1", "true", "yes")
         if "model" not in raw:
             raise KeyError("missing [model] section")
+        # the grid is checked here, not only where a basis is built, so
+        # that check and bounds refuse it as well
+        if not 0 < k_max < np.inf:
+            raise ValueError("k_max must be finite and > 0")
+        if n_per_axis < 1 or n_per_axis % 2 == 0:
+            raise ValueError("n_per_axis must be odd and >= 1")
+        if n_max < 0:
+            raise ValueError("n_max must be >= 0")
         if scaling and len(scaling) != 3:
             raise ValueError("scaling_exponents needs exactly three values")
         for name, values in (("lambda_list", lambda_list),
@@ -380,12 +386,11 @@ def _write_table(manifest: RunManifest, formats, stem: str, columns, rows,
 
 
 def _make_basis(cfg: RunConfig) -> FockBasis:
+    grid = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis)
     try:
-        grid = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis)
         return enumerate_basis(cfg.params, grid, grid, cfg.n_max,
                                max_dim=cfg.basis_cap)
-    except (BasisTooLarge, DimensionMismatch, EvenAxisCount,
-            ValueError) as exc:
+    except BasisTooLarge as exc:
         raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
 
 
@@ -674,17 +679,15 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     """Ground-state regularity ladder across box refinements."""
     _apply_gate(cfg, manifest, args.override_conditions)
     ladder = cfg.ladder_k_max or (cfg.k_max, 2 * cfg.k_max, 4 * cfg.k_max)
-    try:
-        h = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis).spacing
-    except (EvenAxisCount, ValueError) as exc:
-        raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
+    h = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis).spacing
     bases = []
     for km in ladder:
         nax = int(round(2.0 * km / h)) + 1
-        if nax % 2 == 0:
+        if nax % 2 == 0 or abs((nax - 1) * h / 2.0 - km) > 1e-9 * km:
             raise CommandError(EXIT_CONFIG,
-                               "ladder k_max %g is not an odd multiple of "
-                               "the grid spacing %g" % (km, h))
+                               "ladder k_max %g is not (n_axis - 1) * h / 2 "
+                               "for an odd n_axis at the base spacing h = %g "
+                               "(within 1e-9 relative)" % (km, h))
         grid = build_grid(cfg.params.d, km, nax)
         try:
             bases.append(enumerate_basis(cfg.params, grid, grid, cfg.n_max,

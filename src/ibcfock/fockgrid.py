@@ -11,11 +11,15 @@ Out-of-range momentum shifts are dropped (matrix element zero) rather
 than wrapped periodically, because the dispersions are not periodic;
 the resulting truncation error is part of the grid-refinement studies.
 
-FockBasis alone knows the state layout.  The builders reach states only
-through sector_slice, sector_states, state_index, nucleon_mode_table,
-nucleon_shift and nucleon_diagonal; a basis listing some of the states
-(one total-momentum fibre, say) that gives these the same meaning runs
-them unchanged.
+FockBasis alone knows the state layout, boson multisets included.  The
+builders reach states only through sector_slice, sector_states and
+state_index; nucleon_mode_table and nucleon_shift (a nucleon moving by
+a boson momentum); boson_add, boson_remove and boson_count (the boson
+rank after adding or removing one boson in mode q, and its occupation);
+and nucleon_energy, boson_energy, nucleon_diagonal and free_diagonal.
+Every table is built once per basis and read-only.  A basis listing
+some of the states (one total-momentum fibre, say) that gives these the
+same meaning runs the builders unchanged.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Tuple
+from functools import cached_property, wraps
+from typing import Tuple
 
 import numpy as np
 
@@ -133,6 +137,22 @@ def translate_indices(grid: MomentumGrid, ip, ik, sign: int = 1):
 # ---------------------------------------------------------------------------
 # truncated symmetric Fock basis
 
+def _kept_table(build):
+    """FockBasis method decorator: build(basis, *key)'s table is built once
+    per key and kept read-only in that basis's own __dict__ (equal bases
+    never share it)."""
+    @wraps(build)
+    def kept(basis, *key):
+        tables = vars(basis).setdefault("_tables", {})
+        name = (build.__name__,) + key
+        if name not in tables:
+            table = build(basis, *key)
+            table.flags.writeable = False
+            tables[name] = table
+        return tables[name]
+    return kept
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Enumerated basis of the truncated Fock space.
@@ -165,36 +185,67 @@ class FockBasis:
     def sector_slice(self, n: int) -> slice:
         return slice(self.offsets[n], self.offsets[n] + self.sector_dims[n])
 
-    @cached_property
-    def _mode_table(self) -> np.ndarray:
-        table = np.stack(np.unravel_index(
+    @_kept_table
+    def nucleon_mode_table(self) -> np.ndarray:
+        """(nuc_dim, M) int64 table of per-nucleon lattice indices."""
+        return np.stack(np.unravel_index(
             np.arange(self.nuc_dim, dtype=np.int64),
             (self.nucleon_grid.size,) * self.params.n_nucleons), axis=1)
-        table.flags.writeable = False
-        return table
 
-    def nucleon_mode_table(self) -> np.ndarray:
-        """(nuc_dim, M) int64 table of per-nucleon lattice indices, built
-        once per basis and read-only."""
-        return self._mode_table
-
+    @_kept_table
     def nucleon_shift(self, i: int, sign: int) -> np.ndarray:
         """(nuc_dim, G) table of the configuration reached when nucleon i
         moves by sign*k_q, -1 where it leaves the lattice (boson modes are
-        read on the nucleon lattice).  Built once per (i, sign), read-only."""
+        read on the nucleon lattice)."""
         if self.nucleon_grid != self.boson_grid:
             raise ValueError("nucleon shifts need one shared lattice")
-        tables = vars(self).setdefault("_shift_tables", {})
-        if (i, sign) not in tables:
-            src = self.nucleon_mode_table()[:, i, None]
-            tgt, ok = translate_indices(self.nucleon_grid, src,
-                                        np.arange(self.boson_grid.size), sign)
-            stride = self.nucleon_grid.size ** (self.params.n_nucleons - 1 - i)
-            cfg = np.arange(self.nuc_dim, dtype=np.int64)[:, None]
-            table = np.where(ok, cfg + (tgt - src) * stride, -1)
-            table.flags.writeable = False
-            tables[(i, sign)] = table
-        return tables[(i, sign)]
+        src = self.nucleon_mode_table()[:, i, None]
+        tgt, ok = translate_indices(self.nucleon_grid, src,
+                                    np.arange(self.boson_grid.size), sign)
+        stride = self.nucleon_grid.size ** (self.params.n_nucleons - 1 - i)
+        cfg = np.arange(self.nuc_dim, dtype=np.int64)[:, None]
+        return np.where(ok, cfg + (tgt - src) * stride, -1)
+
+    @_kept_table
+    def boson_add(self, n: int) -> np.ndarray:
+        """(bos_dim(n), G) int64 table of the sector-(n+1) boson rank of
+        each sector-n multiset with one boson added in mode q."""
+        if not 0 <= n < self.n_max:
+            raise IndexError("boson_add needs 0 <= n < %d" % self.n_max)
+        modes, g = self.bos_modes[n], self.boson_grid.size
+        grown = np.column_stack([np.repeat(modes, g, axis=0),
+                                 np.tile(np.arange(g), len(modes))])
+        return self.rank_bosons(n + 1, np.sort(grown, axis=1)).reshape(-1, g)
+
+    @_kept_table
+    def boson_remove(self, n: int) -> np.ndarray:
+        """(bos_dim(n), G) int64 table of the sector-(n-1) boson rank of
+        each sector-n multiset with one boson removed from mode q, -1
+        where it holds none; boson_add(n - 1) scattered back."""
+        if not 0 < n <= self.n_max:
+            raise IndexError("boson_remove needs 0 < n <= %d" % self.n_max)
+        add = self.boson_add(n - 1)
+        table = np.full((self.bos_dim(n), add.shape[1]), -1, dtype=np.int64)
+        table[add, np.arange(add.shape[1])] = np.arange(len(add))[:, None]
+        return table
+
+    @_kept_table
+    def boson_count(self, n: int) -> np.ndarray:
+        """(bos_dim(n), G) int64 table of the occupation of mode q."""
+        return (self.bos_modes[n][:, :, None] == np.arange(
+            self.boson_grid.size)).sum(axis=1, dtype=np.int64)
+
+    @_kept_table
+    def nucleon_energy(self) -> np.ndarray:
+        """Summed nucleon dispersion of every configuration."""
+        theta = dispersion_nucleon(self.nucleon_grid.points, self.params)
+        return theta[self.nucleon_mode_table()].sum(axis=1)
+
+    @_kept_table
+    def boson_energy(self, n: int) -> np.ndarray:
+        """Summed boson dispersion of every sector-n multiset."""
+        omega = dispersion_boson(self.boson_grid.points, self.params)
+        return omega[self.bos_modes[n]].sum(axis=-1)
 
     def sector_states(self, n: int):
         """(configurations, boson ranks) of sector_slice(n)'s states, in order."""
@@ -214,23 +265,11 @@ class FockBasis:
         """Free energy of every state: the nucleon plus the boson
         dispersions of its configuration.  Computed once per basis and
         read-only, since every assembly shares it."""
-        params = self.params
-
-        def free_energy(big_p, big_k):
-            return (dispersion_nucleon(big_p, params).sum(axis=-1)
-                    + dispersion_boson(big_k, params).sum(axis=-1))
-
-        values = diagonal_values(self, free_energy)
+        values = self.nucleon_diagonal(self.nucleon_energy()) + np.concatenate(
+            [np.tile(self.boson_energy(n), self.nuc_dim)
+             for n in range(self.n_max + 1)])
         values.flags.writeable = False
         return values
-
-    def nucleon_momenta(self) -> np.ndarray:
-        """(nuc_dim, M, d) nucleon momentum configurations."""
-        return self.nucleon_grid.points[self.nucleon_mode_table()]
-
-    def boson_momenta(self, n: int) -> np.ndarray:
-        """(bos_dim(n), n, d) boson momentum configurations of sector n."""
-        return self.boson_grid.points[self.bos_modes[n]]
 
     # -- index maps --------------------------------------------------------
     def rank_bosons(self, n: int, modes) -> np.ndarray:
@@ -334,24 +373,3 @@ def enumerate_basis(params: ModelParams, nucleon_grid: MomentumGrid,
                      bos_modes=tuple(bos_modes), bos_keys=tuple(bos_keys),
                      sector_dims=tuple(int(v) for v in dims), offsets=offsets,
                      total_dim=total)
-
-
-# ---------------------------------------------------------------------------
-# diagonal multipliers
-
-def diagonal_values(basis: FockBasis, f: Callable) -> np.ndarray:
-    """Evaluate a diagonal multiplier f(P, K) on every basis state.
-
-    f receives the nucleon momenta P with shape (B, M, d) and the boson
-    momenta K with shape (B, n, d) for one sector at a time, and must
-    return a vector of length B.
-    """
-    out = np.empty(basis.total_dim)
-    nuc_p = basis.nucleon_momenta()
-    for n in range(basis.n_max + 1):
-        b_dim = basis.bos_dim(n)
-        big_p = np.repeat(nuc_p, b_dim, axis=0)
-        big_k = np.tile(basis.boson_momenta(n), (basis.nuc_dim, 1, 1))
-        out[basis.sector_slice(n)] = np.asarray(f(big_p, big_k), dtype=float)
-    return out
-

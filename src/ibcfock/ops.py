@@ -40,8 +40,12 @@ assemble_H_ibc adds.
 Builders that move a nucleon by a boson momentum (creation, G, T, the
 exchange pieces and both Hamiltonians) require the nucleon and boson
 grids to share one lattice, and FockBasis.nucleon_shift is the only
-configuration shift.  Builders loop over the states that
-FockBasis.sector_states lists and never see the state layout.
+configuration shift.  A boson is added or removed only through the
+FockBasis.boson_add and boson_remove rank tables, with its occupation
+from boson_count and the state energies from nucleon_energy and
+boson_energy.  Builders loop over the states that
+FockBasis.sector_states lists and never see the state layout or a
+boson multiset.
 
 The scalar type is decided in one place, _csr: values with no nonzero
 imaginary part are stored as float64, others as complex128.  Every other
@@ -69,7 +73,6 @@ from .errors import BasisMismatch, ConditionCViolated, MasslessWithoutShift
 from .fockgrid import FockBasis
 from .model import (
     check_condition_c,
-    dispersion_boson,
     dispersion_boson_norm,
     dispersion_nucleon,
     form_factor,
@@ -150,32 +153,6 @@ def _require_shared_lattice(basis: FockBasis):
 
 
 # ---------------------------------------------------------------------------
-# multiset surgery (rows are sorted mode tuples)
-
-def _insert_mode(modes: np.ndarray, q) -> np.ndarray:
-    """Insert mode q into every sorted row of (..., n) -> (..., n+1); q is
-    one mode or an array of modes broadcasting against the row shape."""
-    q = np.asarray(q)[..., None]
-    shape = (np.broadcast_shapes(modes.shape[:-1], q.shape[:-1])
-             + modes.shape[-1:])
-    modes = np.broadcast_to(modes, shape)
-    pos = (modes < q).sum(axis=-1, keepdims=True)
-    cols = np.arange(shape[-1] + 1)
-    pad = np.zeros(shape[:-1] + (1,), dtype=modes.dtype)
-    left = np.concatenate([modes, pad], axis=-1)
-    right = np.concatenate([pad, modes], axis=-1)
-    return np.where(cols < pos, left, np.where(cols == pos, q, right))
-
-
-def _remove_mode(modes: np.ndarray, q: int) -> np.ndarray:
-    """Remove one instance of q from every sorted row (rows must hold q)."""
-    b, n = modes.shape
-    pos = (modes < q).sum(axis=1)
-    cols = np.arange(n - 1)
-    return np.where(cols < pos[:, None], modes[:, :n - 1], modes[:, 1:])
-
-
-# ---------------------------------------------------------------------------
 # shared pieces
 
 def _kept(build):
@@ -253,13 +230,11 @@ def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
     sqrt_w = basis.boson_grid.cell_weight ** 0.5
     rows, cols, vals = [], [], []
     for n in range(basis.n_max):
-        modes = basis.bos_modes[n]
         cfg, rank = basis.sector_states(n)
         start = basis.sector_slice(n).start
+        add, count = basis.boson_add(n), basis.boson_count(n)
         for q in np.flatnonzero(mask):
-            tgt_bos = basis.rank_bosons(
-                n + 1, _insert_mode(modes.astype(np.int64), q))
-            mult = np.sqrt((modes == q).sum(axis=1) + 1.0)
+            mult = np.sqrt(count[:, q] + 1.0)
             for i in range(params.n_nucleons):
                 tgt = basis.nucleon_shift(i, -1)[:, q][cfg]
                 src = np.flatnonzero(tgt >= 0)
@@ -267,7 +242,7 @@ def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
                     continue
                 tgt, r = tgt[src], rank[src]
                 amp = _form_factors(basis, i, [q])[0] * sqrt_w
-                rows.append(basis.state_index(n + 1, tgt, tgt_bos[r]))
+                rows.append(basis.state_index(n + 1, tgt, add[r, q]))
                 cols.append(start + src)
                 vals.append(amp[nuc_table[:, i][tgt]] * mult[r])
     return _csr(rows, cols, vals, basis.total_dim)
@@ -366,10 +341,10 @@ def _subtract_resolvent_sums(basis: FockBasis, diag: np.ndarray, lambda_uv,
     params = basis.params
     nuc_table = basis.nucleon_mode_table()
     theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
-    theta_state = theta_pt[nuc_table].sum(axis=1)
+    theta_state = basis.nucleon_energy()
     for n in range(basis.n_max):
         cfg, rank = basis.sector_states(n)
-        omega_b = dispersion_boson(basis.boson_momenta(n), params).sum(axis=-1)
+        omega_b = basis.boson_energy(n)
         for ell in range(params.n_nucleons):
             p_ell = nuc_table[:, ell][cfg]
             rest = ((theta_state - theta_pt[nuc_table[:, ell]])[cfg]
@@ -419,7 +394,7 @@ def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
     theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
     return (np.flatnonzero(grid_mode_mask(basis.boson_grid, lambda_uv, params)),
             basis.nucleon_shift(i, -1), basis.nucleon_shift(ell, 1), theta_pt,
-            theta_pt[basis.nucleon_mode_table()].sum(axis=1),
+            basis.nucleon_energy(),
             dispersion_boson_norm(basis.boson_grid.norms(), params))
 
 
@@ -439,8 +414,7 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
     for n in range(basis.n_max):           # intermediates live in sector n+1
         cfg, rank = basis.sector_states(n)
         start = basis.sector_slice(n).start
-        omega_b = dispersion_boson(basis.boson_momenta(n),
-                                   basis.params).sum(axis=-1)
+        omega_b = basis.boson_energy(n)
         for a, q in enumerate(active):
             z = emit[:, q][cfg]              # nucleon i has emitted q
             x = absorb[:, q][z]              # nucleon ell has absorbed it
@@ -476,24 +450,19 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
     ff_ell = ff_i if i == ell else _form_factors(basis, ell, active)
     rows, cols, vals = [], [], []
     for n in range(1, basis.n_max):        # intermediates live in sector n+1
-        modes = basis.bos_modes[n].astype(np.int64)
         cfg, rank = basis.sector_states(n)
         start = basis.sector_slice(n).start
-        omega_b = dispersion_boson(basis.boson_momenta(n),
-                                   basis.params).sum(axis=-1)
+        omega_b = basis.boson_energy(n)
+        count, remove = basis.boson_count(n), basis.boson_remove(n)
+        add = basis.boson_add(n - 1)
         for a, q in enumerate(active):     # mode removed from the source
             # a state y --(i emits q2)--> z --(ell absorbs q)--> x; pairs
             # run over the created mode q2 in active order, then over the
             # source states holding q
-            cnt_q = (modes == q).sum(axis=1)
-            src = np.flatnonzero(cnt_q[rank] >= 1)
+            src = np.flatnonzero(count[rank, q] >= 1)
             if src.size == 0:
                 continue
-            r_sel = np.flatnonzero(cnt_q >= 1)
-            reduced = _remove_mode(modes[r_sel], q)
-            cnt_q_r = cnt_q[r_sel].astype(float)
-            c = cfg[src]
-            pos = np.searchsorted(r_sel, rank[src])   # row of r_sel
+            c, r = cfg[src], rank[src]
             # blocks of created modes q2, at most _TD_CHUNK (mode, state) pairs
             step = max(1, _TD_CHUNK // src.size)
             for lo in range(0, active.size, step):
@@ -503,22 +472,21 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
                 k2, s = np.nonzero((z >= 0) & (x >= 0))
                 if s.size == 0:
                     continue
-                tgt_bos = basis.rank_bosons(n, _insert_mode(reduced,
-                                                            q2[:, None]))
-                cnt_q2 = (modes[r_sel] == q2[:, None, None]).sum(axis=-1)
-                bf = np.where((q2 == q)[:, None], cnt_q_r,
-                              np.sqrt(cnt_q_r * (cnt_q2 + 1.0)))
-                zs, p = z[k2, s], pos[s]
+                rs, q2s = r[s], q2[k2]
+                m_q = count[rs, q].astype(float)
+                bf = np.where(q2s == q, m_q,
+                              np.sqrt(m_q * (count[rs, q2s] + 1.0)))
+                zs = z[k2, s]
                 zi, ze = nuc_table[zs, i], nuc_table[zs, ell]
                 wgt = (np.conj(ff_ell[a, ze]) * ff_i[lo + k2, zi]
                        * basis.boson_grid.cell_weight)
                 theta_z = (theta_state[c[s]] - theta_pt[nuc_table[c[s], i]]
                            + theta_pt[zi])
-                den = (theta_z + omega_b[r_sel[p]]
-                       + (om[q2[k2]] + lambda_shift))
-                rows.append(basis.state_index(n, x[k2, s], tgt_bos[k2, p]))
+                den = theta_z + omega_b[rs] + (om[q2s] + lambda_shift)
+                rows.append(basis.state_index(n, x[k2, s],
+                                              add[remove[rs, q], q2s]))
                 cols.append(start + src[s])
-                vals.append(wgt * bf[k2, p] / den)
+                vals.append(wgt * bf / den)
     m = _csr(rows, cols, vals, basis.total_dim)
     return SparseOperator(basis, m, {"path": "ibc", "kind": "tau",
                                      "i": i, "ell": ell,

@@ -190,6 +190,11 @@ _WGAUSS = np.concatenate([_WG, _WG[-2::-1]])
 # integral counts as not converged (QUADPACK's limit in the same role)
 PANEL_BUDGET = 300
 
+# share of epsabs that the weighted radial errors of one angular level
+# may use together: the difference of two levels then carries at most
+# half of epsabs of radial noise, and the angular test can still pass
+RADIAL_SHARE = 0.25
+
 
 def _gk21(fv: np.ndarray, half: np.ndarray):
     """Value and QUADPACK error estimate of the K21 rule on each panel,
@@ -368,11 +373,13 @@ def axisymmetric_integral(integrand: Callable, d: int, lo: float, hi: float,
     loses smoothness, u_kinks are cosines where the angular profile does.
     The angular rule is refined by doubling until stable.  Each radial
     integral runs adaptive G10/K21 panels, split first at the kinks, to
-    within max(epsabs, epsrel*|value|), using at most PANEL_BUDGET panels
-    per finite range; QuadNotConverged is raised when that budget runs
-    out, when the integrand is not finite at a node, when a power tail
-    does not settle, or when the angular rule has not converged by
-    n_angular_max nodes.
+    within max(RADIAL_SHARE*epsabs/sum|w|, epsrel*|value|), w being the
+    angular weights, so that radial noise cannot hold the angular test
+    above its tolerance; a finite range may use at most PANEL_BUDGET
+    panels.  QuadNotConverged is raised when that budget runs out, when
+    the integrand is not finite at a node, when a power tail does not
+    settle, or when the angular rule has not converged by n_angular_max
+    nodes.
     """
 
     def radial(r, u):
@@ -382,8 +389,9 @@ def axisymmetric_integral(integrand: Callable, d: int, lo: float, hi: float,
     def evaluate(n_nodes: int):
         nodes, weights = _angular_rule(d, n_nodes, u_kinks)
         ks = [kinks(u) if kinks is not None else () for u in nodes]
-        inner, tail, err, n_evals = _radial_integrals(radial, nodes, lo, hi, ks,
-                                                      epsabs, epsrel)
+        radial_epsabs = RADIAL_SHARE * epsabs / np.abs(weights).sum()
+        inner, tail, err, n_evals = _radial_integrals(
+            radial, nodes, lo, hi, ks, radial_epsabs, epsrel)
         return (float(weights @ inner), float(weights @ tail),
                 float(np.abs(weights) @ err), int(n_evals.sum()))
 

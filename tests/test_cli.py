@@ -162,6 +162,18 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     ("regularity", "n_p_samples = 4", "eta_list = 0.25, nan"),
     ("identity", "k_max = 2.0", "k_max = nan"),
     ("regularity", "k_max = 2.0", "k_max = nan"),
+    # check and bounds build no grid, so load_config refuses it for them
+    ("check", "k_max = 2.0", "k_max = nan"),
+    ("bounds", "k_max = 2.0", "k_max = nan"),
+    ("check", "k_max = 2.0", "k_max = 0"),
+    ("bounds", "k_max = 2.0", "k_max = inf"),
+    ("check", "n_per_axis = 5", "n_per_axis = 4"),
+    ("bounds", "n_per_axis = 5", "n_per_axis = 0"),
+    ("check", "n_max = 1", "n_max = -1"),
+    ("bounds", "n_max = 1", "n_max = -1"),
+    # a ladder rung must sit on the base spacing (1 here): k_max 2.2 would
+    # run 5 points at spacing 1.1
+    ("regularity", "n_p_samples = 4", "ladder_k_max = 1, 2.2, 4"),
 ])
 def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))

@@ -222,38 +222,81 @@ def test_translate_indices_matches_pointwise():
 
 
 # ---------------------------------------------------------------------------
-# diagonal multipliers
+# boson multiset tables and the free diagonal
 
-def test_apply_diag_identity_and_number():
-    b = _tiny_basis(n_max=2)
-    vec = np.arange(b.total_dim, dtype=complex)
-    out = vec * fg.diagonal_values(b, lambda p, k: np.ones(p.shape[0]))
-    np.testing.assert_array_equal(out, vec)
-    nvals = fg.diagonal_values(
-        b, lambda p, k: np.full(p.shape[0], k.shape[1], dtype=float))
-    assert set(nvals[b.sector_slice(2)]) == {2.0}
-    assert set(nvals[b.sector_slice(0)]) == {0.0}
+def _rank_of(b, n, flat):
+    """Boson rank of flat state index flat within sector n."""
+    return int(b.sector_states(n)[1][flat - b.sector_slice(n).start])
 
 
-def test_apply_diag_free_energy_value():
+@pytest.mark.parametrize("n_nucleons, n_max", [(1, 3), (2, 2), (3, 2)])
+def test_boson_tables_match_index_oracle(n_nucleons, n_max):
+    b = _tiny_basis(n_max=n_max, n_nucleons=n_nucleons)
+    g = b.boson_grid.size
+    nuc = tuple(b.nucleon_mode_table()[-1].tolist())
+    for n in range(n_max + 1):
+        members = [("count", b.boson_count)]
+        if n < n_max:
+            members.append(("add", b.boson_add))
+        if n > 0:
+            members.append(("remove", b.boson_remove))
+        for name, member in members:
+            table = member(n)
+            assert table.shape == (b.bos_dim(n), g) and table.dtype == np.int64
+            assert member(n) is table                  # built once
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        for r in range(b.bos_dim(n)):
+            bos = b.decode(int(b.state_index(n, 0, r)))[2]
+            for q in range(g):
+                assert b.boson_count(n)[r, q] == bos.count(q)
+                if n < n_max:
+                    grown = b.index_of(n + 1, nuc, bos + (q,))
+                    assert b.boson_add(n)[r, q] == _rank_of(b, n + 1, grown)
+                if n > 0:
+                    want = -1
+                    if q in bos:
+                        rest = list(bos)
+                        rest.remove(q)
+                        want = _rank_of(b, n - 1, b.index_of(n - 1, nuc, rest))
+                    assert b.boson_remove(n)[r, q] == want
+        if n > 0:
+            assert (b.boson_remove(n) == -1).any()
+    with pytest.raises(IndexError):
+        b.boson_add(n_max)
+    with pytest.raises(IndexError):
+        b.boson_remove(0)
+
+
+def test_free_diagonal_matches_decode_oracle():
+    bases = (_tiny_basis(n_max=3), _tiny_basis(n_max=2, n_nucleons=2),
+             fg.enumerate_basis(ib.gross_model(mu=0.5, m_boson=0.7,
+                                               n_nucleons=2),
+                                fg.build_grid(2, 1.0, 3),
+                                fg.build_grid(2, 1.0, 3), 2))
+    for b in bases:
+        pts, params = b.boson_grid.points, b.params
+        want = np.empty(b.total_dim)
+        for i in range(b.total_dim):
+            _, nuc, bos = b.decode(i)
+            want[i] = (ib.dispersion_nucleon(pts[list(nuc)], params).sum()
+                       + ib.dispersion_boson(pts[list(bos)], params).sum())
+        np.testing.assert_array_equal(b.free_diagonal, want)
+
+
+def test_free_diagonal_closed_form_value():
     params = ib.gross_model(mu=1.0, m_boson=1.0)
     grid = fg.build_grid(2, 1.0, 3)
     b = fg.enumerate_basis(params, grid, grid, 2)
-
-    def free_energy(p, k):
-        return (ib.dispersion_nucleon(p, params).sum(axis=-1)
-                + ib.dispersion_boson(k, params).sum(axis=-1))
-
-    vals = fg.diagonal_values(b, free_energy)
+    vals = b.free_diagonal
     i = b.index_of(2, (fg.point_index(grid, [0.0, 0.0]),),
                    (fg.point_index(grid, [0.0, 0.0]), fg.point_index(grid, [0.0, 0.0])))
     assert vals[i] == pytest.approx(3.0)  # rest masses: 1 + 2*1
     assert np.all(vals >= 1.0)  # free operator bounded below by 1 here
-    # the basis carries the same diagonal, built once and read-only
-    assert np.array_equal(b.free_diagonal, vals)
-    assert b.free_diagonal is b.free_diagonal
+    # built once per basis and read-only
+    assert b.free_diagonal is vals
     with pytest.raises(ValueError):
-        b.free_diagonal[0] = 0.0
+        vals[0] = 0.0
 
 
 def test_manifest_is_json_serializable():

@@ -7,6 +7,7 @@ tuples and compresses it with the symmetrizer, pinning every
 combinatorial factor independently of the production code path.
 """
 
+import inspect
 import math
 from collections import Counter
 from itertools import permutations, product as iproduct
@@ -675,6 +676,15 @@ def test_operators_bind_no_lattice_shift():
     # FockBasis.nucleon_shift is the only configuration shift: the
     # builders never translate lattice indices themselves
     assert not hasattr(ops, "translate_indices")
+
+
+def test_operators_bind_no_multiset_surgery():
+    # FockBasis owns the boson multisets: the builders read its add,
+    # remove and occupation tables and never edit or rank a multiset
+    assert not hasattr(ops, "_insert_mode") and not hasattr(ops, "_remove_mode")
+    source = inspect.getsource(ops)
+    for name in ("bos_modes", "rank_bosons", "boson_momenta"):
+        assert name not in source
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,20 @@ def test_condition_b_eckmann_converges():
     assert v.abs_error_estimate < 1e-6
 
 
+def test_condition_b_angular_test_clears_radial_noise():
+    # the first momentum `check` samples for gross at coupling 0.5, seed 0:
+    # radial integrals that each met the whole epsabs summed to ~4e-9 of
+    # noise, and every angular doubling up to n = 512 differed by
+    # 1.5e-9 to 6.3e-9, above the 1e-9 angular tolerance
+    params = ib.gross_model(coupling=0.5)
+    p = np.array([0.18859533164008996, -0.19815729493695283])
+    res = ib.condition_b_lhs(p, 1.0, params)
+    ref = ib.condition_b_lhs(p, 1.0, params, epsabs=1e-12, epsrel=1e-11,
+                             n_angular_max=2048)
+    assert res.abs_error_estimate <= quad.EPSABS_DEFAULT
+    assert abs(res.value - ref.value) <= quad.EPSABS_DEFAULT
+
+
 # ---------------------------------------------------------------------------
 # scaling bound
 
