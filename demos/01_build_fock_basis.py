@@ -19,7 +19,7 @@ grid = ib.build_grid(params.d, k_max=2.0, n_per_axis=5)
 print("momentum grid: d=%d, spacing h=%.3g, %d modes, cell weight h^d=%.3g"
       % (grid.d, grid.spacing, grid.size, grid.cell_weight))
 
-basis = ib.enumerate_basis(params, grid, grid, n_max=2)
+basis = ib.enumerate_basis(params, grid, n_max=2)
 print("basis: %d states total" % basis.total_dim)
 for n in range(basis.n_max + 1):
     sec = basis.sector_slice(n)
@@ -41,7 +41,6 @@ print(json.dumps(basis.manifest(), indent=2, sort_keys=True)[:400], "...")
 
 # truncation guard: a basis that would not fit desk RAM refuses to build
 try:
-    ib.enumerate_basis(params, ib.build_grid(2, 8.0, 33),
-                       ib.build_grid(2, 8.0, 33), n_max=3)
+    ib.enumerate_basis(params, ib.build_grid(2, 8.0, 33), n_max=3)
 except BasisTooLarge as exc:
     print("\noversized request correctly refused: %s" % exc)

@@ -17,7 +17,7 @@ import ibcfock as ib
 
 params = ib.gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 grid = ib.build_grid(params.d, k_max=2.0, n_per_axis=5)
-basis = ib.enumerate_basis(params, grid, grid, n_max=2)
+basis = ib.enumerate_basis(params, grid, n_max=2)
 print("basis: %d states, digest %s..."
       % (basis.total_dim, ib.basis_digest(basis)[:12]))
 

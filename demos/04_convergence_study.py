@@ -13,7 +13,7 @@ import ibcfock as ib
 
 params = ib.gross_model(coupling=0.3, mu=1.0, m_boson=1.0)
 grid = ib.build_grid(params.d, k_max=8.0, n_per_axis=17)
-basis = ib.enumerate_basis(params, grid, grid, n_max=1)
+basis = ib.enumerate_basis(params, grid, n_max=1)
 print("basis: %d states (one boson sector, h=%.2g, box %g)"
       % (basis.total_dim, grid.spacing, grid.k_max))
 

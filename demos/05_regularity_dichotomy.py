@@ -19,7 +19,7 @@ print("model: d=%d relativistic, ultraviolet degree D=%.3g"
 bases = []
 for k_max in (4.0, 8.0, 16.0):
     grid = ib.build_grid(params.d, k_max, int(2 * k_max) + 1)
-    bases.append(ib.enumerate_basis(params, grid, grid, n_max=1))
+    bases.append(ib.enumerate_basis(params, grid, n_max=1))
     print("  ladder step: box %4.1f, %7d states"
           % (k_max, bases[-1].total_dim))
 

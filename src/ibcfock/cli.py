@@ -216,6 +216,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         eig_tol = float(study.get("eig_tol", "1e-9"))
         norm_tol = float(study.get("norm_tol", "1e-4"))
         seed = int(study.get("seed", "0"))
+        if seed_override is not None:
+            seed = int(seed_override)
         n_samples = int(float(study.get("n_samples", "20000")))
         n_p_samples = int(study.get("n_p_samples", "20"))
         formats = tuple(output.get("formats", "csv, json")
@@ -236,7 +238,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise ValueError("scaling_exponents needs exactly three values")
         for name, values in (("lambda_list", lambda_list),
                              ("variants", variants),
-                             ("lambda_shifts", lambda_shifts)):
+                             ("lambda_shifts", lambda_shifts),
+                             ("eta_list", eta_list)):
             if not values:
                 raise ValueError("%s must not be empty" % name)
         if not set(variants) <= {1, 2} or len(set(variants)) < len(variants):
@@ -252,8 +255,11 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         if len(fit_lambdas) < 3 or min(fit_lambdas) <= 0:
             raise ValueError("fit_lambda_list needs at least 3 positive "
                              "cutoffs")
-        if any(e < 0 for e in eta_list):
-            raise ValueError("eta_list must be >= 0")
+        if any(e < 0 for e in eta_list) or len(set(eta_list)) < len(eta_list):
+            raise ValueError("eta_list values must be distinct and >= 0")
+        # numpy's generators refuse a negative seed
+        if seed < 0:
+            raise ValueError("seed (or --seed) must be >= 0")
         if n_samples < 1 or n_p_samples < 1:
             raise ValueError("n_samples and n_p_samples must be >= 1")
         # a nan or inf tolerance would switch the residual checks off
@@ -262,8 +268,6 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     except (KeyError, ValueError) as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
 
-    if seed_override is not None:
-        seed = int(seed_override)
     if tol_override is not None:
         tol_identity = float(tol_override)
     if not 0 <= tol_identity < np.inf:
@@ -388,7 +392,7 @@ def _write_table(manifest: RunManifest, formats, stem: str, columns, rows,
 def _make_basis(cfg: RunConfig) -> FockBasis:
     grid = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis)
     try:
-        return enumerate_basis(cfg.params, grid, grid, cfg.n_max,
+        return enumerate_basis(cfg.params, grid, cfg.n_max,
                                max_dim=cfg.basis_cap)
     except BasisTooLarge as exc:
         raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
@@ -634,7 +638,7 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
         off_diag = float(np.abs(diff.data[diff.row != diff.col]).max()) \
             if np.any(diff.row != diff.col) else 0.0
         j_rows = np.zeros(basis.nuc_dim)
-        grid = basis.boson_grid
+        grid = basis.grid
         table = basis.nucleon_mode_table()
         for ell in range(cfg.params.n_nucleons):
             j_rows += integral_j_grid(table[:, ell], grid, lam, cfg.params,
@@ -690,7 +694,7 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                "(within 1e-9 relative)" % (km, h))
         grid = build_grid(cfg.params.d, km, nax)
         try:
-            bases.append(enumerate_basis(cfg.params, grid, grid, cfg.n_max,
+            bases.append(enumerate_basis(cfg.params, grid, cfg.n_max,
                                          max_dim=cfg.basis_cap))
         except BasisTooLarge as exc:
             raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)

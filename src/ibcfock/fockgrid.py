@@ -5,7 +5,10 @@ number of points per axis, so that 0 is always a lattice point.  A basis
 state pairs one lattice point per nucleon with a multiset of boson
 lattice points; multisets realize the symmetric sectors exactly, with
 the symmetrization factors absorbed into matrix-element combinatorics
-by the operator assembly.
+by the operator assembly.  Nucleons and bosons share the basis's one
+lattice: a nucleon lattice index and a boson mode index name the same
+point, so a nucleon at p that emits k recoils to the lattice point
+p - k, and the total momentum of a state is a lattice sum.
 
 Out-of-range momentum shifts are dropped (matrix element zero) rather
 than wrapped periodically, because the dispersions are not periodic;
@@ -164,12 +167,13 @@ class FockBasis:
 
         offsets[n] + i_nucleon * bos_dims[n] + i_boson.
 
-    params is the model every operator on the basis is assembled for.
+    grid is the one lattice of both: nucleon lattice indices and boson
+    modes index the same points.  params is the model every operator on
+    the basis is assembled for.
     """
 
     params: ModelParams
-    nucleon_grid: MomentumGrid
-    boson_grid: MomentumGrid
+    grid: MomentumGrid
     n_max: int
     nuc_dim: int
     bos_modes: Tuple[np.ndarray, ...] = field(compare=False)
@@ -190,19 +194,16 @@ class FockBasis:
         """(nuc_dim, M) int64 table of per-nucleon lattice indices."""
         return np.stack(np.unravel_index(
             np.arange(self.nuc_dim, dtype=np.int64),
-            (self.nucleon_grid.size,) * self.params.n_nucleons), axis=1)
+            (self.grid.size,) * self.params.n_nucleons), axis=1)
 
     @_kept_table
     def nucleon_shift(self, i: int, sign: int) -> np.ndarray:
         """(nuc_dim, G) table of the configuration reached when nucleon i
-        moves by sign*k_q, -1 where it leaves the lattice (boson modes are
-        read on the nucleon lattice)."""
-        if self.nucleon_grid != self.boson_grid:
-            raise ValueError("nucleon shifts need one shared lattice")
+        moves by sign*k_q, -1 where it leaves the lattice."""
         src = self.nucleon_mode_table()[:, i, None]
-        tgt, ok = translate_indices(self.nucleon_grid, src,
-                                    np.arange(self.boson_grid.size), sign)
-        stride = self.nucleon_grid.size ** (self.params.n_nucleons - 1 - i)
+        tgt, ok = translate_indices(self.grid, src, np.arange(self.grid.size),
+                                    sign)
+        stride = self.grid.size ** (self.params.n_nucleons - 1 - i)
         cfg = np.arange(self.nuc_dim, dtype=np.int64)[:, None]
         return np.where(ok, cfg + (tgt - src) * stride, -1)
 
@@ -212,7 +213,7 @@ class FockBasis:
         each sector-n multiset with one boson added in mode q."""
         if not 0 <= n < self.n_max:
             raise IndexError("boson_add needs 0 <= n < %d" % self.n_max)
-        modes, g = self.bos_modes[n], self.boson_grid.size
+        modes, g = self.bos_modes[n], self.grid.size
         grown = np.column_stack([np.repeat(modes, g, axis=0),
                                  np.tile(np.arange(g), len(modes))])
         return self.rank_bosons(n + 1, np.sort(grown, axis=1)).reshape(-1, g)
@@ -233,18 +234,18 @@ class FockBasis:
     def boson_count(self, n: int) -> np.ndarray:
         """(bos_dim(n), G) int64 table of the occupation of mode q."""
         return (self.bos_modes[n][:, :, None] == np.arange(
-            self.boson_grid.size)).sum(axis=1, dtype=np.int64)
+            self.grid.size)).sum(axis=1, dtype=np.int64)
 
     @_kept_table
     def nucleon_energy(self) -> np.ndarray:
         """Summed nucleon dispersion of every configuration."""
-        theta = dispersion_nucleon(self.nucleon_grid.points, self.params)
+        theta = dispersion_nucleon(self.grid.points, self.params)
         return theta[self.nucleon_mode_table()].sum(axis=1)
 
     @_kept_table
     def boson_energy(self, n: int) -> np.ndarray:
         """Summed boson dispersion of every sector-n multiset."""
-        omega = dispersion_boson(self.boson_grid.points, self.params)
+        omega = dispersion_boson(self.grid.points, self.params)
         return omega[self.bos_modes[n]].sum(axis=-1)
 
     def sector_states(self, n: int):
@@ -278,7 +279,7 @@ class FockBasis:
         modes = np.asarray(modes, dtype=np.int64)
         if n == 0:
             return np.zeros(modes.shape[:-1], dtype=np.int64)
-        base = np.int64(self.boson_grid.size + 1)
+        base = np.int64(self.grid.size + 1)
         key = np.zeros(modes.shape[:-1], dtype=np.int64)
         for j in range(n):
             key = key * base + modes[..., j]
@@ -310,10 +311,10 @@ class FockBasis:
         if nuc.shape != (self.params.n_nucleons,) or bos.shape != (n,):
             raise ValueError("sector %d needs %d nucleon modes and %d bosons"
                              % (n, self.params.n_nucleons, n))
-        if (np.any((nuc < 0) | (nuc >= self.nucleon_grid.size))
-                or np.any((bos < 0) | (bos >= self.boson_grid.size))):
+        if (np.any((nuc < 0) | (nuc >= self.grid.size))
+                or np.any((bos < 0) | (bos >= self.grid.size))):
             raise IndexError("mode index outside its lattice")
-        i_nuc = np.ravel_multi_index(nuc, (self.nucleon_grid.size,) * nuc.size)
+        i_nuc = np.ravel_multi_index(nuc, (self.grid.size,) * nuc.size)
         return int(self.state_index(n, i_nuc, self.rank_bosons(n, bos)))
 
     def manifest(self) -> dict:
@@ -323,8 +324,9 @@ class FockBasis:
             "n_nucleons": self.params.n_nucleons,
             "sector_dims": list(self.sector_dims),
             "offsets": list(self.offsets),
-            "nucleon_grid": self.nucleon_grid.manifest(),
-            "boson_grid": self.boson_grid.manifest(),
+            # two keys kept: basis_digest hashes them (artifacts, Lanczos)
+            "nucleon_grid": self.grid.manifest(),
+            "boson_grid": self.grid.manifest(),
         }
 
 
@@ -333,17 +335,17 @@ def sector_dimension(n_modes: int, n_nucleons: int, nuc_size: int, n: int) -> in
     return nuc_size ** n_nucleons * math.comb(n_modes + n - 1, n)
 
 
-def enumerate_basis(params: ModelParams, nucleon_grid: MomentumGrid,
-                    boson_grid: MomentumGrid, n_max: int,
+def enumerate_basis(params: ModelParams, grid: MomentumGrid, n_max: int,
                     max_dim: int = MAX_DIM_DEFAULT) -> FockBasis:
-    """Deterministic lexicographic enumeration of the truncated basis."""
-    if nucleon_grid.d != boson_grid.d or nucleon_grid.d != params.d:
-        raise DimensionMismatch("grids and model must share the dimension d")
+    """Deterministic lexicographic enumeration of the truncated basis on
+    one momentum lattice, shared by the nucleons and the bosons."""
+    if grid.d != params.d:
+        raise DimensionMismatch("grid and model must share the dimension d")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    nuc_dim = nucleon_grid.size ** params.n_nucleons
-    g = boson_grid.size
-    dims = [sector_dimension(g, params.n_nucleons, nucleon_grid.size, n)
+    g = grid.size
+    nuc_dim = g ** params.n_nucleons
+    dims = [sector_dimension(g, params.n_nucleons, g, n)
             for n in range(n_max + 1)]
     total = int(sum(dims))
     if total > max_dim:
@@ -368,8 +370,7 @@ def enumerate_basis(params: ModelParams, nucleon_grid: MomentumGrid,
         bos_keys.append(key)
 
     offsets = tuple(int(v) for v in np.concatenate([[0], np.cumsum(dims)[:-1]]))
-    return FockBasis(params=params, nucleon_grid=nucleon_grid,
-                     boson_grid=boson_grid, n_max=n_max, nuc_dim=nuc_dim,
+    return FockBasis(params=params, grid=grid, n_max=n_max, nuc_dim=nuc_dim,
                      bos_modes=tuple(bos_modes), bos_keys=tuple(bos_keys),
                      sector_dims=tuple(int(v) for v in dims), offsets=offsets,
                      total_dim=total)

@@ -37,15 +37,15 @@ equal bases: the creation matrix, which every builder takes, and
 _ibc_base, the boundary route without the counterterm diagonal that
 assemble_H_ibc adds.
 
-Builders that move a nucleon by a boson momentum (creation, G, T, the
-exchange pieces and both Hamiltonians) require the nucleon and boson
-grids to share one lattice, and FockBasis.nucleon_shift is the only
-configuration shift.  A boson is added or removed only through the
-FockBasis.boson_add and boson_remove rank tables, with its occupation
-from boson_count and the state energies from nucleon_energy and
-boson_energy.  Builders loop over the states that
-FockBasis.sector_states lists and never see the state layout or a
-boson multiset.
+Nucleon and boson momenta live on the basis's one lattice, so a
+nucleon moved by a boson momentum (creation, G, T, the exchange pieces
+and both Hamiltonians) lands on a lattice point or leaves the box, and
+FockBasis.nucleon_shift is the only configuration shift.  A boson is
+added or removed only through the FockBasis.boson_add and boson_remove
+rank tables, with its occupation from boson_count and the state
+energies from nucleon_energy and boson_energy.  Builders loop over the
+states that FockBasis.sector_states lists and never see the state
+layout or a boson multiset.
 
 The scalar type is decided in one place, _csr: values with no nonzero
 imaginary part are stored as float64, others as complex128.  Every other
@@ -142,16 +142,6 @@ def _diag_op(basis, values, tags, hermitian=True) -> SparseOperator:
                           tags, hermitian)
 
 
-def _require_shared_lattice(basis: FockBasis):
-    a, b = basis.nucleon_grid, basis.boson_grid
-    same = (a.d == b.d and a.n_per_axis == b.n_per_axis
-            and np.isclose(a.spacing, b.spacing)
-            and np.allclose(a.axis, b.axis))
-    if not same:
-        raise ValueError("recoil shifts and grid quadrature require the "
-                         "nucleon and boson grids to share one lattice")
-
-
 # ---------------------------------------------------------------------------
 # shared pieces
 
@@ -177,11 +167,11 @@ def _form_factors(basis: FockBasis, j: int, modes) -> np.ndarray:
     """(len(modes), lattice size) table of nucleon j's form factor: one
     call per boson mode over the whole lattice, so that every builder
     sees the same values bit for bit."""
-    nuc = basis.nucleon_grid
+    grid = basis.grid
     return np.array([
-        np.broadcast_to(form_factor(j, nuc.points, basis.boson_grid.points[q],
-                                    basis.params), nuc.size)
-        for q in modes]).reshape(len(modes), nuc.size)
+        np.broadcast_to(form_factor(j, grid.points, grid.points[q],
+                                    basis.params), grid.size)
+        for q in modes]).reshape(len(modes), grid.size)
 
 
 def _counterterm_rows(basis: FockBasis, lambda_uv,
@@ -190,12 +180,11 @@ def _counterterm_rows(basis: FockBasis, lambda_uv,
     the per-nucleon lattice twins, summed over nucleons."""
     if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
-    _require_shared_lattice(basis)
     params = basis.params
     nuc_table = basis.nucleon_mode_table()
     e_rows = np.zeros(basis.nuc_dim)
     for ell in range(params.n_nucleons):
-        e_rows += counterterm_grid(nuc_table[:, ell], basis.boson_grid,
+        e_rows += counterterm_grid(nuc_table[:, ell], basis.grid,
                                    lambda_uv, variant, params, i_nucleon=ell)
     return e_rows
 
@@ -215,7 +204,7 @@ def assemble_L(basis: FockBasis) -> SparseOperator:
 def _warn_beyond_reach(basis: FockBasis, lambda_uv) -> None:
     """Warn at the caller of the public function that calls this (the
     builders and the convergence study) if the cutoff exceeds the box."""
-    k_max = basis.boson_grid.k_max
+    k_max = basis.grid.k_max
     if lambda_uv is not None and lambda_uv > k_max * (1 + 1e-12):
         warnings.warn("cutoff radius %.6g exceeds the boson box reach %.6g"
                       % (lambda_uv, k_max), stacklevel=3)
@@ -223,11 +212,10 @@ def _warn_beyond_reach(basis: FockBasis, lambda_uv) -> None:
 
 @_kept
 def _creation_matrix(basis: FockBasis, lambda_uv) -> sparse.csr_array:
-    _require_shared_lattice(basis)
     params = basis.params
-    mask = grid_mode_mask(basis.boson_grid, lambda_uv, params)
+    mask = grid_mode_mask(basis.grid, lambda_uv, params)
     nuc_table = basis.nucleon_mode_table()
-    sqrt_w = basis.boson_grid.cell_weight ** 0.5
+    sqrt_w = basis.grid.cell_weight ** 0.5
     rows, cols, vals = [], [], []
     for n in range(basis.n_max):
         cfg, rank = basis.sector_states(n)
@@ -340,7 +328,7 @@ def _subtract_resolvent_sums(basis: FockBasis, diag: np.ndarray, lambda_uv,
     one-boson intermediates of every state below the top sector."""
     params = basis.params
     nuc_table = basis.nucleon_mode_table()
-    theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
+    theta_pt = dispersion_nucleon(basis.grid.points, params)
     theta_state = basis.nucleon_energy()
     for n in range(basis.n_max):
         cfg, rank = basis.sector_states(n)
@@ -353,7 +341,7 @@ def _subtract_resolvent_sums(basis: FockBasis, diag: np.ndarray, lambda_uv,
             for lo in range(0, cfg.shape[0], _TD_CHUNK):
                 hi = min(lo + _TD_CHUNK, cfg.shape[0])
                 out[lo:hi] = resolvent_sum_grid(
-                    p_ell[lo:hi], rest[lo:hi], basis.boson_grid, lambda_uv,
+                    p_ell[lo:hi], rest[lo:hi], basis.grid, lambda_uv,
                     params, i_nucleon=ell, lambda_shift=lambda_shift)
             diag[basis.sector_slice(n)] -= out
     return diag
@@ -390,12 +378,11 @@ def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
     m_nuc = params.n_nucleons
     if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
         raise IndexError("nucleon index out of range")
-    _require_shared_lattice(basis)
-    theta_pt = dispersion_nucleon(basis.nucleon_grid.points, params)
-    return (np.flatnonzero(grid_mode_mask(basis.boson_grid, lambda_uv, params)),
+    theta_pt = dispersion_nucleon(basis.grid.points, params)
+    return (np.flatnonzero(grid_mode_mask(basis.grid, lambda_uv, params)),
             basis.nucleon_shift(i, -1), basis.nucleon_shift(ell, 1), theta_pt,
             basis.nucleon_energy(),
-            dispersion_boson_norm(basis.boson_grid.norms(), params))
+            dispersion_boson_norm(basis.grid.norms(), params))
 
 
 def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
@@ -424,7 +411,7 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
             c, z, x, r = cfg[src], z[src], x[src], rank[src]
             z_i = nuc_table[z, i]
             wgt = (np.conj(ff_ell[a, nuc_table[c, ell]]) * ff_i[a, z_i]
-                   * basis.boson_grid.cell_weight)
+                   * basis.grid.cell_weight)
             theta_z = theta_state[c] - theta_pt[nuc_table[c, i]] + theta_pt[z_i]
             den = theta_z + omega_b[r] + (om[q] + lambda_shift)
             rows.append(basis.state_index(n, x, r))
@@ -479,7 +466,7 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
                 zs = z[k2, s]
                 zi, ze = nuc_table[zs, i], nuc_table[zs, ell]
                 wgt = (np.conj(ff_ell[a, ze]) * ff_i[lo + k2, zi]
-                       * basis.boson_grid.cell_weight)
+                       * basis.grid.cell_weight)
                 theta_z = (theta_state[c[s]] - theta_pt[nuc_table[c[s], i]]
                            + theta_pt[zi])
                 den = theta_z + omega_b[rs] + (om[q2s] + lambda_shift)

@@ -195,6 +195,10 @@ PANEL_BUDGET = 300
 # half of epsabs of radial noise, and the angular test can still pass
 RADIAL_SHARE = 0.25
 
+# nodes of the first angular level of axisymmetric_integral, which
+# doubles them until the value is stable
+N_ANGULAR = 8
+
 
 def _gk21(fv: np.ndarray, half: np.ndarray):
     """Value and QUADPACK error estimate of the K21 rule on each panel,
@@ -362,7 +366,6 @@ def axisymmetric_integral(integrand: Callable, d: int, lo: float, hi: float,
                           u_kinks: Sequence[float] = (),
                           epsabs: float = EPSABS_DEFAULT,
                           epsrel: float = EPSREL_DEFAULT,
-                          n_angular: int = 8,
                           n_angular_max: int = 128) -> QuadResult:
     """Integral over {lo <= |k| <= hi} of an axisymmetric integrand.
 
@@ -399,8 +402,8 @@ def axisymmetric_integral(integrand: Callable, d: int, lo: float, hi: float,
         inner, tail, err, n_evals = evaluate(2)
         return QuadResult(inner + tail, err, inner, tail, n_evals)
 
-    inner, tail, err, n_evals = evaluate(n_angular)
-    n = n_angular
+    inner, tail, err, n_evals = evaluate(N_ANGULAR)
+    n = N_ANGULAR
     while True:
         inner2, tail2, err2, ev2 = evaluate(2 * n)
         n_evals += ev2
@@ -554,7 +557,6 @@ def integral_I(P, K_hat, lambda_uv: float, ell: int, params: ModelParams,
 def condition_b_lhs(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0,
                     epsabs: float = EPSABS_DEFAULT,
                     epsrel: float = EPSREL_DEFAULT,
-                    n_angular: int = 8,
                     n_angular_max: int = 512) -> QuadResult:
     """Growth-condition integral with the exterior cutoff 1 - chi_Lambda:
 
@@ -585,7 +587,6 @@ def condition_b_lhs(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0
     return axisymmetric_integral(integrand, params.d, float(lambda_uv), np.inf,
                                  kinks=_default_kinks(p_norm), u_kinks=u_kinks,
                                  epsabs=epsabs, epsrel=epsrel,
-                                 n_angular=n_angular,
                                  n_angular_max=n_angular_max)
 
 

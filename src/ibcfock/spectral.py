@@ -484,7 +484,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     for name, tol in (("eig_tol", eig_tol), ("norm_tol", norm_tol)):
         if not (np.isfinite(tol) and tol > 0):
             raise ValueError("%s must be finite and positive" % name)
-    reach = basis.boson_grid.k_max * np.sqrt(basis.boson_grid.d)
+    reach = basis.grid.k_max * np.sqrt(basis.grid.d)
     if max(lams) > reach * (1 + 1e-12):
         raise ValueError("largest cutoff %.6g exceeds the grid reach %.6g"
                          % (max(lams), reach))
@@ -655,10 +655,12 @@ def regularity_diagnostic(bases, variant: int, eta_list,
     params = bases[0].params
     if any(b.params != params for b in bases[1:]):
         raise ValueError("refinements must share one model")
-    k_maxes = [b.boson_grid.k_max for b in bases]
+    k_maxes = [b.grid.k_max for b in bases]
     if any(b <= a for a, b in zip(k_maxes, k_maxes[1:])):
         raise ValueError("refinements must have strictly increasing k_max")
     etas = [float(e) for e in eta_list]
+    if not etas or len(set(etas)) < len(etas):
+        raise ValueError("eta_list must be nonempty and without repeats")
     if any(e < 0 for e in etas):
         raise ValueError("exponents must be nonnegative")
 
@@ -679,7 +681,7 @@ def regularity_diagnostic(bases, variant: int, eta_list,
             w = lv ** e
             ns = float(np.linalg.norm(w * g_psi))
             nr = float(np.linalg.norm(w * reg))
-            rows.append(RegularityRow(basis.boson_grid.k_max,
+            rows.append(RegularityRow(basis.grid.k_max,
                                       basis.total_dim, e, nr, ns))
             singular[e].append(ns)
 

@@ -23,7 +23,7 @@ ECKMANN = ib.eckmann_model(delta=0.0, coupling=1.0, mu=1.0, m_boson=1.0)
 
 def preset_basis(params, k_max, n_per_axis, n_max):
     grid = ib.build_grid(params.d, k_max, n_per_axis)
-    return ib.enumerate_basis(params, grid, grid, n_max)
+    return ib.enumerate_basis(params, grid, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_vacuum_sector_counterterm_cancellation():
         # exactly minus the momentum-dependent lattice counterterm
         t_cut = ib.assemble_T_cutoff(basis, lam, 0.0)
         block = t_cut.matrix[s0, s0].toarray()
-        e2 = ib.counterterm_grid(nuc_table[:, 0], basis.boson_grid, lam,
+        e2 = ib.counterterm_grid(nuc_table[:, 0], basis.grid, lam,
                                  2, params, i_nucleon=0)
         assert np.abs(block + np.diag(e2)).max() <= 1e-12
 

@@ -3,7 +3,10 @@ files, manifests, determinism."""
 
 import json
 import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,11 +177,21 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     # a ladder rung must sit on the base spacing (1 here): k_max 2.2 would
     # run 5 points at spacing 1.1
     ("regularity", "n_p_samples = 4", "ladder_k_max = 1, 2.2, 4"),
+    # numpy's generators refuse a negative seed
+    ("check", "n_samples = 4000", "n_samples = 4000\n    seed = -5"),
+    ("bounds", "n_samples = 4000", "n_samples = 4000\n    seed = -1"),
+    ("identity", "n_samples = 4000", "n_samples = 4000\n    seed = -1"),
+    # an empty exponent list would write tables with no rows, and a
+    # repeated one crashed the slope fit
+    ("regularity", "n_p_samples = 4", "eta_list ="),
+    ("regularity", "n_p_samples = 4", "eta_list = 0.25, 0.25"),
 ])
-def test_out_of_range_study_values_exit_one(tmp_path, command, old, new):
+def test_out_of_range_study_values_exit_one(tmp_path, capsys, command, old,
+                                            new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
     assert cli.main([command, "--config", path,
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
@@ -186,6 +199,24 @@ def test_out_of_range_tol_flag_exits_one(tmp_path, tol):
     path = write_cfg(tmp_path, TINY_GROSS)
     assert cli.main(["identity", "--config", path, "--tol=" + tol,
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["check", "bounds", "identity"])
+def test_negative_seed_flag_exits_one(tmp_path, command):
+    # run as a process: a seed that reached numpy used to end in a
+    # traceback with exit 1 from the interpreter, not from the parser
+    path = write_cfg(tmp_path, TINY_GROSS)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ibcfock.cli", command, "--config", path,
+         "--seed", "-1", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert "invalid config" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

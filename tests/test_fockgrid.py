@@ -49,7 +49,7 @@ def _tiny_basis(n_max=2, n_nucleons=1, n_per_axis=3):
     params = ib.custom_model(d=1, alpha=0.4, beta=1.0, gamma=1.0, mu=1.0,
                              n_nucleons=n_nucleons)
     grid = fg.build_grid(1, 1.0, n_per_axis)
-    return fg.enumerate_basis(params, grid, grid, n_max)
+    return fg.enumerate_basis(params, grid, n_max)
 
 
 def test_sector_dimensions():
@@ -98,7 +98,7 @@ def test_multiset_symmetry_of_lookup():
 def test_index_of_rejects_malformed_states(n, nuc, bos, error):
     # each of these used to return the index of some other state
     grid = fg.build_grid(2, 1.0, 3)
-    b = fg.enumerate_basis(ib.gross_model(), grid, grid, 2)
+    b = fg.enumerate_basis(ib.gross_model(), grid, 2)
     with pytest.raises(error):
         b.index_of(n, nuc, bos)
 
@@ -106,11 +106,11 @@ def test_index_of_rejects_malformed_states(n, nuc, bos, error):
 def _shift_oracle(basis, i, sign):
     """nucleon_shift by coordinate arithmetic on point_index, independent
     of translate_indices."""
-    grid = basis.nucleon_grid
-    out = np.full((basis.nuc_dim, basis.boson_grid.size), -1)
+    grid = basis.grid
+    out = np.full((basis.nuc_dim, grid.size), -1)
     for c, modes in enumerate(itertools.product(range(grid.size),
                                                 repeat=basis.params.n_nucleons)):
-        for q, k in enumerate(basis.boson_grid.points):
+        for q, k in enumerate(grid.points):
             moved = list(modes)
             try:
                 moved[i] = fg.point_index(grid, grid.points[modes[i]] + sign * k)
@@ -126,7 +126,7 @@ def test_nucleon_shift_matches_coordinate_oracle(d, n_nucleons):
     params = ib.custom_model(d=d, alpha=0.4, beta=1.0, gamma=1.0, mu=1.0,
                              n_nucleons=n_nucleons)
     grid = fg.build_grid(d, 1.0, 3)
-    b = fg.enumerate_basis(params, grid, grid, 0)
+    b = fg.enumerate_basis(params, grid, 0)
     for i in range(n_nucleons):
         for sign in (-1, 1):
             table = b.nucleon_shift(i, sign)
@@ -137,15 +137,6 @@ def test_nucleon_shift_matches_coordinate_oracle(d, n_nucleons):
             assert b.nucleon_shift(i, sign) is table   # built once
             with pytest.raises(ValueError):
                 table[0, 0] = 0
-
-
-def test_nucleon_shift_needs_one_shared_lattice():
-    # a boson mode index is read on the nucleon lattice
-    params = ib.gross_model()
-    b = fg.enumerate_basis(params, fg.build_grid(2, 2.0, 5),
-                           fg.build_grid(2, 1.0, 3), 0)
-    with pytest.raises(ValueError):
-        b.nucleon_shift(0, 1)
 
 
 def test_nucleon_mode_table_is_kept_read_only_int64():
@@ -189,9 +180,9 @@ def test_dimension_mismatch_and_cap():
     g2 = fg.build_grid(2, 1.0, 3)
     g1 = fg.build_grid(1, 1.0, 3)
     with pytest.raises(DimensionMismatch):
-        fg.enumerate_basis(params, g2, g1, 1)
+        fg.enumerate_basis(params, g1, 1)
     with pytest.raises(BasisTooLarge):
-        fg.enumerate_basis(params, g2, g2, 2, max_dim=10)
+        fg.enumerate_basis(params, g2, 2, max_dim=10)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +223,7 @@ def _rank_of(b, n, flat):
 @pytest.mark.parametrize("n_nucleons, n_max", [(1, 3), (2, 2), (3, 2)])
 def test_boson_tables_match_index_oracle(n_nucleons, n_max):
     b = _tiny_basis(n_max=n_max, n_nucleons=n_nucleons)
-    g = b.boson_grid.size
+    g = b.grid.size
     nuc = tuple(b.nucleon_mode_table()[-1].tolist())
     for n in range(n_max + 1):
         members = [("count", b.boson_count)]
@@ -272,10 +263,9 @@ def test_free_diagonal_matches_decode_oracle():
     bases = (_tiny_basis(n_max=3), _tiny_basis(n_max=2, n_nucleons=2),
              fg.enumerate_basis(ib.gross_model(mu=0.5, m_boson=0.7,
                                                n_nucleons=2),
-                                fg.build_grid(2, 1.0, 3),
                                 fg.build_grid(2, 1.0, 3), 2))
     for b in bases:
-        pts, params = b.boson_grid.points, b.params
+        pts, params = b.grid.points, b.params
         want = np.empty(b.total_dim)
         for i in range(b.total_dim):
             _, nuc, bos = b.decode(i)
@@ -287,7 +277,7 @@ def test_free_diagonal_matches_decode_oracle():
 def test_free_diagonal_closed_form_value():
     params = ib.gross_model(mu=1.0, m_boson=1.0)
     grid = fg.build_grid(2, 1.0, 3)
-    b = fg.enumerate_basis(params, grid, grid, 2)
+    b = fg.enumerate_basis(params, grid, 2)
     vals = b.free_diagonal
     i = b.index_of(2, (fg.point_index(grid, [0.0, 0.0]),),
                    (fg.point_index(grid, [0.0, 0.0]), fg.point_index(grid, [0.0, 0.0])))
@@ -304,3 +294,21 @@ def test_manifest_is_json_serializable():
     text = json.dumps(b.manifest())
     back = json.loads(text)
     assert back["total_dim"] == 30 and back["sector_dims"] == [3, 9, 18]
+
+
+@pytest.mark.parametrize("params, k_max, n_per_axis, n_max, dim, digest", [
+    (ib.gross_model(), 4.0, 9, 2, 275_643,
+     "2837872fde236c9d927fb525f684e34e432f917d6fc84562e2864f363a1201f0"),
+    (ib.eckmann_model(), 2.0, 5, 1, 15_750,
+     "a5c02af50661dfa1fa34737dd06158b1f1486563e3a7758df730c2dca8f3bbd7"),
+])
+def test_preset_basis_digest_is_pinned(params, k_max, n_per_axis, n_max, dim,
+                                       digest):
+    # the digest labels every exported artifact and seeds the Lanczos
+    # start vectors, so the manifest it hashes must not drift
+    grid = fg.build_grid(params.d, k_max, n_per_axis)
+    b = fg.enumerate_basis(params, grid, n_max)
+    assert b.total_dim == dim
+    assert ib.basis_digest(b) == digest
+    man = b.manifest()
+    assert man["nucleon_grid"] == man["boson_grid"] == grid.manifest()

@@ -65,12 +65,12 @@ GROSS2 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2)
 
 def single_mode_basis(n_max=2):
     g = build_grid(2, 0.5, 1)
-    return enumerate_basis(GROSS1, g, g, n_max=n_max)
+    return enumerate_basis(GROSS1, g, n_max=n_max)
 
 
 def small_basis(params, d=2, k_max=1.0, nax=3, n_max=2):
     g = build_grid(d, k_max, nax)
-    return enumerate_basis(params, g, g, n_max=n_max)
+    return enumerate_basis(params, g, n_max=n_max)
 
 
 def shifted_index(grid, p, k):
@@ -142,7 +142,7 @@ def test_single_mode_hand_values():
 def _ordered_creation_blocks(basis, params):
     """Creation blocks built from the sector formula on ordered tuples,
     together with the symmetrizer embeddings, entirely with loops."""
-    g_n, g_b = basis.nucleon_grid, basis.boson_grid
+    g_n = g_b = basis.grid
     mask = grid_mode_mask(g_b, None, params)
     m_nuc = params.n_nucleons
     nuc_table = basis.nucleon_mode_table()
@@ -207,7 +207,7 @@ def _ordered_creation_blocks(basis, params):
 def test_ordered_tuple_equivalence(params):
     # d = 1 keeps the ordered space tiny; 3 modes, two boson sectors
     g = build_grid(1, 1.0, 3)
-    basis = enumerate_basis(params, g, g, n_max=2)
+    basis = enumerate_basis(params, g, n_max=2)
     blocks, sym = _ordered_creation_blocks(basis, params)
     a = assemble_creation(basis, None).to_dense()
     for n in range(basis.n_max):
@@ -230,7 +230,7 @@ def _exchange_oracle(basis, i, ell, lambda_uv, shift, kind):
     intermediate sector n+1, then nucleon ell absorbs q.  theta keeps the
     bosons (q2 = q); tau removes a boson q of the source and creates q2."""
     params = basis.params
-    g_n, g_b = basis.nucleon_grid, basis.boson_grid
+    g_n = g_b = basis.grid
     active = [int(q) for q in np.flatnonzero(
         grid_mode_mask(g_b, lambda_uv, params))]
 
@@ -289,7 +289,7 @@ def test_exchange_pieces_match_loop_oracle():
                           m_boson=1.0, coupling=(0.8, 0.5 + 0.5j),
                           n_nucleons=2)
     g = build_grid(1, 2.0, 5)
-    basis = enumerate_basis(params, g, g, n_max=3)
+    basis = enumerate_basis(params, g, n_max=3)
     lam, shift = 1.5, 0.7
     assert not grid_mode_mask(g, lam, params).all()
     for i in range(2):
@@ -462,8 +462,8 @@ def test_ibc_memo_never_serves_another_basis():
     plugin = custom_model(2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0,
                           theta_fn=lambda p: np.sqrt((p * p).sum(-1) + 4.0))
     bases = [small_basis(GROSS2), MEMO_PANEL["two-complex"][0](),
-             enumerate_basis(plain, g, g, n_max=2),
-             enumerate_basis(plugin, g, g, n_max=2)]
+             enumerate_basis(plain, g, n_max=2),
+             enumerate_basis(plugin, g, n_max=2)]
     assert bases[2] == bases[3]
     want = [assemble_H_ibc(basis, 1.0, 1, 0.5).matrix for basis in bases]
     assert not _same_csr(want[2], want[3])
@@ -520,7 +520,7 @@ def test_t_cutoff_vacuum_diagonal_is_minus_variant2_counterterm():
     t = assemble_T_cutoff(basis, 1.0, 0.0)
     vac = t.matrix.diagonal().real[:basis.nuc_dim]
     p_idx = basis.nucleon_mode_table()[:, 0]
-    ct2 = counterterm_grid(p_idx, basis.boson_grid, 1.0, 2, GROSS1)
+    ct2 = counterterm_grid(p_idx, basis.grid, 1.0, 2, GROSS1)
     assert np.abs(vac + ct2).max() < 1e-15
 
 
@@ -532,7 +532,7 @@ def test_td_is_real_diagonal_and_vacuum_values():
     assert np.abs(m.data.imag).max() == 0.0
     # variant 1 vacuum diagonal equals the lattice dispersion-shift sum
     p_idx = basis.nucleon_mode_table()[:, 0]
-    jg = integral_j_grid(p_idx, basis.boson_grid, 1.0, GROSS1)
+    jg = integral_j_grid(p_idx, basis.grid, 1.0, GROSS1)
     assert np.abs(td1.matrix.diagonal().real[:basis.nuc_dim] - jg).max() < 1e-15
     # variant 2 vacuum diagonal vanishes identically at zero shift
     td2 = assemble_Td(basis, 1.0, 2)
@@ -615,7 +615,7 @@ def test_cutoff_growth_adds_only_annulus_modes():
     # new entries create bosons with momenta in the open annulus
     extra = (a2 - a1).tocoo()
     assert extra.nnz > 0
-    norms = np.linalg.norm(basis.boson_grid.points, axis=-1)
+    norms = np.linalg.norm(basis.grid.points, axis=-1)
     for r, c in zip(extra.row[:50], extra.col[:50]):
         n_r, _, bos_r = basis.decode(int(r))
         n_c, _, bos_c = basis.decode(int(c))
@@ -638,7 +638,7 @@ def test_continuum_td_agrees_in_the_interior(variant, shift):
     params = GROSS1
     lam_uv = 0.5
     g = build_grid(2, 1.0, 9)
-    basis = enumerate_basis(params, g, g, n_max=1)
+    basis = enumerate_basis(params, g, n_max=1)
     tg = assemble_Td(basis, lam_uv, variant, lambda_shift=shift)
     tg = tg.matrix.diagonal()[:basis.nuc_dim]
     norms = np.linalg.norm(g.points, axis=-1)
@@ -708,26 +708,6 @@ def test_condition_violation_blocks_renormalized_diagonal():
         assemble_Td(basis, 1.0, 1)
 
 
-def test_grid_mode_requires_shared_lattice():
-    # every builder that shifts a nucleon by a boson momentum, and every
-    # lattice-twin sum, refuses separate nucleon and boson lattices
-    g_n = build_grid(2, 1.0, 3)
-    g_b = build_grid(2, 0.9, 3)
-    basis = enumerate_basis(GROSS1, g_n, g_b, n_max=1)
-    with pytest.raises(ValueError):
-        assemble_Td(basis, 0.5, 1)
-    with pytest.raises(ValueError):
-        assemble_H_direct(basis, 0.5, 1)
-    with pytest.raises(ValueError):
-        assemble_creation(basis, 0.5)
-    with pytest.raises(ValueError):
-        assemble_G(basis, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        assemble_T_cutoff(basis, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        assemble_T_od(basis, 0.5, 1.0)
-
-
 def test_cutoff_beyond_reach_warns():
     basis = small_basis(GROSS1, n_max=1)
     with pytest.warns(UserWarning, match="exceeds"):
@@ -766,7 +746,7 @@ def test_ibc_warns_once_beyond_reach_at_its_caller():
 def test_verify_identity_rejects_mismatched_bases():
     b1 = small_basis(GROSS1, n_max=1)
     g = build_grid(2, 2.0, 3)
-    b2 = enumerate_basis(GROSS1, g, g, n_max=1)
+    b2 = enumerate_basis(GROSS1, g, n_max=1)
     with pytest.raises(BasisMismatch):
         verify_identity(assemble_L(b1), assemble_L(b2))
 
@@ -958,7 +938,7 @@ def test_triplet_export_exact_text(tmp_path):
     assert np.array_equal(m.data, h.data)
     phased = gross_model(coupling=0.8 * np.exp(0.7j), mu=1.0, m_boson=1.0)
     g = build_grid(2, 0.5, 1)
-    hc = assemble_H_direct(enumerate_basis(phased, g, g, n_max=2), None, 1)
+    hc = assemble_H_direct(enumerate_basis(phased, g, n_max=2), None, 1)
     export_triplets(hc, tmp_path / "c.triplets")
     _, mc = load_triplets(tmp_path / "c.triplets")
     assert hc.matrix.dtype == mc.dtype == np.complex128

@@ -36,7 +36,7 @@ GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 
 def small_basis(params=GROSS1, k_max=1.0, nax=3, n_max=1):
     g = build_grid(2, k_max, nax)
-    return enumerate_basis(params, g, g, n_max)
+    return enumerate_basis(params, g, n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ def test_free_hamiltonian_ground_is_vacuum():
     op = assemble_H_direct(basis, 0.0, 1)
     res = lowest_eigenpairs(op)
     assert abs(res.values[0] - 1.0) < 1e-12
-    rest_mode = int(np.argmin(basis.nucleon_grid.norms()))
+    rest_mode = int(np.argmin(basis.grid.norms()))
     idx = int(basis.state_index(0, rest_mode, 0))
     assert abs(abs(res.vectors[idx, 0]) - 1.0) < 1e-10
 
@@ -521,7 +521,7 @@ def test_power_norm_budget_exhaustion_raises():
 @pytest.fixture(scope="module")
 def study_basis():
     g = build_grid(2, 2.0, 9)
-    return enumerate_basis(GROSS1, g, g, 1)
+    return enumerate_basis(GROSS1, g, 1)
 
 
 def test_convergence_study_structure(study_basis):
@@ -737,7 +737,7 @@ def test_divergence_fit_input_validation():
 # regularity diagnostic
 
 def ladder(params, k_maxes=(1.0, 2.0, 4.0)):
-    return [enumerate_basis(params, g, g, 1)
+    return [enumerate_basis(params, g, 1)
             for g in (build_grid(2, k, int(2 * k) + 1) for k in k_maxes)]
 
 
@@ -800,6 +800,9 @@ def test_regularity_input_validation():
         regularity_diagnostic(bases[::-1], 1, [0.25])
     with pytest.raises(ValueError):
         regularity_diagnostic(bases, 1, [-0.5])
+    for etas in ([], [0.25, 0.25]):
+        with pytest.raises(ValueError, match="nonempty"):
+            regularity_diagnostic(bases, 1, etas)
     # every refinement must carry the same model
     other = ladder(gross_model(coupling=0.3, mu=1.0, m_boson=1.0))
     with pytest.raises(ValueError, match="share one model"):
