@@ -66,6 +66,11 @@ class MasslessWithoutShift(IbcFockError):
     """m_boson = 0 assembly requires a positive spectral shift lambda."""
 
 
+class StructureViolated(IbcFockError):
+    """The kept part of the boundary route stores no entry on some
+    diagonal position, where the diagonals are added in place."""
+
+
 # ---------------------------------------------------------------- spectral
 
 

@@ -330,9 +330,10 @@ class FockBasis:
         }
 
 
-def sector_dimension(n_modes: int, n_nucleons: int, nuc_size: int, n: int) -> int:
-    """nuc_size^M * C(G+n-1, n): stars-and-bars count of sector n."""
-    return nuc_size ** n_nucleons * math.comb(n_modes + n - 1, n)
+def sector_dimension(n_modes: int, n_nucleons: int, n: int) -> int:
+    """G^M * C(G+n-1, n) on a lattice of G points: the M nucleons on any
+    points times the stars-and-bars count of n bosons over G modes."""
+    return n_modes ** n_nucleons * math.comb(n_modes + n - 1, n)
 
 
 def enumerate_basis(params: ModelParams, grid: MomentumGrid, n_max: int,
@@ -345,7 +346,7 @@ def enumerate_basis(params: ModelParams, grid: MomentumGrid, n_max: int,
         raise ValueError("n_max must be >= 0")
     g = grid.size
     nuc_dim = g ** params.n_nucleons
-    dims = [sector_dimension(g, params.n_nucleons, g, n)
+    dims = [sector_dimension(g, params.n_nucleons, n)
             for n in range(n_max + 1)]
     total = int(sum(dims))
     if total > max_dim:

@@ -31,11 +31,24 @@ definition each: the free diagonal is the basis's cached free_diagonal,
 the counterterm diagonal comes from _counterterm_rows, the resolvent
 sums of T_d from _subtract_resolvent_sums, the creation matrix from
 _creation_matrix, the direct-route sum from _direct_matrix, and both
-exchange families start from _exchange_tables.  _kept keeps one entry
-each of two on the basis instance, as free_diagonal is, never shared by
-equal bases: the creation matrix, which every builder takes, and
-_ibc_base, the boundary route without the counterterm diagonal that
-assemble_H_ibc adds.
+exchange families start from _exchange_tables.  _kept keeps the last
+value of two builders on the basis instance, as free_diagonal is, never
+shared by equal bases: the creation matrix, which every builder takes,
+and _ibc_base, the boundary route without the counterterm diagonal,
+together with the positions of its diagonal entries.
+
+Diagonal factors and diagonal sums of the boundary route are worked on
+the CSR data arrays, with the floating-point operations of the sparse
+products and sums they replace, so every operator is bit for bit what
+those give.  _diag_scaled multiplies each stored entry by its row's or
+column's factor in place of a product with a diagonal matrix (G, W G
+and W(1-G) with W = L + lambda).  The kept boundary route stores every
+diagonal entry, which _diagonal_positions checks (StructureViolated
+otherwise), so the resolvent and counterterm diagonals are added at
+those positions, and each variant's Hamiltonian is a new data array on
+the kept index arrays; a diagonal sum of exactly zero is dropped, as a
+sparse sum drops it.  Sums of overlapping or off-diagonal patterns stay
+scipy's merges, which are faster than a numpy layout of the same sum.
 
 Nucleon and boson momenta live on the basis's one lattice, so a
 nucleon moved by a boson momentum (creation, G, T, the exchange pieces
@@ -69,7 +82,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import BasisMismatch, ConditionCViolated, MasslessWithoutShift
+from .errors import (
+    BasisMismatch,
+    ConditionCViolated,
+    MasslessWithoutShift,
+    StructureViolated,
+)
 from .fockgrid import FockBasis
 from .model import (
     check_condition_c,
@@ -147,7 +165,8 @@ def _diag_op(basis, values, tags, hermitian=True) -> SparseOperator:
 
 def _kept(build):
     """Keep build(basis, *key)'s last value read-only in that basis's own
-    __dict__; a new key drops it first.  Builds call kept.__wrapped__."""
+    __dict__; a new key drops it first.  The value is a CSR matrix or a
+    tuple of a CSR matrix and arrays.  Builds call kept.__wrapped__."""
     slot = "_kept_" + build.__name__
 
     @functools.wraps(build)
@@ -156,11 +175,44 @@ def _kept(build):
         if store.get(slot, (None,))[0] != key:
             store.pop(slot, None)
             value = kept.__wrapped__(basis, *key)
-            for arr in (value.data, value.indices, value.indptr):
-                arr.flags.writeable = False
+            for part in value if isinstance(value, tuple) else (value,):
+                arrays = ((part.data, part.indices, part.indptr)
+                          if sparse.issparse(part) else (part,))
+                for arr in arrays:
+                    arr.flags.writeable = False
             store[slot] = (key, value)
         return store[slot][1]
     return kept
+
+
+def _entry_rows(m: sparse.csr_array) -> np.ndarray:
+    """Row of every stored entry of a CSR matrix, in storage order."""
+    return np.repeat(np.arange(m.shape[0], dtype=m.indices.dtype),
+                     np.diff(m.indptr))
+
+
+def _diagonal_positions(m: sparse.csr_array) -> np.ndarray:
+    """Position in m.data of the diagonal entry of every row of a
+    canonical CSR matrix; StructureViolated if some row stores none."""
+    pos = np.flatnonzero(m.indices == _entry_rows(m))
+    if pos.size != m.shape[0]:
+        raise StructureViolated("no entry stored on %d diagonal positions"
+                                % (m.shape[0] - pos.size))
+    return pos
+
+
+def _diag_scaled(m: sparse.csr_array, rows=None,
+                 cols=None) -> sparse.csr_array:
+    """diag(rows) @ m @ diag(cols), either factor optional, on m's own
+    pattern: one multiplication per stored entry and factor, where a
+    sparse product would also convert, reorder and drop zero products.
+    The index arrays are m's own, shared."""
+    data = m.data
+    if rows is not None:
+        data = data * rows[_entry_rows(m)]
+    if cols is not None:
+        data = data * cols[m.indices]
+    return sparse.csr_array((data, m.indices, m.indptr), shape=m.shape)
 
 
 def _form_factors(basis: FockBasis, j: int, modes) -> np.ndarray:
@@ -269,12 +321,12 @@ def _boundary_map(basis: FockBasis, lambda_uv,
                   lambda_shift: float) -> sparse.csr_array:
     """-(L + lambda)^(-1) a*(V) from the kept creation matrix.  Rows of
     a*(V) are scaled directly: its range misses the states (if any) where
-    L + lambda could vanish, so only positive energies divide."""
+    L + lambda could vanish, so only positive energies divide.  G shares
+    the kept matrix's read-only pattern."""
     _check_shift(basis, lambda_shift)
-    coo = _creation_matrix(basis, lambda_uv).tocoo()
     lv = basis.free_diagonal + lambda_shift
-    return sparse.coo_array((coo.data * (-1.0 / lv[coo.row]),
-                             (coo.row, coo.col)), shape=coo.shape).tocsr()
+    inv = np.divide(-1.0, lv, out=np.zeros_like(lv), where=lv > 0)
+    return _diag_scaled(_creation_matrix(basis, lambda_uv), rows=inv)
 
 
 def assemble_G(basis: FockBasis, lambda_uv,
@@ -291,8 +343,8 @@ def _t_cutoff_matrix(basis: FockBasis, lambda_uv,
                      lambda_shift: float) -> sparse.csr_array:
     """-G*(L+lambda)G from the kept creation matrix."""
     g = _boundary_map(basis, lambda_uv, lambda_shift)
-    w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
-    return sparse.csr_array(-(g.conj().T @ (w @ g)))
+    wg = _diag_scaled(g, rows=basis.free_diagonal + lambda_shift)
+    return sparse.csr_array(-(g.conj().T @ wg))
 
 
 def assemble_T_cutoff(basis: FockBasis, lambda_uv,
@@ -488,14 +540,15 @@ def assemble_T_od(basis: FockBasis, lambda_uv,
     nucleon-exchange pieces (i != ell) and boson-exchange pieces (all
     pairs), with the explicit minus signs of the decomposition."""
     m_nuc = basis.params.n_nucleons
-    total = sparse.csr_array((basis.total_dim, basis.total_dim))
-    for a in range(m_nuc):
-        for b in range(m_nuc):
-            if a != b:
-                total = total + assemble_theta(basis, a, b, lambda_uv,
-                                               lambda_shift).matrix
-            total = total + assemble_tau(basis, a, b, lambda_uv,
-                                         lambda_shift).matrix
+    pieces = (build(basis, a, b, lambda_uv, lambda_shift).matrix
+              for a in range(m_nuc) for b in range(m_nuc)
+              for build in ((assemble_theta, assemble_tau) if a != b
+                            else (assemble_tau,)))
+    # the first piece starts the sum; a sparse sum stores no zero
+    total = next(pieces)
+    total.eliminate_zeros()
+    for m in pieces:
+        total = total + m
     return SparseOperator(basis, sparse.csr_array(-total),
                           {"path": "ibc", "kind": "T_od",
                            "lambda_uv": lambda_uv,
@@ -527,23 +580,33 @@ def assemble_H_direct(basis: FockBasis, lambda_uv,
 
 
 @_kept
-def _ibc_base(basis: FockBasis, lambda_uv,
-              lambda_shift: float) -> sparse.csr_array:
+def _ibc_base(basis: FockBasis, lambda_uv, lambda_shift: float):
     """Variant-independent part of the boundary route, kept so that a
     sweep of every variant at one (cutoff, shift) builds it once:
-    (1-G)*(L+lambda)(1-G) + T_od + diag(-resolvent sums - lambda)."""
+    (1-G)*(L+lambda)(1-G) + T_od + diag(-resolvent sums - lambda), and
+    the position of every diagonal entry in its data array.
+
+    Its diagonal is stored whole: the diagonal of (1-G)*(L+lambda)(1-G)
+    is at least L + lambda, so only a zero-energy state at zero shift
+    that no boson can be added to (or an exact cancellation against
+    T_od) misses it, and a missing entry raises StructureViolated.  A
+    diagonal sum of exactly zero stays stored."""
     g = _boundary_map(basis, lambda_uv, lambda_shift)
     _require_condition_c(basis.params)
     one_minus_g = sparse.csr_array(
         sparse.eye_array(basis.total_dim, format="csr") - g)
-    w = sparse.diags_array(basis.free_diagonal + lambda_shift, format="csr")
-    prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
-    diag = _subtract_resolvent_sums(
+    # a CSR product sums every entry over k in ascending order, as the
+    # CSC product of the adjoint view would; only its rows come unordered
+    prod = one_minus_g.conj().T.tocsr() @ _diag_scaled(
+        one_minus_g, rows=basis.free_diagonal + lambda_shift)
+    prod.sort_indices()
+    tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift).matrix
+    base = sparse.csr_array(prod + tod)
+    diag = _diagonal_positions(base)
+    base.data[diag] += _subtract_resolvent_sums(
         basis, np.full(basis.total_dim, -lambda_shift, dtype=float),
         lambda_uv, lambda_shift)
-    tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift).matrix
-    return sparse.csr_array(prod + tod
-                            + sparse.diags_array(diag, format="csr"))
+    return base, diag
 
 
 def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
@@ -554,13 +617,23 @@ def assemble_H_ibc(basis: FockBasis, lambda_uv, variant: int,
     and shift; the equality on the lattice is the package's central
     correctness check.  The variant enters only through the counterterm
     part of T_d, so the rest is kept on the basis per (cutoff, shift) by
-    _ibc_base and the counterterm diagonal is added to a fresh copy.
+    _ibc_base and the counterterm diagonal is added to a copy of its data
+    array.  The result shares the kept read-only index arrays, unless a
+    diagonal sum is exactly zero: that entry is dropped, as a sparse sum
+    drops it.
     """
     _warn_beyond_reach(basis, lambda_uv)
-    base = _ibc_base(basis, lambda_uv, lambda_shift)
+    base, diag = _ibc_base(basis, lambda_uv, lambda_shift)
     e_rows = _counterterm_rows(basis, lambda_uv, variant)
-    h = sparse.csr_array(base + sparse.diags_array(
-        basis.nucleon_diagonal(e_rows), format="csr"))
+    data = base.data.copy()
+    data[diag] += basis.nucleon_diagonal(e_rows)
+    if np.all(data[diag]):
+        h = sparse.csr_array((data, base.indices, base.indptr),
+                             shape=base.shape)
+    else:
+        h = sparse.csr_array((data, base.indices.copy(), base.indptr.copy()),
+                             shape=base.shape)
+        h.eliminate_zeros()
     return SparseOperator(basis, h, {"path": "ibc",
                                      "lambda_uv": lambda_uv,
                                      "variant": variant,

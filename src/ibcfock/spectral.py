@@ -50,6 +50,7 @@ from .ops import (
     _check_shift,
     _counterterm_rows,
     _creation_matrix,
+    _diag_scaled,
     _direct_matrix,
     _t_cutoff_matrix,
     _warn_beyond_reach,
@@ -493,7 +494,6 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     exps = ultraviolet_degree(params)
     weight = (basis.free_diagonal + 1.0) ** (
         -(max(exps.uv_degree, 0.0) / params.gamma + T_WEIGHT_EPSILON))
-    w_diag = sparse.diags_array(weight, format="csr")
     digest = basis_digest(basis)
     v0_basis = _seed_vector(basis.total_dim, digest, "study")
     odd = _odd_bosons(basis)
@@ -542,8 +542,8 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                     lambda x: cur.apply(x) - fin.apply(x),
                     lambda y: cur.apply_adjoint(y) - fin.apply_adjoint(y),
                     norm_tol, 500, v0)
-                t_diff = _block_norm(
-                    sparse.csr_array((t_blocks[k] - t_blocks[-1]) @ w_diag))
+                t_diff = _block_norm(_diag_scaled(
+                    t_blocks[k] - t_blocks[-1], cols=weight))
             rows.append(ConvergenceRow(lam, grounds[k], controls[k],
                                        r_diff, t_diff))
         tables[variant] = ConvergenceTable(rows, variant, digest,

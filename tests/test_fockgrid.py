@@ -67,7 +67,8 @@ def test_sector_dimension_matches_brute_force():
     for g_size in (2, 3, 5):
         for n in range(4):
             brute = len(set(itertools.combinations_with_replacement(range(g_size), n)))
-            assert fg.sector_dimension(g_size, 1, 1, n) == brute
+            assert fg.sector_dimension(g_size, 0, n) == brute
+            assert fg.sector_dimension(g_size, 2, n) == g_size ** 2 * brute
 
 
 def test_index_roundtrip_all_states():

@@ -51,10 +51,12 @@ from ibcfock import (
     point_index,
     verify_identity,
 )
+from ibcfock.cli import load_config
 from ibcfock.errors import (
     BasisMismatch,
     ConditionCViolated,
     MasslessWithoutShift,
+    StructureViolated,
 )
 from ibcfock import ops
 from ibcfock.ops import SparseOperator
@@ -510,6 +512,177 @@ def test_ibc_memo_is_not_exposed_to_writes(name):
                   lambda b: assemble_H_direct(b, lam, 2),
                   lambda b: assemble_H_ibc(b, lam, 2, 0.5)):
         assert _same_csr(build(basis).matrix, build(fresh).matrix)
+
+
+# ---------------------------------------------------------------------------
+# diagonal and disjoint-pattern algebra on the CSR arrays, bit for bit the
+# sparse expressions (merges and diagonal products) it replaces
+
+def _bitwise(a, b):
+    """Same dtypes, nnz and bytes of indptr, indices and data: a -0.0
+    part differs from +0.0, unlike np.array_equal."""
+    return (a.dtype == b.dtype and a.nnz == b.nnz
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                    for x, y in ((a.indptr, b.indptr),
+                                 (a.indices, b.indices),
+                                 (a.data, b.data))))
+
+
+def _oracle_g(basis, lam, shift):
+    coo = ops._creation_matrix(basis, lam).tocoo()
+    lv = basis.free_diagonal + shift
+    return sparse.coo_array((coo.data * (-1.0 / lv[coo.row]),
+                             (coo.row, coo.col)), shape=coo.shape).tocsr()
+
+
+def _oracle_t_cutoff(basis, lam, shift):
+    g = _oracle_g(basis, lam, shift)
+    w = sparse.diags_array(basis.free_diagonal + shift, format="csr")
+    return sparse.csr_array(-(g.conj().T @ (w @ g)))
+
+
+def _oracle_t_od(basis, lam, shift):
+    m_nuc = basis.params.n_nucleons
+    total = sparse.csr_array((basis.total_dim, basis.total_dim))
+    for a in range(m_nuc):
+        for b in range(m_nuc):
+            if a != b:
+                total = total + assemble_theta(basis, a, b, lam,
+                                               shift).matrix
+            total = total + assemble_tau(basis, a, b, lam, shift).matrix
+    return sparse.csr_array(-total)
+
+
+def _counterterm_diagonal(basis, lam, variant):
+    return basis.nucleon_diagonal(ops._counterterm_rows(basis, lam, variant))
+
+
+def _oracle_h_ibc(basis, lam, variant, shift):
+    n = basis.total_dim
+    one_minus_g = sparse.csr_array(sparse.eye_array(n, format="csr")
+                                   - _oracle_g(basis, lam, shift))
+    w = sparse.diags_array(basis.free_diagonal + shift, format="csr")
+    prod = sparse.csr_array(one_minus_g.conj().T @ (w @ one_minus_g))
+    resolvent = ops._subtract_resolvent_sums(
+        basis, np.full(n, -shift, dtype=float), lam, shift)
+    base = sparse.csr_array(prod + _oracle_t_od(basis, lam, shift)
+                            + sparse.diags_array(resolvent, format="csr"))
+    return sparse.csr_array(base + sparse.diags_array(
+        _counterterm_diagonal(basis, lam, variant), format="csr"))
+
+
+def _zero_form_factor_basis():
+    # the form factor vanishes on part of the lattice, so the creation
+    # matrix stores explicit zeros; one nucleon, so T_od is one piece
+    params = custom_model(
+        2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0, m_boson=1.0,
+        coupling=-1.0, form_factor_fn=lambda p, k: np.where(
+            (k[..., 0] > 0) | (p[..., 1] < 0), 0.0, 1.0) + 0 * p[..., 0])
+    return small_basis(params, nax=5, n_max=3)
+
+
+BITWISE_PANEL = {
+    "gross": (lambda: enumerate_basis(GROSS1, build_grid(2, 4.0, 9),
+                                      n_max=2), 2.0),
+    # theta(0) = 0: the vacuum at zero momentum has zero energy at shift 0
+    "nelson": (lambda: small_basis(nelson_model(coupling=0.5, mu=0.0),
+                                   d=3, k_max=2.0, nax=5, n_max=1), 1.0),
+    "two-nucleon": (lambda: small_basis(GROSS2), None),
+    # nucleon 0 couples really: its entries have an imaginary part +0.0
+    "complex": MEMO_PANEL["two-complex"],
+    "zero-form-factor": (_zero_form_factor_basis, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BITWISE_PANEL))
+def test_array_algebra_is_bitwise_the_sparse_expressions(name):
+    make, lam = BITWISE_PANEL[name]
+    basis = make()
+    pairs = []
+    for shift in (0.0, 1.0, 10.0):
+        pairs += [(assemble_G(basis, lam, shift).matrix,
+                   _oracle_g(basis, lam, shift)),
+                  (assemble_T_cutoff(basis, lam, shift).matrix,
+                   _oracle_t_cutoff(basis, lam, shift)),
+                  (assemble_T_od(basis, lam, shift).matrix,
+                   _oracle_t_od(basis, lam, shift))]
+        pairs += [(assemble_H_ibc(basis, lam, v, shift).matrix,
+                   _oracle_h_ibc(basis, lam, v, shift)) for v in (1, 2)]
+    for k, (got, want) in enumerate(pairs):
+        assert _bitwise(got, want), k
+        assert (np.count_nonzero(got.data == 0)
+                == np.count_nonzero(want.data == 0)), k
+
+
+def test_sums_store_no_zero_that_the_creation_matrix_stores():
+    basis = _zero_form_factor_basis()
+    assert np.count_nonzero(assemble_creation(basis, None).matrix.data
+                            == 0) > 0
+    for m in (assemble_H_direct(basis, None, 1).matrix,
+              assemble_T_od(basis, None, 0.0).matrix,
+              assemble_H_ibc(basis, None, 1, 0.0).matrix):
+        assert m.nnz and np.all(m.data != 0)
+
+
+@pytest.mark.parametrize("preset", ["gross", "gross_converge",
+                                    "gross_regularity", "eckmann",
+                                    "nelson"])
+def test_creation_is_strictly_lower_triangular_on_every_preset(preset):
+    # G maps each sector into the next one, so 1-G has a unit diagonal
+    # and the diagonal of (1-G)*(L+lambda)(1-G) is at least L + lambda;
+    # None selects every mode, so each cutoff's pattern is a part of it
+    cfg = load_config(preset)
+    basis = enumerate_basis(cfg.params, build_grid(
+        cfg.params.d, cfg.k_max, cfg.n_per_axis), cfg.n_max)
+    a = assemble_creation(basis, None).matrix
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    assert a.nnz and np.all(a.indices < rows)
+
+
+def test_missing_diagonal_entry_raises_the_named_error():
+    full = sparse.csr_array(np.array([[1.0, 0.0, 2.0],
+                                      [3.0, 4.0, 0.0],
+                                      [0.0, 5.0, 6.0]]))
+    assert np.array_equal(ops._diagonal_positions(full), [0, 3, 5])
+    for hand_built in (full[[1, 0, 2]], sparse.csr_array(
+            np.array([[1.0, 0.0], [2.0, 0.0]]))):
+        with pytest.raises(StructureViolated, match="1 diagonal"):
+            ops._diagonal_positions(sparse.csr_array(hand_built))
+
+
+def test_zero_energy_state_without_coupling():
+    # cutoff 0 adds no boson, and the vacuum at zero momentum has zero
+    # energy: at zero shift the kept boundary route has no diagonal entry
+    # there; at a positive shift the entry sums to exactly zero, and the
+    # Hamiltonians store no zero, as the sparse sums do
+    basis = BITWISE_PANEL["nelson"][0]()
+    with pytest.raises(StructureViolated, match="diagonal"):
+        assemble_H_ibc(basis, 0.0, 1, 0.0)
+    for v in (1, 2):
+        hi = assemble_H_ibc(basis, 0.0, v, 0.5).matrix
+        assert _bitwise(hi, _oracle_h_ibc(basis, 0.0, v, 0.5))
+        assert hi.nnz == assemble_H_direct(basis, 0.0, v).nnz
+        assert hi.nnz < basis.total_dim and np.all(hi.data != 0)
+    base, diag = ops._ibc_base(basis, 0.0, 0.5)
+    assert np.count_nonzero(base.data[diag] == 0) == basis.total_dim - hi.nnz
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_PANEL))
+def test_second_variant_shares_the_kept_pattern(name):
+    make, lam = MEMO_PANEL[name]
+    basis = make()
+    first = assemble_H_ibc(basis, lam, 1, 0.5).matrix
+    second = assemble_H_ibc(basis, lam, 2, 0.5).matrix
+    base, diag = ops._ibc_base(basis, lam, 0.5)
+    for h in (first, second):
+        # no merge ran: the index arrays are the kept ones, and only the
+        # data array is new
+        assert np.shares_memory(h.indices, base.indices)
+        assert np.shares_memory(h.indptr, base.indptr)
+        assert not np.shares_memory(h.data, base.data)
+    assert not np.array_equal(first.data[diag], second.data[diag])
+    for arr in (base.data, base.indices, base.indptr, diag):
+        assert not arr.flags.writeable
 
 
 # ---------------------------------------------------------------------------
