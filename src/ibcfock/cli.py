@@ -15,8 +15,9 @@ nelson) can be named in place of a path.  Every run writes a manifest
 with the config hash, and every data file embeds that hash.  Numerical
 outputs are byte-deterministic for a fixed config and seed.
 
-Exit codes: 0 success, 1 configuration error, 2 condition failure,
-3 identity failure, 4 numerical non-convergence.
+Exit codes, mapped once in main: 0 success; 1 configuration error (a
+value refused at load, or BasisTooLarge); 2 condition failure (a failed
+gate or a ConditionFailure); 3 identity failure; 4 NonConvergence.
 """
 
 from __future__ import annotations
@@ -36,17 +37,19 @@ from scipy import sparse
 from . import __version__
 from .errors import (
     BasisTooLarge,
-    ConditionCViolated,
-    EckmannMassless,
-    EpsilonTooLarge,
+    ConditionFailure,
+    EvenAxisCount,
     ExponentWindowViolated,
-    MasslessNucleon,
-    MasslessWithoutShift,
-    NotConverged,
-    QuadNotConverged,
-    SolveNotConverged,
+    InsufficientPoints,
+    NonConvergence,
 )
-from .fockgrid import FockBasis, build_grid, enumerate_basis
+from .fockgrid import (
+    FockBasis,
+    build_grid,
+    check_n_max,
+    enumerate_basis,
+    ladder_axis_counts,
+)
 from .model import (
     ModelKind,
     ModelParams,
@@ -60,6 +63,7 @@ from .model import (
     ultraviolet_degree,
 )
 from .ops import (
+    _check_shift,
     assemble_H_direct,
     assemble_H_ibc,
     assemble_T_od,
@@ -77,6 +81,9 @@ from .quad import (
 from .spectral import (
     ConvergenceRow,
     RegularityRow,
+    check_fit_cutoffs,
+    check_ladder,
+    check_study,
     cutoff_convergence_study,
     divergence_fit,
     regularity_diagnostic,
@@ -87,10 +94,6 @@ EXIT_CONFIG = 1
 EXIT_CONDITION = 2
 EXIT_IDENTITY = 3
 EXIT_NUMERIC = 4
-
-_CONDITION_ERRORS = (ConditionCViolated, EckmannMassless, MasslessNucleon,
-                     MasslessWithoutShift, EpsilonTooLarge)
-_NUMERIC_ERRORS = (NotConverged, SolveNotConverged, QuadNotConverged)
 
 
 class CommandError(Exception):
@@ -178,9 +181,9 @@ def _build_model(raw: dict) -> ModelParams:
 def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
     """Parse and validate a config file (or packaged preset name).
 
-    Malformed input is a configuration error (exit 1); a parseable
-    config whose model violates a structural condition is a condition
-    failure (exit 2) naming the condition.
+    Malformed input, or a value that a library rule refuses, is a
+    configuration error (exit 1).  A model that violates a structural
+    condition raises its ConditionFailure (exit 2, in main).
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -209,10 +212,13 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
                          study.get("variants", "1").replace(",", " ").split())
         lambda_shifts = _floats(study.get("lambda_shifts", "0.0"))
         eta_list = _floats(study.get("eta_list", "0.25, 0.5, 0.75"))
-        ladder = _floats(study.get("ladder_k_max", ""))
+        ladder = _floats(study.get("ladder_k_max", "")) or (
+            k_max, 2 * k_max, 4 * k_max)
         fit_lambdas = _floats(study.get("fit_lambda_list", "8, 16, 32, 64"))
         scaling = _floats(study.get("scaling_exponents", ""))
         tol_identity = float(study.get("tol_identity", "1e-10"))
+        if tol_override is not None:
+            tol_identity = float(tol_override)
         eig_tol = float(study.get("eig_tol", "1e-9"))
         norm_tol = float(study.get("norm_tol", "1e-4"))
         seed = int(study.get("seed", "0"))
@@ -226,53 +232,28 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             in ("1", "true", "yes")
         if "model" not in raw:
             raise KeyError("missing [model] section")
-        # the grid is checked here, not only where a basis is built, so
-        # that check and bounds refuse it as well
-        if not 0 < k_max < np.inf:
-            raise ValueError("k_max must be finite and > 0")
-        if n_per_axis < 1 or n_per_axis % 2 == 0:
-            raise ValueError("n_per_axis must be odd and >= 1")
-        if n_max < 0:
-            raise ValueError("n_max must be >= 0")
+        # the library's own rules, then this front end's, for every command
+        ladder_axis_counts(k_max, n_per_axis, ladder)
+        check_n_max(n_max)
+        check_ladder(ladder, eta_list)
+        check_study(lambda_list, variants, eig_tol, norm_tol)
+        check_fit_cutoffs(fit_lambdas)
+        if not lambda_shifts:
+            raise ValueError("lambda_shifts must not be empty")
+        _check_shift(min(lambda_shifts))
         if scaling and len(scaling) != 3:
             raise ValueError("scaling_exponents needs exactly three values")
-        for name, values in (("lambda_list", lambda_list),
-                             ("variants", variants),
-                             ("lambda_shifts", lambda_shifts),
-                             ("eta_list", eta_list)):
-            if not values:
-                raise ValueError("%s must not be empty" % name)
-        if not set(variants) <= {1, 2} or len(set(variants)) < len(variants):
-            raise ValueError("variants must be distinct values from {1, 2}")
-        if any(s < 0 for s in lambda_shifts):
-            raise ValueError("lambda_shifts must be >= 0")
         if min(lambda_list) <= 0:
             raise ValueError("lambda_list cutoffs must be > 0")
-        if ladder and (len(ladder) < 3 or ladder[0] <= 0 or any(
-                b <= a for a, b in zip(ladder, ladder[1:]))):
-            raise ValueError("ladder_k_max needs at least 3 positive, "
-                             "strictly increasing rungs")
-        if len(fit_lambdas) < 3 or min(fit_lambdas) <= 0:
-            raise ValueError("fit_lambda_list needs at least 3 positive "
-                             "cutoffs")
-        if any(e < 0 for e in eta_list) or len(set(eta_list)) < len(eta_list):
-            raise ValueError("eta_list values must be distinct and >= 0")
         # numpy's generators refuse a negative seed
         if seed < 0:
             raise ValueError("seed (or --seed) must be >= 0")
         if n_samples < 1 or n_p_samples < 1:
             raise ValueError("n_samples and n_p_samples must be >= 1")
-        # a nan or inf tolerance would switch the residual checks off
-        if not (0 < eig_tol < np.inf and 0 < norm_tol < np.inf):
-            raise ValueError("eig_tol and norm_tol must be finite and > 0")
-    except (KeyError, ValueError) as exc:
+        if not 0 <= tol_identity < np.inf:
+            raise ValueError("tol_identity (or --tol) must be finite and >= 0")
+    except (KeyError, ValueError, EvenAxisCount, InsufficientPoints) as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
-
-    if tol_override is not None:
-        tol_identity = float(tol_override)
-    if not 0 <= tol_identity < np.inf:
-        raise CommandError(EXIT_CONFIG, "invalid config: tol_identity "
-                           "(or --tol) must be finite and >= 0")
 
     digest_src = json.dumps({"raw": raw, "seed": seed,
                              "tol_identity": tol_identity}, sort_keys=True)
@@ -280,14 +261,8 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
 
     try:
         params = _build_model(raw)
-    except CommandError:
-        raise
     except KeyError as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
-    except _CONDITION_ERRORS as exc:
-        raise CommandError(EXIT_CONDITION,
-                           "condition failure (%s): %s"
-                           % (type(exc).__name__, exc))
     except ValueError as exc:
         raise CommandError(EXIT_CONDITION, "condition failure: %s" % exc)
 
@@ -297,12 +272,9 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         exps = ScalingExponents(*scaling)
         try:
             exps.check_window(params)
-        except ExponentWindowViolated as exc:
-            raise CommandError(EXIT_CONFIG,
-                               "scaling exponents outside the window: %s"
-                               % exc)
-        except ValueError as exc:
-            raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
+        except (ExponentWindowViolated, ValueError) as exc:
+            raise CommandError(EXIT_CONFIG, "invalid config: scaling "
+                               "exponents outside the window: %s" % exc)
     else:
         exps = ScalingExponents(nu_exp=0.0, sigma_exp=0.0,
                                 r=params.d / params.gamma + 0.5)
@@ -391,11 +363,7 @@ def _write_table(manifest: RunManifest, formats, stem: str, columns, rows,
 
 def _make_basis(cfg: RunConfig) -> FockBasis:
     grid = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis)
-    try:
-        return enumerate_basis(cfg.params, grid, cfg.n_max,
-                               max_dim=cfg.basis_cap)
-    except BasisTooLarge as exc:
-        raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
+    return enumerate_basis(cfg.params, grid, cfg.n_max, max_dim=cfg.basis_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +508,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
         lam_rows = [[] for _ in cfg.variants]
         for shift in cfg.lambda_shifts:
             for j, variant in enumerate(cfg.variants):
-                try:
-                    ibc = assemble_H_ibc(basis, lam, variant, shift)
-                except MasslessWithoutShift as exc:
-                    raise CommandError(
-                        EXIT_CONDITION,
-                        "condition failure (MasslessWithoutShift): %s"
-                        % exc)
+                ibc = assemble_H_ibc(basis, lam, variant, shift)
                 if corrupt:
                     # negative-control hook: flip the sign of the
                     # exchange block; when the truncation leaves that
@@ -682,22 +644,10 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
 def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     """Ground-state regularity ladder across box refinements."""
     _apply_gate(cfg, manifest, args.override_conditions)
-    ladder = cfg.ladder_k_max or (cfg.k_max, 2 * cfg.k_max, 4 * cfg.k_max)
-    h = build_grid(cfg.params.d, cfg.k_max, cfg.n_per_axis).spacing
-    bases = []
-    for km in ladder:
-        nax = int(round(2.0 * km / h)) + 1
-        if nax % 2 == 0 or abs((nax - 1) * h / 2.0 - km) > 1e-9 * km:
-            raise CommandError(EXIT_CONFIG,
-                               "ladder k_max %g is not (n_axis - 1) * h / 2 "
-                               "for an odd n_axis at the base spacing h = %g "
-                               "(within 1e-9 relative)" % (km, h))
-        grid = build_grid(cfg.params.d, km, nax)
-        try:
-            bases.append(enumerate_basis(cfg.params, grid, cfg.n_max,
-                                         max_dim=cfg.basis_cap))
-        except BasisTooLarge as exc:
-            raise CommandError(EXIT_CONFIG, "grid configuration: %s" % exc)
+    counts = ladder_axis_counts(cfg.k_max, cfg.n_per_axis, cfg.ladder_k_max)
+    bases = [enumerate_basis(cfg.params, build_grid(cfg.params.d, km, n),
+                             cfg.n_max, max_dim=cfg.basis_cap)
+             for km, n in zip(cfg.ladder_k_max, counts)]
     rep = regularity_diagnostic(bases, cfg.variants[0], cfg.eta_list,
                                 lambda_shift=cfg.lambda_shifts[0],
                                 eig_tol=cfg.eig_tol)
@@ -878,14 +828,17 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except _CONDITION_ERRORS as exc:
+    except ConditionFailure as exc:
         print("condition failure (%s): %s" % (type(exc).__name__, exc),
               file=sys.stderr)
         return EXIT_CONDITION
-    except _NUMERIC_ERRORS as exc:
+    except NonConvergence as exc:
         print("numerical non-convergence (%s): %s"
               % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_NUMERIC
+    except BasisTooLarge as exc:
+        print("configuration error (BasisTooLarge): %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -10,22 +10,30 @@ class IbcFockError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ConditionFailure(IbcFockError):
+    """The model or the assembly violates an analytic condition."""
+
+
+class NonConvergence(IbcFockError):
+    """A numerical method exhausted its budget short of its tolerance."""
+
+
 # ---------------------------------------------------------------- model
 
 
-class EckmannMassless(IbcFockError):
+class EckmannMassless(ConditionFailure):
     """Eckmann-type form factor requested with mu = 0 (needs mu > 0)."""
 
 
-class MasslessNucleon(IbcFockError):
+class MasslessNucleon(ConditionFailure):
     """Kinematic bound constant is undefined for mu = 0."""
 
 
-class ConditionCViolated(IbcFockError):
+class ConditionCViolated(ConditionFailure):
     """Exponents fall outside the admissible ultraviolet-degree window."""
 
 
-class EpsilonTooLarge(IbcFockError):
+class EpsilonTooLarge(ConditionFailure):
     """Margin epsilon exceeds what the exponent family construction allows."""
 
 
@@ -51,7 +59,7 @@ class BasisMismatch(IbcFockError):
 # ---------------------------------------------------------------- quad
 
 
-class QuadNotConverged(IbcFockError):
+class QuadNotConverged(NonConvergence):
     """Adaptive quadrature could not reach the requested tolerance."""
 
 
@@ -62,7 +70,7 @@ class ExponentWindowViolated(IbcFockError):
 # ---------------------------------------------------------------- ops
 
 
-class MasslessWithoutShift(IbcFockError):
+class MasslessWithoutShift(ConditionFailure):
     """m_boson = 0 assembly requires a positive spectral shift lambda."""
 
 
@@ -74,11 +82,11 @@ class StructureViolated(IbcFockError):
 # ---------------------------------------------------------------- spectral
 
 
-class NotConverged(IbcFockError):
+class NotConverged(NonConvergence):
     """Iterative eigensolver / power iteration exhausted its budget."""
 
 
-class SolveNotConverged(IbcFockError):
+class SolveNotConverged(NonConvergence):
     """Iterative linear solve exhausted its budget."""
 
 

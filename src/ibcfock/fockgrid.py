@@ -13,6 +13,8 @@ p - k, and the total momentum of a state is a lattice sum.
 Out-of-range momentum shifts are dropped (matrix element zero) rather
 than wrapped periodically, because the dispersions are not periodic;
 the resulting truncation error is part of the grid-refinement studies.
+A refinement ladder widens the box at the base spacing, and
+ladder_axis_counts refuses a rung off that spacing.
 
 FockBasis alone knows the state layout, boson multisets included.  The
 builders reach states only through sector_slice, sector_states and
@@ -86,19 +88,35 @@ class MomentumGrid:
                 "cell_weight": self.cell_weight}
 
 
-def build_grid(d: int, k_max: float, n_per_axis: int) -> MomentumGrid:
-    """Construct the lattice; n_per_axis must be odd (1 is the degenerate
+def grid_spacing(k_max: float, n_per_axis: int) -> float:
+    """Spacing of the lattice; n_per_axis must be odd (1 is the degenerate
     single-mode lattice {0}, with the whole box as its cell)."""
     if n_per_axis < 1 or n_per_axis % 2 == 0:
         raise EvenAxisCount("n_per_axis must be odd and positive, got %d" % n_per_axis)
     if not 0 < k_max < np.inf:
         raise ValueError("k_max must be finite and positive, got %r" % k_max)
+    return 2.0 * k_max / max(n_per_axis - 1, 1)
+
+
+def ladder_axis_counts(k_max: float, n_per_axis: int, rungs) -> list:
+    """Odd point counts n of the ladder rungs that widen the lattice's box
+    at its spacing h: each rung k_max must be (n - 1) * h / 2 > 0."""
+    h = grid_spacing(k_max, n_per_axis)
+    counts = [int(round(2.0 * km / h)) + 1 for km in rungs]
+    for km, n in zip(rungs, counts):
+        if n % 2 == 0 or not abs((n - 1) * h / 2.0 - km) < 1e-9 * km:
+            raise ValueError("ladder k_max %g is not (n - 1) * h / 2 for an "
+                             "odd n at the base spacing h = %g" % (km, h))
+    return counts
+
+
+def build_grid(d: int, k_max: float, n_per_axis: int) -> MomentumGrid:
+    """Construct the lattice at grid_spacing(k_max, n_per_axis)."""
+    spacing = grid_spacing(k_max, n_per_axis)
     if n_per_axis == 1:
         axis = np.zeros(1)
-        spacing = 2.0 * k_max
     else:
         axis = np.linspace(-k_max, k_max, n_per_axis)
-        spacing = 2.0 * k_max / (n_per_axis - 1)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     points = np.stack(mesh, axis=-1).reshape(-1, d)
     return MomentumGrid(d=d, k_max=float(k_max), n_per_axis=int(n_per_axis),
@@ -336,14 +354,19 @@ def sector_dimension(n_modes: int, n_nucleons: int, n: int) -> int:
     return n_modes ** n_nucleons * math.comb(n_modes + n - 1, n)
 
 
+def check_n_max(n_max: int) -> None:
+    """Boson sectors run over 0..n_max."""
+    if not n_max >= 0:
+        raise ValueError("n_max must be >= 0")
+
+
 def enumerate_basis(params: ModelParams, grid: MomentumGrid, n_max: int,
                     max_dim: int = MAX_DIM_DEFAULT) -> FockBasis:
     """Deterministic lexicographic enumeration of the truncated basis on
     one momentum lattice, shared by the nucleons and the bosons."""
     if grid.d != params.d:
         raise DimensionMismatch("grid and model must share the dimension d")
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    check_n_max(n_max)
     g = grid.size
     nuc_dim = g ** params.n_nucleons
     dims = [sector_dimension(g, params.n_nucleons, n)

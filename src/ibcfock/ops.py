@@ -230,8 +230,6 @@ def _counterterm_rows(basis: FockBasis, lambda_uv,
                       variant: int) -> np.ndarray:
     """Counterterm of every nucleon configuration (boson independent):
     the per-nucleon lattice twins, summed over nucleons."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
     params = basis.params
     nuc_table = basis.nucleon_mode_table()
     e_rows = np.zeros(basis.nuc_dim)
@@ -309,12 +307,12 @@ def assemble_annihilation(basis: FockBasis, lambda_uv) -> SparseOperator:
 # ---------------------------------------------------------------------------
 # boundary map G and the virtual-boson block
 
-def _check_shift(basis: FockBasis, lambda_shift: float) -> None:
-    if basis.params.m_boson == 0.0 and lambda_shift <= 0.0:
+def _check_shift(lambda_shift: float, basis: FockBasis | None = None) -> None:
+    if not lambda_shift >= 0.0:
+        raise ValueError("lambda_shift must be >= 0")
+    if basis is not None and basis.params.m_boson == 0.0 and lambda_shift == 0:
         raise MasslessWithoutShift(
             "massless bosons need a positive energy shift lambda")
-    if lambda_shift < 0.0:
-        raise ValueError("lambda_shift must be >= 0")
 
 
 def _boundary_map(basis: FockBasis, lambda_uv,
@@ -323,7 +321,7 @@ def _boundary_map(basis: FockBasis, lambda_uv,
     a*(V) are scaled directly: its range misses the states (if any) where
     L + lambda could vanish, so only positive energies divide.  G shares
     the kept matrix's read-only pattern."""
-    _check_shift(basis, lambda_shift)
+    _check_shift(lambda_shift, basis)
     lv = basis.free_diagonal + lambda_shift
     inv = np.divide(-1.0, lv, out=np.zeros_like(lv), where=lv > 0)
     return _diag_scaled(_creation_matrix(basis, lambda_uv), rows=inv)

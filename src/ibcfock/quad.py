@@ -450,6 +450,12 @@ def _default_kinks(p_norm: float):
 # ---------------------------------------------------------------------------
 # the renormalization integrals (continuum)
 
+def check_variants(variants) -> None:
+    """Counterterm variants: at least one, distinct, each 1 or 2."""
+    if not 0 < len(variants) == len(set(variants) & {1, 2}):
+        raise ValueError("variants must be distinct values from {1, 2}")
+
+
 def counterterm(p, lambda_uv: float, variant: int, params: ModelParams,
                 i_nucleon: int = 0, epsabs: float = EPSABS_DEFAULT,
                 epsrel: float = EPSREL_DEFAULT) -> QuadResult:
@@ -460,9 +466,8 @@ def counterterm(p, lambda_uv: float, variant: int, params: ModelParams,
     lambda_uv.  Diverges as the cutoff grows, so an infinite cutoff is
     rejected.
     """
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
-    if lambda_uv < 0:
+    check_variants((variant,))
+    if not lambda_uv >= 0:
         raise ValueError("lambda_uv must be >= 0")
     if not np.isfinite(lambda_uv):
         raise ValueError("the counterterm diverges at infinite cutoff")
@@ -700,14 +705,16 @@ def loglog_slope(x, y) -> float:
 def grid_mode_mask(grid: MomentumGrid, lambda_uv, params: ModelParams) -> np.ndarray:
     """Which lattice modes participate at cutoff lambda_uv.
 
-    lambda_uv = None means the native cutoff (every mode in the box);
-    lambda_uv = 0 selects nothing.  For massless bosons the zero mode is
-    always excluded, since the form factor is singular there.
+    lambda_uv = None means the native cutoff (every mode in the box), 0
+    selects nothing, and a negative or nan cutoff is refused.  Massless
+    bosons always drop the zero mode, where the form factor is singular.
     """
     norms = grid.norms()
     if lambda_uv is None:
         mask = np.ones(grid.size, dtype=bool)
-    elif lambda_uv <= 0:
+    elif not lambda_uv >= 0:
+        raise ValueError("cutoff must be >= 0 or None, got %r" % lambda_uv)
+    elif lambda_uv == 0:
         mask = np.zeros(grid.size, dtype=bool)
     else:
         mask = norms <= float(lambda_uv) * (1.0 + 1e-12)
@@ -748,8 +755,7 @@ def counterterm_grid(p_indices, grid: MomentumGrid, lambda_uv, variant: int,
     """Lattice counterterm: cell sum over modes q with |q| <= lambda_uv
     and p-q still on the lattice of
     h^d |v_{p-q}(q)|^2 / denominator."""
-    if variant not in (1, 2):
-        raise ValueError("variant must be 1 or 2")
+    check_variants((variant,))
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
                                             lambda_uv)
     norms = grid.norms()

@@ -58,7 +58,7 @@ from .ops import (
     assemble_H_direct,
     basis_digest,
 )
-from .quad import loglog_slope
+from .quad import check_variants, loglog_slope
 
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
 # power steps the Collatz-Wielandt certificate may take (_certify)
@@ -444,6 +444,19 @@ class ConvergenceTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
+def check_study(lambda_list, variants, eig_tol, norm_tol):
+    """Cutoffs (nonempty, increasing) and variants as lists; tolerances > 0."""
+    lams = [float(x) for x in lambda_list]
+    variants = [int(v) for v in variants]
+    check_variants(variants)
+    if not lams or any(not b > a for a, b in zip(lams, lams[1:])):
+        raise ValueError("lambda_list must be nonempty, strictly increasing")
+    for name, tol in (("eig_tol", eig_tol), ("norm_tol", norm_tol)):
+        if not 0 < tol < np.inf:
+            raise ValueError("%s must be finite and positive" % name)
+    return lams, variants
+
+
 def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                              lambda_shift: float = 0.0,
                              eig_tol: float = 1e-9,
@@ -474,17 +487,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     when the couplings are real (see lowest_eigenpairs).  A cutoff beyond
     the boson box (but inside the grid reach) warns once, at the caller.
     """
-    lams = [float(x) for x in lambda_list]
-    variants = [int(v) for v in variants]
-    if not lams:
-        raise ValueError("lambda_list must be nonempty")
-    if not variants:
-        raise ValueError("variants must be nonempty")
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambda_list must be strictly increasing")
-    for name, tol in (("eig_tol", eig_tol), ("norm_tol", norm_tol)):
-        if not (np.isfinite(tol) and tol > 0):
-            raise ValueError("%s must be finite and positive" % name)
+    lams, variants = check_study(lambda_list, variants, eig_tol, norm_tol)
     reach = basis.grid.k_max * np.sqrt(basis.grid.d)
     if max(lams) > reach * (1 + 1e-12):
         raise ValueError("largest cutoff %.6g exceeds the grid reach %.6g"
@@ -583,6 +586,14 @@ class DivergenceFit:
     residual_log1p: float
 
 
+def check_fit_cutoffs(lambda_list) -> None:
+    """A 2-parameter fit needs at least 3 cutoffs, all > 0."""
+    if len(lambda_list) < 3:
+        raise InsufficientPoints("need at least 3 points for a 2-parameter fit")
+    if not all(lam > 0 for lam in lambda_list):
+        raise ValueError("cutoffs must be positive")
+
+
 def divergence_fit(lambda_list, counterterm_values) -> DivergenceFit:
     """Least-squares fits of counterterm values against log cutoff.
 
@@ -596,10 +607,7 @@ def divergence_fit(lambda_list, counterterm_values) -> DivergenceFit:
     if lams.shape != vals.shape or lams.ndim != 1:
         raise ValueError("lambda_list and counterterm_values must be "
                          "one-dimensional and of equal length")
-    if lams.size < 3:
-        raise InsufficientPoints("need at least 3 points for a 2-parameter fit")
-    if np.any(lams <= 0):
-        raise ValueError("cutoffs must be positive")
+    check_fit_cutoffs(lams)
 
     def fit(x):
         coef = np.polyfit(x, vals, 1)
@@ -636,6 +644,18 @@ class RegularityReport:
     basis_digests: list
 
 
+def check_ladder(k_maxes, eta_list) -> list:
+    """Distinct exponents >= 0 as floats, on 3 or more increasing k_max."""
+    if len(k_maxes) < 3:
+        raise InsufficientPoints("need at least 3 refinements")
+    if any(not b > a for a, b in zip(k_maxes, k_maxes[1:])):
+        raise ValueError("refinements must have strictly increasing k_max")
+    etas = [float(e) for e in eta_list]
+    if not etas or len(set(etas)) < len(etas) or not all(e >= 0 for e in etas):
+        raise ValueError("eta_list must be nonempty, distinct and >= 0")
+    return etas
+
+
 def regularity_diagnostic(bases, variant: int, eta_list,
                           lambda_shift: float = 0.0,
                           eig_tol: float = 1e-8) -> RegularityReport:
@@ -650,24 +670,16 @@ def regularity_diagnostic(bases, variant: int, eta_list,
     refinement must carry the same model.
     """
     bases = list(bases)
-    if len(bases) < 3:
-        raise InsufficientPoints("need at least 3 refinements")
+    k_maxes = [b.grid.k_max for b in bases]
+    etas = check_ladder(k_maxes, eta_list)
     params = bases[0].params
     if any(b.params != params for b in bases[1:]):
         raise ValueError("refinements must share one model")
-    k_maxes = [b.grid.k_max for b in bases]
-    if any(b <= a for a, b in zip(k_maxes, k_maxes[1:])):
-        raise ValueError("refinements must have strictly increasing k_max")
-    etas = [float(e) for e in eta_list]
-    if not etas or len(set(etas)) < len(etas):
-        raise ValueError("eta_list must be nonempty and without repeats")
-    if any(e < 0 for e in etas):
-        raise ValueError("exponents must be nonnegative")
 
     rows, energies, digests = [], [], []
     singular = {e: [] for e in etas}
     for basis in bases:
-        _check_shift(basis, lambda_shift)
+        _check_shift(lambda_shift, basis)
         eig = lowest_eigenpairs(assemble_H_direct(basis, None, variant),
                                 eig_tol)
         psi = eig.vectors[:, 0]

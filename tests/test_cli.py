@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ibcfock import cli, ops
+from ibcfock import cli, errors, ops
 from ibcfock.model import ModelKind
 
 
@@ -185,6 +185,11 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     # repeated one crashed the slope fit
     ("regularity", "n_p_samples = 4", "eta_list ="),
     ("regularity", "n_p_samples = 4", "eta_list = 0.25, 0.25"),
+    # a basis beyond the cap (650 states here) is refused where it is
+    # enumerated, and main maps BasisTooLarge
+    ("identity", "n_max = 1", "n_max = 1\n    basis_cap = 10"),
+    ("converge", "n_max = 1", "n_max = 1\n    basis_cap = 10"),
+    ("regularity", "n_max = 1", "n_max = 1\n    basis_cap = 10"),
 ])
 def test_out_of_range_study_values_exit_one(tmp_path, capsys, command, old,
                                             new):
@@ -306,6 +311,61 @@ def test_scaling_exponents_are_checked_at_load(tmp_path, exps, message):
         cli.load_config(path)
     assert info.value.code == cli.EXIT_CONFIG
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("command", ["identity", "converge", "regularity"])
+def test_massless_shift_zero_exits_two_through_the_assembly(tmp_path, capsys,
+                                                           command):
+    # the override passes the gate; the boundary map refuses shift 0 for
+    # massless bosons, and main reports it in one message
+    path = write_cfg(tmp_path, TINY_GROSS.replace(
+        "m_boson = 1.0", "m_boson = 0.0").replace(
+        "lambda_shifts = 0, 1", "lambda_shifts = 0"))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", path, "--out", str(out),
+                     "--override-conditions"]) == cli.EXIT_CONDITION
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["override_conditions"] is True
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("condition failure (MasslessWithoutShift): ")
+
+
+NAMED_ERRORS = [
+    (errors.ConditionCViolated, cli.EXIT_CONDITION, "condition failure"),
+    (errors.EckmannMassless, cli.EXIT_CONDITION, "condition failure"),
+    (errors.EpsilonTooLarge, cli.EXIT_CONDITION, "condition failure"),
+    (errors.MasslessNucleon, cli.EXIT_CONDITION, "condition failure"),
+    (errors.MasslessWithoutShift, cli.EXIT_CONDITION, "condition failure"),
+    (errors.NotConverged, cli.EXIT_NUMERIC, "numerical non-convergence"),
+    (errors.QuadNotConverged, cli.EXIT_NUMERIC, "numerical non-convergence"),
+    (errors.SolveNotConverged, cli.EXIT_NUMERIC, "numerical non-convergence"),
+    (errors.BasisTooLarge, cli.EXIT_CONFIG, "configuration error"),
+]
+
+
+@pytest.mark.parametrize("error, code, label", NAMED_ERRORS,
+                         ids=[e.__name__ for e, _, _ in NAMED_ERRORS])
+def test_named_errors_exit_with_their_documented_code(tmp_path, capsys,
+                                                      monkeypatch, error,
+                                                      code, label):
+    def stub(cfg, manifest, args):
+        raise error("stubbed")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", stub)
+    path = write_cfg(tmp_path, TINY_GROSS)
+    out = tmp_path / "o"
+    assert cli.main(["check", "--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err == "%s (%s): stubbed\n" % (
+        label, error.__name__)
+    assert (out / "manifest.json").is_file()
+
+
+def test_every_condition_and_convergence_error_is_documented():
+    for base, code in ((errors.ConditionFailure, cli.EXIT_CONDITION),
+                       (errors.NonConvergence, cli.EXIT_NUMERIC)):
+        assert set(base.__subclasses__()) == {
+            e for e, c, _ in NAMED_ERRORS if c == code}
 
 
 def test_failing_conditions_gate_and_override_semantics(tmp_path):

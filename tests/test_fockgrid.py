@@ -23,8 +23,34 @@ def test_build_grid_examples():
 
 
 def test_build_grid_rejects_even_axis():
+    for n_per_axis in (4, 0, -3):
+        with pytest.raises(EvenAxisCount):
+            fg.build_grid(1, 1.0, n_per_axis)
+
+
+def test_grid_spacing_is_the_grid_spacing():
+    for k_max, n in [(1.0, 1), (1.0, 3), (2.0, 5), (0.3, 17), (4, 9)]:
+        assert fg.grid_spacing(k_max, n) == fg.build_grid(1, k_max, n).spacing
+
+
+def test_ladder_axis_counts_keep_the_base_spacing():
+    # h = 1 at k_max 2 with 5 points: a rung widens the box, not h
+    assert fg.ladder_axis_counts(2.0, 5, (2.0, 4.0, 8.0)) == [5, 9, 17]
+    assert fg.ladder_axis_counts(1.0, 3, (1.0, 2.0, 4.0)) == [3, 5, 9]
+    assert fg.build_grid(2, 8.0, 17).spacing == fg.grid_spacing(2.0, 5)
+    # off the spacing (2.2 would run 5 points at 1.1; 1.5 needs 4), or
+    # not a positive radius
+    for rung in (2.2, 1.5, 0.0, -2.0, np.nan):
+        with pytest.raises(ValueError):
+            fg.ladder_axis_counts(2.0, 5, (2.0, rung))
+    # the base lattice answers to build_grid's rules
     with pytest.raises(EvenAxisCount):
-        fg.build_grid(1, 1.0, 4)
+        fg.ladder_axis_counts(2.0, 4, (2.0,))
+    with pytest.raises(ValueError):
+        fg.ladder_axis_counts(np.nan, 5, (2.0,))
+    # a one-point lattice (spacing 2 k_max) has no odd rung at k_max
+    with pytest.raises(ValueError):
+        fg.ladder_axis_counts(1.0, 1, (1.0,))
 
 
 def test_cell_weights_tile_the_box():
@@ -184,6 +210,8 @@ def test_dimension_mismatch_and_cap():
         fg.enumerate_basis(params, g1, 1)
     with pytest.raises(BasisTooLarge):
         fg.enumerate_basis(params, g2, 2, max_dim=10)
+    with pytest.raises(ValueError, match="n_max"):
+        fg.enumerate_basis(params, g2, -1)
 
 
 # ---------------------------------------------------------------------------

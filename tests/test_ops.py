@@ -485,8 +485,9 @@ def test_ibc_memo_still_raises_after_a_cached_call():
         with pytest.raises(MasslessWithoutShift):
             assemble_H_ibc(massless, None, 1, 0.0)
         assemble_H_ibc(basis, 1.0, 1, 0.5)
-        with pytest.raises(ValueError, match=">= 0"):
-            assemble_H_ibc(basis, 1.0, 1, -0.5)
+        for bad in (-0.5, np.nan):
+            with pytest.raises(ValueError, match=">= 0"):
+                assemble_H_ibc(basis, 1.0, 1, bad)
         assemble_H_ibc(basis, 1.0, 2, 0.5)
         with pytest.raises(ConditionCViolated):
             assemble_H_ibc(violating, 1.0, 1, 0.5)
@@ -773,6 +774,21 @@ def test_cutoff_zero_gives_free_hamiltonian():
     hi = assemble_H_ibc(basis, 0.0, 1, 1.0)
     assert verify_identity(hd, hi, tol=1e-14).passed
     assert np.abs(hi.matrix.diagonal() - lv).max() < 1e-14
+
+
+@pytest.mark.parametrize("lam", [np.nan, -1.0])
+def test_nan_or_negative_cutoff_is_refused(lam):
+    # either one used to select no mode, so that H_direct came out as L
+    basis = small_basis(GROSS1, k_max=1.0, nax=3, n_max=1)
+    for build in (lambda: assemble_creation(basis, lam),
+                  lambda: assemble_H_direct(basis, lam, 1),
+                  lambda: assemble_G(basis, lam, 0.5),
+                  lambda: assemble_H_ibc(basis, lam, 1, 0.5)):
+        with pytest.raises(ValueError, match="cutoff"):
+            build()
+    # 0 (no mode) and None (the native cutoff) keep their meaning
+    assert assemble_creation(basis, 0.0).nnz == 0
+    assert assemble_creation(basis, None).nnz > 0
 
 
 def test_cutoff_growth_adds_only_annulus_modes():

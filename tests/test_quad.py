@@ -479,6 +479,15 @@ def test_grid_mode_mask_conventions():
     assert ib.grid_mode_mask(gr, None, massless).sum() == gr.size - 1
 
 
+@pytest.mark.parametrize("lam", [np.nan, -1.0, -np.inf])
+def test_grid_mode_mask_refuses_nan_and_negative_cutoffs(lam):
+    gr = ib.build_grid(2, 2.0, 5)
+    with pytest.raises(ValueError, match="cutoff"):
+        ib.grid_mode_mask(gr, lam, GROSS)
+    with pytest.raises(ValueError):
+        ib.counterterm_grid(np.array([0]), gr, lam, 1, GROSS)
+
+
 def test_grid_massless_sum_is_finite():
     gr = ib.build_grid(2, 2.0, 17)
     massless = ib.custom_model(d=2, alpha=0.5, beta=1.0, gamma=1.0,

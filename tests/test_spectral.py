@@ -699,6 +699,14 @@ def test_convergence_study_validates_ladder(study_basis):
         cutoff_convergence_study(study_basis, [], (1,))
     with pytest.raises(ValueError):
         cutoff_convergence_study(study_basis, [1.0], ())
+    # nan passed the ordering check, and then selected no mode
+    for lams in ([np.nan, 1.0], [0.5, np.nan]):
+        with pytest.raises(ValueError):
+            cutoff_convergence_study(study_basis, lams, (1,))
+    # a repeated variant would overwrite its own table
+    for variants in ((1, 1), (3,), (1, 2, 2)):
+        with pytest.raises(ValueError, match="variants"):
+            cutoff_convergence_study(study_basis, [0.5, 1.0], variants)
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +739,8 @@ def test_divergence_fit_input_validation():
         divergence_fit([1.0, 2.0, 4.0], [0.0, 1.0])
     with pytest.raises(ValueError):
         divergence_fit([0.0, 2.0, 4.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        divergence_fit([np.nan, 2.0, 4.0], [0.0, 1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -798,8 +808,9 @@ def test_regularity_input_validation():
         regularity_diagnostic(bases[:2], 1, [0.25])
     with pytest.raises(ValueError):
         regularity_diagnostic(bases[::-1], 1, [0.25])
-    with pytest.raises(ValueError):
-        regularity_diagnostic(bases, 1, [-0.5])
+    for etas in ([-0.5], [0.25, np.nan]):
+        with pytest.raises(ValueError):
+            regularity_diagnostic(bases, 1, etas)
     for etas in ([], [0.25, 0.25]):
         with pytest.raises(ValueError, match="nonempty"):
             regularity_diagnostic(bases, 1, etas)
