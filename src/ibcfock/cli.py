@@ -63,7 +63,6 @@ from .model import (
     ultraviolet_degree,
 )
 from .ops import (
-    _check_shift,
     assemble_H_direct,
     assemble_H_ibc,
     assemble_T_od,
@@ -73,6 +72,7 @@ from .ops import (
 )
 from .quad import (
     ScalingExponents,
+    check_shift,
     condition_b_lhs,
     counterterm,
     integral_j_grid,
@@ -240,7 +240,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         check_fit_cutoffs(fit_lambdas)
         if not lambda_shifts:
             raise ValueError("lambda_shifts must not be empty")
-        _check_shift(min(lambda_shifts))
+        check_shift(min(lambda_shifts))
         if scaling and len(scaling) != 3:
             raise ValueError("scaling_exponents needs exactly three values")
         if min(lambda_list) <= 0:

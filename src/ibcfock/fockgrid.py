@@ -66,21 +66,17 @@ class MomentumGrid:
     def size(self) -> int:
         return self.n_per_axis ** self.d
 
-    @property
-    def center(self) -> int:
-        """Per-axis index of the 0 lattice point."""
-        return (self.n_per_axis - 1) // 2
-
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.points, axis=-1)
 
-    def multi_indices(self) -> np.ndarray:
-        """Per-axis index table of shape (size, d)."""
-        idx = np.arange(self.size)
-        multi = np.empty((self.size, self.d), dtype=np.int32)
-        for j in range(self.d - 1, -1, -1):
-            idx, multi[:, j] = np.divmod(idx, self.n_per_axis)
-        return multi
+    @cached_property
+    def axis_offsets(self) -> np.ndarray:
+        """(size, d) per-axis index offsets of the points from the origin."""
+        axes = np.indices((self.n_per_axis,) * self.d, dtype=np.int32)
+        table = np.ascontiguousarray(axes.reshape(self.d, -1).T)
+        table -= self.n_per_axis // 2
+        table.flags.writeable = False
+        return table
 
     def manifest(self) -> dict:
         return {"d": self.d, "k_max": self.k_max, "n_per_axis": self.n_per_axis,
@@ -142,17 +138,15 @@ def point_index(grid: MomentumGrid, p) -> int:
 def translate_indices(grid: MomentumGrid, ip, ik, sign: int = 1):
     """Vectorized lattice shift p + sign*k on flat indices.
 
+    Inside the box, p + sign*k is ip + sign*(ik - size // 2), size // 2
+    being the origin; axis_offsets decide whether it stays inside.
     Returns (target flat indices, validity mask); invalid targets are
     set to 0 and must be masked by the caller.
     """
-    multi = grid.multi_indices()
-    mp = multi[np.asarray(ip)]
-    mk = multi[np.asarray(ik)]
-    tgt = mp + sign * (mk - grid.center)
-    valid = np.all((tgt >= 0) & (tgt < grid.n_per_axis), axis=-1)
-    tgt = np.where(valid[..., None], tgt, 0)
-    strides = grid.n_per_axis ** np.arange(grid.d - 1, -1, -1)
-    return tgt @ strides, valid
+    ip, ik = np.asarray(ip), np.asarray(ik)
+    tgt = grid.axis_offsets[ip] + sign * grid.axis_offsets[ik]
+    valid = np.all(np.abs(tgt) <= grid.n_per_axis // 2, axis=-1)
+    return np.where(valid, ip + sign * (ik - grid.size // 2), 0), valid
 
 
 # ---------------------------------------------------------------------------

@@ -133,12 +133,17 @@ def eckmann_model(delta=0.0, coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=1):
     the decay in k, so the effective exponent is alpha = 1 - delta/2 for
     any delta in [0, 1), giving uv_degree = delta.
     """
-    if not 0 <= delta < 1:
-        raise ValueError("delta must lie in [0, 1)")
+    check_eckmann_delta(delta)
     couplings = _spread(coupling, n_nucleons)
     return ModelParams(ModelKind.ECKMANN, d=3, n_nucleons=n_nucleons,
                        alpha=1.0 - delta / 2.0, beta=1.0, gamma=1.0,
                        mu=float(mu), m_boson=float(m_boson), couplings=couplings)
+
+
+def check_eckmann_delta(delta) -> None:
+    """The Eckmann decay improvement delta lies in [0, 1)."""
+    if not 0 <= delta < 1:
+        raise ValueError("delta must lie in [0, 1), got %r" % (delta,))
 
 
 def nelson_model(coupling=1.0, mu=0.0, m_boson=1.0, n_nucleons=1):
@@ -248,8 +253,6 @@ def form_factor(i, p, k, params: ModelParams):
         return g * np.asarray(params.form_factor_fn(p, k), dtype=complex)
     k_sq = np.sum(k * k, axis=-1)
     if params.kind == ModelKind.ECKMANN:
-        if params.mu <= 0:
-            raise EckmannMassless("Eckmann form factor needs a positive nucleon mass")
         theta_p = dispersion_nucleon(p, params)
         theta_pk = dispersion_nucleon(p + k, params)
         v = (theta_p * theta_pk) ** -0.5 * _omega_of_sq(k_sq, params) ** -0.5
@@ -450,7 +453,7 @@ def appendix_parameter_family(params: ModelParams, epsilon) -> ParameterFamily:
     enough.
     """
     epsilon = float(epsilon)
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if params.beta >= params.gamma:
         raise ValueError("the parameter family applies only for beta < gamma")
@@ -510,10 +513,9 @@ def eckmann_kinematic_bound(mu, delta=0.0, n_samples=100000, seed=0) -> Kinemati
     below c_analytic up to roundoff.
     """
     mu = float(mu)
-    if mu <= 0:
+    if not mu > 0:
         raise MasslessNucleon("the kinematic bound requires mu > 0")
-    if not 0 <= delta < 1:
-        raise ValueError("delta must lie in [0, 1)")
+    check_eckmann_delta(delta)
     rng = np.random.default_rng(seed)
     p = _heavy_tailed_sample(rng, n_samples, 3)
     k = _heavy_tailed_sample(rng, n_samples, 3)

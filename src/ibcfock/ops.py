@@ -82,12 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .errors import (
-    BasisMismatch,
-    ConditionCViolated,
-    MasslessWithoutShift,
-    StructureViolated,
-)
+from .errors import BasisMismatch, ConditionCViolated, StructureViolated
 from .fockgrid import FockBasis
 from .model import (
     check_condition_c,
@@ -95,7 +90,7 @@ from .model import (
     dispersion_nucleon,
     form_factor,
 )
-from .quad import counterterm_grid, grid_mode_mask, resolvent_sum_grid
+from .quad import check_shift, counterterm_grid, grid_mode_mask, resolvent_sum_grid
 
 
 @dataclass
@@ -307,21 +302,13 @@ def assemble_annihilation(basis: FockBasis, lambda_uv) -> SparseOperator:
 # ---------------------------------------------------------------------------
 # boundary map G and the virtual-boson block
 
-def _check_shift(lambda_shift: float, basis: FockBasis | None = None) -> None:
-    if not lambda_shift >= 0.0:
-        raise ValueError("lambda_shift must be >= 0")
-    if basis is not None and basis.params.m_boson == 0.0 and lambda_shift == 0:
-        raise MasslessWithoutShift(
-            "massless bosons need a positive energy shift lambda")
-
-
 def _boundary_map(basis: FockBasis, lambda_uv,
                   lambda_shift: float) -> sparse.csr_array:
     """-(L + lambda)^(-1) a*(V) from the kept creation matrix.  Rows of
     a*(V) are scaled directly: its range misses the states (if any) where
     L + lambda could vanish, so only positive energies divide.  G shares
     the kept matrix's read-only pattern."""
-    _check_shift(lambda_shift, basis)
+    check_shift(lambda_shift, basis.params)
     lv = basis.free_diagonal + lambda_shift
     inv = np.divide(-1.0, lv, out=np.zeros_like(lv), where=lv > 0)
     return _diag_scaled(_creation_matrix(basis, lambda_uv), rows=inv)
@@ -407,6 +394,7 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int,
     sectors this is the familiar subtracted combination (variant 1 drops
     the dispersion-shift part, variant 2 includes it).
     """
+    check_shift(lambda_shift)
     _require_condition_c(basis.params)
     diag = basis.nucleon_diagonal(_counterterm_rows(basis, lambda_uv, variant))
     _subtract_resolvent_sums(basis, diag, lambda_uv, lambda_shift)
@@ -418,16 +406,18 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int,
 # ---------------------------------------------------------------------------
 # off-diagonal exchange pieces
 
-def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv):
+def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv,
+                     lambda_shift: float):
     """Lattice tables both exchange families share, for a validated
-    nucleon pair: the active boson modes, the configuration shift tables
-    of nucleon i emitting and nucleon ell absorbing, the nucleon
-    dispersion per lattice point and per configuration, and the boson
-    dispersion per mode."""
+    nucleon pair and shift: the active boson modes, the configuration
+    shift tables of nucleon i emitting and nucleon ell absorbing, the
+    nucleon dispersion per lattice point and per configuration, and the
+    boson dispersion per mode."""
     params = basis.params
     m_nuc = params.n_nucleons
     if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
         raise IndexError("nucleon index out of range")
+    check_shift(lambda_shift)
     theta_pt = dispersion_nucleon(basis.grid.points, params)
     return (np.flatnonzero(grid_mode_mask(basis.grid, lambda_uv, params)),
             basis.nucleon_shift(i, -1), basis.nucleon_shift(ell, 1), theta_pt,
@@ -444,7 +434,7 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
     if i == ell:
         raise IndexError("theta needs two distinct nucleon indices")
     active, emit, absorb, theta_pt, theta_state, om = _exchange_tables(
-        basis, i, ell, lambda_uv)
+        basis, i, ell, lambda_uv, lambda_shift)
     nuc_table = basis.nucleon_mode_table()
     ff_i, ff_ell = (_form_factors(basis, j, active) for j in (i, ell))
     rows, cols, vals = [], [], []
@@ -481,7 +471,7 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
     vacuum sector and on the top sector (no room for the intermediate).
     """
     active, emit, absorb, theta_pt, theta_state, om = _exchange_tables(
-        basis, i, ell, lambda_uv)
+        basis, i, ell, lambda_uv, lambda_shift)
     nuc_table = basis.nucleon_mode_table()
     ff_i = _form_factors(basis, i, active)
     ff_ell = ff_i if i == ell else _form_factors(basis, ell, active)

@@ -27,6 +27,8 @@ MomentumGrid), so that both sides of the operator identity use the exact
 same Riemann sum: counterterm_grid for the counterterm, integral_j_grid
 for J, and resolvent_sum_grid for the unsubtracted resolvent sum, which
 minus counterterm_grid of variant 1 is the twin of I.
+
+check_cutoff and check_shift state the cutoff and the shift rule once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ExponentWindowViolated, QuadNotConverged
+from .errors import ExponentWindowViolated, MasslessWithoutShift, QuadNotConverged
 from .fockgrid import MomentumGrid, translate_indices
 from .model import (
     ModelParams,
@@ -81,7 +83,7 @@ class ScalingExponents:
         """Raise ValueError on a negative weight or a non-positive r, and
         ExponentWindowViolated unless d lies inside the window."""
         nu, sig, rr = self.nu_exp, self.sigma_exp, self.r
-        if nu < 0 or sig < 0 or rr <= 0:
+        if not (nu >= 0 and sig >= 0 and rr > 0):
             raise ValueError("exponents must satisfy nu,sigma >= 0 and r > 0")
         lo, hi = nu + sig, nu + sig + rr * params.gamma
         if not lo < params.d < hi:
@@ -382,8 +384,10 @@ def axisymmetric_integral(integrand: Callable, d: int, lo: float, hi: float,
     panels.  QuadNotConverged is raised when that budget runs out, when
     the integrand is not finite at a node, when a power tail does not
     settle, or when the angular rule has not converged by n_angular_max
-    nodes.
+    nodes.  An empty range (lo == hi) integrates to exactly zero.
     """
+    if lo == hi:
+        return QuadResult(0.0, 0.0, 0.0, 0.0, 0)
 
     def radial(r, u):
         v = np.broadcast_to(np.asarray(integrand(r, u), dtype=float), r.shape)
@@ -448,7 +452,24 @@ def _default_kinks(p_norm: float):
 
 
 # ---------------------------------------------------------------------------
-# the renormalization integrals (continuum)
+# argument rules, one function each, called by every entry point
+
+def check_cutoff(lambda_uv) -> None:
+    """A cutoff radius is a number >= 0; inf passes, nan does not."""
+    if not lambda_uv >= 0:
+        raise ValueError("cutoff lambda_uv must be >= 0, got %r" % (lambda_uv,))
+
+
+def check_shift(lambda_shift, params: Optional[ModelParams] = None) -> None:
+    """An energy shift is finite and >= 0.  Given the model, as where
+    L + lambda is inverted, massless bosons need a shift > 0."""
+    if not 0 <= lambda_shift < np.inf:
+        raise ValueError("energy shift must be finite and >= 0, got %r"
+                         % (lambda_shift,))
+    if params is not None and params.m_boson == 0.0 and lambda_shift == 0:
+        raise MasslessWithoutShift(
+            "massless bosons need a positive energy shift lambda")
+
 
 def check_variants(variants) -> None:
     """Counterterm variants: at least one, distinct, each 1 or 2."""
@@ -467,12 +488,9 @@ def counterterm(p, lambda_uv: float, variant: int, params: ModelParams,
     rejected.
     """
     check_variants((variant,))
-    if not lambda_uv >= 0:
-        raise ValueError("lambda_uv must be >= 0")
+    check_cutoff(lambda_uv)
     if not np.isfinite(lambda_uv):
         raise ValueError("the counterterm diverges at infinite cutoff")
-    if lambda_uv == 0.0:
-        return QuadResult(0.0, 0.0, 0.0, 0.0, 0)
     p_norm = _norm_of(p)
 
     def integrand(r, u):
@@ -501,10 +519,7 @@ def integral_J(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0,
     over |k| <= lambda_uv (inf allowed: the subtracted integrand decays).
     Equals counterterm(variant=1) - counterterm(variant=2) at equal cutoff.
     """
-    if lambda_uv < 0:
-        raise ValueError("lambda_uv must be >= 0")
-    if lambda_uv == 0.0:
-        return QuadResult(0.0, 0.0, 0.0, 0.0, 0)
+    check_cutoff(lambda_uv)
     p_norm = _norm_of(p)
 
     def integrand(r, u):
@@ -536,10 +551,8 @@ def integral_I(P, K_hat, lambda_uv: float, ell: int, params: ModelParams,
     if K_hat is None:
         K_hat = np.zeros((0, params.d))
     K_hat = np.asarray(K_hat, dtype=float).reshape(-1, params.d)
-    if lambda_uv < 0:
-        raise ValueError("lambda_uv must be >= 0")
-    if lambda_uv == 0.0:
-        return QuadResult(0.0, 0.0, 0.0, 0.0, 0)
+    check_cutoff(lambda_uv)
+    check_shift(lambda_shift)
     theta_all = dispersion_nucleon(P, params)
     rest = float(np.sum(theta_all) - theta_all[ell]
                  + np.sum(dispersion_boson_norm(np.linalg.norm(K_hat, axis=-1), params))
@@ -574,8 +587,7 @@ def condition_b_lhs(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0
     family default because the unsplit remnant of that kink slows the
     doubling rule in narrow bands of |p|.
     """
-    if lambda_uv < 0:
-        raise ValueError("lambda_uv must be >= 0")
+    check_cutoff(lambda_uv)
     p_norm = _norm_of(p)
 
     def integrand(r, u):
@@ -612,8 +624,8 @@ def scaling_lhs(p, omega_shift: float, lambda_uv: float, exps: ScalingExponents,
     exps.check_window(params)
     nu, sig, rr = exps.nu_exp, exps.sigma_exp, exps.r
     d, gam, bet = params.d, params.gamma, params.beta
-    if omega_shift < 0 or lambda_uv < 0:
-        raise ValueError("omega_shift and lambda_uv must be >= 0")
+    check_shift(omega_shift)
+    check_cutoff(lambda_uv)
     p_norm = _norm_of(p)
 
     def integrand(r, u):
@@ -653,7 +665,7 @@ def scaling_bound_fit(param_sweep, delta: float = 0.0,
     lambda compensation is nonincreasing along increasing lambda_uv > 1
     within each (p, omega_shift) group.
     """
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError("delta must be >= 0")
     ratios = []
     groups = {}
@@ -663,7 +675,7 @@ def scaling_bound_fit(param_sweep, delta: float = 0.0,
         p_norm = _norm_of(point["p"])
         om = float(point["omega_shift"])
         lam = float(point["lambda_uv"])
-        if om <= 0:
+        if not om > 0:
             raise ValueError("omega_shift must be > 0 in the fit")
         lhs = scaling_lhs(point["p"], om, lam, exps, params,
                           epsabs=epsabs, epsrel=epsrel).value
@@ -706,18 +718,15 @@ def grid_mode_mask(grid: MomentumGrid, lambda_uv, params: ModelParams) -> np.nda
     """Which lattice modes participate at cutoff lambda_uv.
 
     lambda_uv = None means the native cutoff (every mode in the box), 0
-    selects nothing, and a negative or nan cutoff is refused.  Massless
-    bosons always drop the zero mode, where the form factor is singular.
+    selects nothing, and check_cutoff refuses the rest.  Massless bosons
+    always drop the zero mode, where the form factor is singular.
     """
     norms = grid.norms()
     if lambda_uv is None:
         mask = np.ones(grid.size, dtype=bool)
-    elif not lambda_uv >= 0:
-        raise ValueError("cutoff must be >= 0 or None, got %r" % lambda_uv)
-    elif lambda_uv == 0:
-        mask = np.zeros(grid.size, dtype=bool)
     else:
-        mask = norms <= float(lambda_uv) * (1.0 + 1e-12)
+        check_cutoff(lambda_uv)
+        mask = (norms <= float(lambda_uv) * (1.0 + 1e-12)) & (lambda_uv > 0)
     if params.m_boson == 0.0:
         mask = mask & (norms > 0.0)
     return mask
@@ -795,6 +804,7 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
     lattice counterterm of variant 1 it is the cell sum of the
     regularized diagonal integral integral_I.
     """
+    check_shift(lambda_shift)
     p_indices = np.asarray(p_indices)
     rest = np.broadcast_to(np.asarray(rest_energies, dtype=float), p_indices.shape)
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,

@@ -47,18 +47,18 @@ from .fockgrid import FockBasis
 from .model import ultraviolet_degree
 from .ops import (
     SparseOperator,
-    _check_shift,
     _counterterm_rows,
     _creation_matrix,
     _diag_scaled,
     _direct_matrix,
+    _entry_rows,
     _t_cutoff_matrix,
     _warn_beyond_reach,
     assemble_G,
     assemble_H_direct,
     basis_digest,
 )
-from .quad import check_variants, loglog_slope
+from .quad import check_shift, check_variants, loglog_slope
 
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
 # power steps the Collatz-Wielandt certificate may take (_certify)
@@ -117,7 +117,7 @@ def _components(h: sparse.csr_array):
         h.sum_duplicates()
     n = h.shape[0]
     n_comp, labels = _pattern_components(h)
-    rows = np.repeat(np.arange(n), np.diff(h.indptr))
+    rows = _entry_rows(h)
     off = rows != h.indices
     diag_min = np.full(n_comp, np.inf)
     np.minimum.at(diag_min, labels, np.real(h.diagonal()))
@@ -156,8 +156,7 @@ def _certify(block: sparse.csr_array, starts: np.ndarray,
     and the row sum, of the division and of the subtraction.
     """
     m = block.shape[0]
-    rows = np.repeat(np.arange(m), np.diff(block.indptr))
-    off = rows != block.indices
+    off = _entry_rows(block) != block.indices
     a = sparse.csr_array((np.where(off, np.abs(block.data), 0.0),
                           block.indices, block.indptr), shape=block.shape)
     d = np.real(block.diagonal())
@@ -181,6 +180,13 @@ def _certify(block: sparse.csr_array, starts: np.ndarray,
         x = np.maximum(shift * x + ax, np.finfo(float).tiny)
         x /= np.add.reduceat(x, starts)[comp]
     return bound
+
+
+def check_tol(**tols) -> None:
+    """Solver tolerances, passed by name: each finite and > 0."""
+    for name, tol in tols.items():
+        if not 0 < tol < np.inf:
+            raise ValueError("%s must be finite and positive" % name)
 
 
 def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
@@ -212,8 +218,7 @@ def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
     """
     if not op.hermitian_flag:
         raise ValueError("eigensolver requires a Hermitian-tagged operator")
-    if not np.isfinite(tol):
-        raise ValueError("tol must be finite")
+    check_tol(tol=tol)
     h = op.matrix
     n = h.shape[0]
     labels, lower, scale = _components(h)
@@ -315,7 +320,7 @@ class _ParityFactor:
     def __init__(self, matrix: sparse.csr_array, z: complex,
                  odd: np.ndarray):
         n = matrix.shape[0]
-        rows = np.repeat(np.arange(n), np.diff(matrix.indptr))
+        rows = _entry_rows(matrix)
         off = rows != matrix.indices
         if np.any(odd[rows[off]] == odd[matrix.indices[off]]):
             raise ValueError("operator couples states of equal boson parity")
@@ -451,9 +456,7 @@ def check_study(lambda_list, variants, eig_tol, norm_tol):
     check_variants(variants)
     if not lams or any(not b > a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda_list must be nonempty, strictly increasing")
-    for name, tol in (("eig_tol", eig_tol), ("norm_tol", norm_tol)):
-        if not 0 < tol < np.inf:
-            raise ValueError("%s must be finite and positive" % name)
+    check_tol(eig_tol=eig_tol, norm_tol=norm_tol)
     return lams, variants
 
 
@@ -675,11 +678,12 @@ def regularity_diagnostic(bases, variant: int, eta_list,
     params = bases[0].params
     if any(b.params != params for b in bases[1:]):
         raise ValueError("refinements must share one model")
+    check_shift(lambda_shift, params)
+    check_tol(eig_tol=eig_tol)
 
     rows, energies, digests = [], [], []
     singular = {e: [] for e in etas}
     for basis in bases:
-        _check_shift(lambda_shift, basis)
         eig = lowest_eigenpairs(assemble_H_direct(basis, None, variant),
                                 eig_tol)
         psi = eig.vectors[:, 0]
