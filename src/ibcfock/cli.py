@@ -125,7 +125,6 @@ class RunConfig:
     scaling_exponents: ScalingExponents
     tol_identity: float
     eig_tol: float
-    norm_tol: float
     seed: int
     n_samples: int
     n_p_samples: int
@@ -220,7 +219,6 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         if tol_override is not None:
             tol_identity = float(tol_override)
         eig_tol = float(study.get("eig_tol", "1e-9"))
-        norm_tol = float(study.get("norm_tol", "1e-4"))
         seed = int(study.get("seed", "0"))
         if seed_override is not None:
             seed = int(seed_override)
@@ -236,7 +234,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
         ladder_axis_counts(k_max, n_per_axis, ladder)
         check_n_max(n_max)
         check_ladder(ladder, eta_list)
-        check_study(lambda_list, variants, eig_tol, norm_tol)
+        check_study(lambda_list, variants, eig_tol)
         check_fit_cutoffs(fit_lambdas)
         if not lambda_shifts:
             raise ValueError("lambda_shifts must not be empty")
@@ -285,7 +283,7 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
                      lambda_shifts=lambda_shifts, eta_list=eta_list,
                      ladder_k_max=ladder, fit_lambda_list=fit_lambdas,
                      scaling_exponents=exps, tol_identity=tol_identity,
-                     eig_tol=eig_tol, norm_tol=norm_tol, seed=seed,
+                     eig_tol=eig_tol, seed=seed,
                      n_samples=n_samples, n_p_samples=n_p_samples,
                      formats=formats, dump_operators=dump_ops,
                      config_sha256=sha)
@@ -570,8 +568,7 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
         tables = cutoff_convergence_study(basis, cfg.lambda_list,
                                           cfg.variants,
                                           lambda_shift=cfg.lambda_shifts[0],
-                                          eig_tol=cfg.eig_tol,
-                                          norm_tol=cfg.norm_tol)
+                                          eig_tol=cfg.eig_tol)
     except ValueError as exc:
         raise CommandError(EXIT_CONFIG, "cutoff ladder: %s" % exc)
     for variant, tab in tables.items():

@@ -16,13 +16,11 @@ Three numerical experiments live here on top of generic solver plumbing:
 
 All continuum-flavored statements are certified Cauchy-style: the
 finest cutoff in the family stands in for the removed-cutoff operator.
-Ground states are solved block by block: lowest_eigenpairs splits the
-operator into its decoupled components, solves the one with the lowest
-Weyl bound, and certifies that the blocks it skips hold no lower
-eigenvalue, by the Weyl bound or, for the few that bound leaves open,
-by a Collatz-Wielandt bound (Gershgorin on a positively scaled block,
-lowered by an explicit rounding slack), so one block solve per ground
-state is the rule.
+Block by block: lowest_eigenpairs solves the decoupled component with
+the lowest Weyl bound and certifies that the rest hold no lower
+eigenvalue (by that bound or a Collatz-Wielandt one), and the study's
+resolvent distance solves components only while their bound exceeds
+the norm found, so each energy and distance takes one or a few solves.
 Solvers are deterministic: start vectors derive from the basis digest.
 Tables are data: ConvergenceTable and RegularityReport hold rows and
 metadata, and the command-line front end writes them.
@@ -63,7 +61,7 @@ from .quad import check_shift, check_variants, loglog_slope
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
 # power steps the Collatz-Wielandt certificate may take (_certify)
 CERTIFY_STEPS = 60
-# relative residual budget of each Schur-complement solve (_ParityFactor)
+# relative residual budget of each Schur inverse (_resolvent_distances)
 SCHUR_RTOL = 1e-10
 # spectral parameter of the resolvent distances in the convergence study
 RESOLVENT_Z = -1.0j
@@ -284,123 +282,146 @@ def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
 
 def _odd_bosons(basis: FockBasis) -> np.ndarray:
     """Mask of the basis states with an odd number of bosons."""
-    odd = np.zeros(basis.total_dim, dtype=bool)
-    for n in range(1, basis.n_max + 1, 2):
-        odd[basis.sector_slice(n)] = True
-    return odd
+    return np.repeat(np.arange(basis.n_max + 1) % 2 == 1, basis.sector_dims)
 
 
-class _ParityFactor:
-    """(H - z)^(-1) on the boson-parity Schur complement.
+def _gram_blocks(ca, chb, w, r: int) -> np.ndarray:
+    """The r x r diagonal blocks of ca diag(w) cb^H, given chb = cb^H."""
+    m = (sparse.csr_array((ca.data * w[ca.indices], ca.indices, ca.indptr),
+                          shape=ca.shape) @ chb).tocoo()
+    out = np.zeros((ca.shape[0] // r, r, r), dtype=complex)
+    out[m.row // r, m.row % r, m.col % r] = m.data
+    return out
 
-    The off-diagonal part of H (a*(V) + a(V)) changes the boson number
-    by one, so it only joins states of opposite parity; the constructor
-    checks this in one pass over the stored entries and raises
-    ValueError otherwise (H_ibc, whose stored cancellation residues join
-    equal parities, does not qualify).  In the order [smaller class;
-    larger class], `order`, the matrix reads
 
-        H - z = [[Ds - z, C], [B, Dl - z]],   Ds, Dl diagonal,
+def _hermitian_blocks(a, b, d) -> np.ndarray:
+    """The stack of [[a, b], [b^H, d]] from stacks of blocks."""
+    return np.block([[a, b], [b.conj().swapaxes(1, 2), d]])
 
-    and dividing out the larger class (the Feshbach-Schur map, the same
-    elimination of a diagonal free part as the boundary map G) leaves
-    only S = (Ds - z) - C (Dl - z)^(-1) B to factor: a sparse LU under a
-    minimum-degree ordering of its symmetric pattern.  For Hermitian H
-    and z off the real axis |Dl - z| >= |Im z| > 0.  A z that hits an
-    entry of Dl (for a real z this can happen off the spectrum too) or
-    makes S exactly singular raises SolveNotConverged.
 
-    apply and apply_adjoint take and return vectors in `order`, i.e.
-    v[order] for a vector v in basis order; the first ns of them are the
-    smaller class.  Each solve certifies the residual of its S solve
-    against SCHUR_RTOL and raises SolveNotConverged above it; the rows
-    of the larger class then hold by construction up to one rounding.
+def _resolvent_distances(hams, z: complex, odd: np.ndarray) -> list:
+    """Exact ||(H_k - z)^(-1) - (H_last - z)^(-1)|| for each Hermitian H_k
+    of a cutoff ladder (0.0 for the last).
+
+    Each H joins only states of opposite boson parity (`odd`) and only
+    inside the pattern components of H_last (couplings persist as the
+    cutoff grows), else ValueError, so the difference D is block
+    diagonal over those components.  On one, with r states in its
+    smaller parity class, H - z = [[Ds - z, C], [C^H, Dl - z]] (Ds, Dl
+    diagonal) and by Feshbach-Schur (H - z)^(-1) = diag(0, (Dl - z)^(-1))
+    + U S^(-1) V^H, U = [I; -(Dl - z)^(-1) C^H], V^H = [I, -C (Dl -
+    z)^(-1)], S = (Ds - z) - C (Dl - z)^(-1) C^H.  So D_c = Delta + X W,
+    Delta diagonal, X = [U_k S_k^(-1), -U_f S_f^(-1)], W = [V_k^H; V_f^H],
+    whose 2r x 2r Gram products (one sparse product for all components
+    of one r) give ||XW|| and ||Delta^H XW||; ||D_c||^2 <= max|Delta_c|^2
+    + ||XW||^2 + 2 ||Delta^H XW||, no looser than Weyl's bound.  The
+    components are solved in decreasing order of that bound (the largest
+    singular value of the dense D_c built from the pieces; Delta alone on
+    one state) until the bound reaches the largest norm found.  A z on
+    an eliminated diagonal entry, or an S whose inverse misses
+    SCHUR_RTOL (a singular one always does), raises SolveNotConverged.
     """
+    n_comp, labels = _pattern_components(hams[-1])
+    sizes = np.bincount(labels, minlength=n_comp)
+    in_s = odd == (2 * np.bincount(labels, weights=odd, minlength=n_comp)
+                   <= sizes)[labels]
+    # components numbered by their r, so that each r is a run of them and
+    # each component a run of the s and of the l numbering
+    rank = np.bincount(labels, weights=in_s, minlength=n_comp)
+    labels = np.argsort(np.argsort(rank, kind="stable"))[labels]
+    sizes, rank = (np.bincount(labels, weights=w, minlength=n_comp)
+                   .astype(int) for w in (None, in_s))
+    s_idx, l_idx = (np.flatnonzero(m)[np.argsort(labels[m], kind="stable")]
+                    for m in (in_s, ~in_s))
+    num = np.empty(labels.size, dtype=int)
+    num[s_idx], num[l_idx] = np.arange(s_idx.size), np.arange(l_idx.size)
+    s_end, l_end = np.cumsum(rank), np.cumsum(sizes - rank)
+    l_start = l_end - sizes + rank
+    groups = {}                  # r -> (first component, s range, l range)
+    for r in np.unique(rank[rank > 0]).tolist():
+        j0, j1 = np.searchsorted(rank, [r, r + 1])
+        groups[r] = (j0, slice(s_end[j0] - r, s_end[j1 - 1]),
+                     slice(l_start[j0], l_end[j1 - 1]))
 
-    def __init__(self, matrix: sparse.csr_array, z: complex,
-                 odd: np.ndarray):
-        n = matrix.shape[0]
-        rows = _entry_rows(matrix)
-        off = rows != matrix.indices
-        if np.any(odd[rows[off]] == odd[matrix.indices[off]]):
-            raise ValueError("operator couples states of equal boson parity")
-        small = odd if 2 * np.count_nonzero(odd) <= n else ~odd
-        self.order = np.concatenate([np.flatnonzero(small),
-                                     np.flatnonzero(~small)])
-        self.ns = ns = int(np.count_nonzero(small))
-        # complex even for a real z: the solves take complex vectors
-        d = matrix.diagonal()[self.order] - complex(z)
-        ds, dl = d[:ns], d[ns:]
-        if not np.all(dl != 0):
+    rungs = []                   # (C, Dl - z, r -> pieces) per operator
+    for h in hams:
+        rows, cols = _entry_rows(h), h.indices
+        off = rows != cols
+        if (np.any(odd[rows[off]] == odd[cols[off]])
+                or np.any(labels[rows] != labels[cols])):
+            raise ValueError("operator couples states of equal boson parity,"
+                             " or states the last one leaves apart")
+        d = h.diagonal() - complex(z)
+        e = d[l_idx]
+        if not np.all(e != 0):
             raise SolveNotConverged("z = %r meets a diagonal entry of the "
                                     "eliminated parity class" % (z,))
-        small_idx, large_idx = self.order[:ns], self.order[ns:]
-        c = sparse.csr_array(matrix[small_idx][:, large_idx], dtype=complex)
-        b = sparse.csr_array(matrix[large_idx][:, small_idx], dtype=complex)
-        # (Dl - z)^(-1) B and its adjoint counterpart, scaled once
-        g = sparse.csr_array(sparse.diags_array(1.0 / dl) @ b)
-        gh = sparse.csr_array(sparse.diags_array(1.0 / dl.conj())
-                              @ c.conj().T)
-        schur = sparse.csr_array(sparse.diags_array(ds) - c @ g)
-        self.lu = None
-        if ns:
-            try:
-                self.lu = spla.splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            except RuntimeError as exc:
-                raise SolveNotConverged(
-                    "Schur complement factorization failed: %s" % exc) from exc
-        self._forward = (dl, c, g, schur, "N")
-        self._adjoint = (dl.conj(), sparse.csr_array(b.conj().T), gh,
-                         sparse.csr_array(schur.conj().T), "H")
-
-    def stored_nnz(self) -> int:
-        """Entries held: both couplings in both directions and L+U of S."""
-        held = sum(m.nnz for m in self._forward[1:3] + self._adjoint[1:3])
-        return held + (self.lu.L.nnz + self.lu.U.nnz if self.ns else 0)
-
-    def _solve(self, v, dl, c, g, schur, trans):
-        ns = self.ns
-        x = np.empty(v.shape, dtype=complex)
-        np.divide(v[ns:], dl, out=x[ns:])
-        if ns:
-            rhs = v[:ns] - c @ x[ns:]
-            xs = self.lu.solve(rhs, trans=trans)
-            res = np.linalg.norm(schur @ xs - rhs)
-            if not res <= SCHUR_RTOL * np.linalg.norm(rhs):
+        sl = in_s[rows] & ~in_s[cols]
+        c = sparse.csr_array((h.data[sl], (num[rows[sl]], num[cols[sl]])),
+                             shape=(s_idx.size, l_idx.size), dtype=complex)
+        per_r = {}
+        for r, (_, srng, lrng) in groups.items():
+            cg, eg, ii = c[srng, lrng], e[lrng], np.arange(r)
+            chg = sparse.csr_array(cg.conj().T)
+            schur = -_gram_blocks(cg, chg, 1.0 / eg, r)
+            schur[:, ii, ii] += d[s_idx[srng]].reshape(-1, r)
+            # a singular S has no pseudo-inverse that passes the check
+            inv = np.linalg.pinv(schur)
+            res = np.linalg.norm(schur @ inv - np.eye(r), axis=(1, 2))
+            if not np.all(res <= SCHUR_RTOL * np.sqrt(r)):
                 raise SolveNotConverged(
                     "Schur complement residual %.3e above %.1e relative"
-                    % (res, SCHUR_RTOL))
-            x[:ns] = xs
-            x[ns:] -= g @ xs
-        return x
+                    % (res.max(), SCHUR_RTOL))
+            # the last item is U^H U = V^H V of this rung
+            per_r[r] = (cg, chg, eg, inv,
+                        np.eye(r) + _gram_blocks(cg, chg, abs(eg) ** -2, r))
+        rungs.append((c, e, per_r))
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """(H - z)^(-1) v, in `order`."""
-        return self._solve(v, *self._forward)
+    def solve(j, delta, *pair):
+        """||D_c|| of component j, from the dense Delta + X W."""
+        r, lrng = rank[j], slice(l_start[j], l_end[j])
+        if not r:
+            return float(abs(delta[l_start[j]]))
+        dense = np.diag(np.append(np.zeros(r), delta[lrng]))
+        for sign, (c, e, per_r) in zip((1.0, -1.0), pair):
+            inv = per_r[r][3][j - groups[r][0]]
+            cd = c[s_end[j] - r:s_end[j], lrng].toarray()
+            x = np.vstack([inv, -(cd.conj().T / e[lrng, None]) @ inv])
+            dense += sign * x @ np.hstack([np.eye(r), -cd / e[lrng]])
+        return float(np.linalg.norm(dense, 2))
 
-    def apply_adjoint(self, v: np.ndarray) -> np.ndarray:
-        """(H - z)^(-*) v, in `order`."""
-        return self._solve(v, *self._adjoint)
-
-
-def _power_norm(apply_fn, apply_adjoint_fn, tol: float, maxiter: int,
-                v0: np.ndarray) -> float:
-    """Largest singular value of a linear map given its action and the
-    adjoint action, by power iteration on the normal map."""
-    x = v0.astype(complex)
-    x /= np.linalg.norm(x)
-    est_prev = -1.0
-    for _ in range(maxiter):
-        y = apply_adjoint_fn(apply_fn(x))
-        ny = np.linalg.norm(y)
-        if ny == 0.0:
-            return 0.0
-        est = float(np.sqrt(ny))
-        if abs(est - est_prev) <= tol * max(est, 1e-300):
-            return est
-        est_prev = est
-        x = y / ny
-    raise NotConverged("power iteration did not settle in %d steps" % maxiter)
+    dists = []
+    for rung in rungs[:-1]:
+        delta = 1.0 / rung[1] - 1.0 / rungs[-1][1]
+        dmax = np.maximum.reduceat(np.abs(delta), l_start)
+        bound = dmax ** 2
+        for r, (j0, _, lrng) in groups.items():
+            ck, chk, ek, ik, nk = rung[2][r]
+            cf, chf, ef, i_f, nf = rungs[-1][2][r]
+            a2 = np.abs(delta[lrng]) ** 2
+            u, v, gkf = (_gram_blocks(ck, chf, w, r) for w in (
+                1 / (ek.conj() * ef), 1 / (ek * ef.conj()),
+                a2 / (ek.conj() * ef)))
+            # ||XW||^2 is the top eigenvalue of (X^H X)(W W^H) and
+            # ||Delta^H XW||^2 that of (X^H |Delta|^2 X)(W W^H); with P =
+            # diag(S_k^(-1), S_f^(-1)) they are those of G (P W W^H P^H)
+            p = _hermitian_blocks(ik, 0 * ik, i_f)
+            q = p @ _hermitian_blocks(nk, v + np.eye(r), nf) \
+                @ p.conj().swapaxes(1, 2)
+            gx = _hermitian_blocks(nk, -u - np.eye(r), nf)
+            gd = _hermitian_blocks(
+                _gram_blocks(ck, chk, a2 / abs(ek) ** 2, r), -gkf,
+                _gram_blocks(cf, chf, a2 / abs(ef) ** 2, r))
+            xw2, dxw2 = (np.maximum(np.linalg.eigvals(g @ q).real.max(1), 0)
+                         for g in (gx, gd))
+            bound[j0:j0 + ik.shape[0]] += xw2 + 2.0 * np.sqrt(dxw2)
+        bound = np.sqrt(bound)
+        best, j = 0.0, int(np.argmax(bound))
+        while bound[j] > best:
+            best, bound[j] = max(best, solve(j, delta, rung, rungs[-1])), 0.0
+            j = int(np.argmax(bound))
+        dists.append(float(best))
+    return dists + [0.0]
 
 
 def _block_norm(d: sparse.csr_array) -> float:
@@ -449,48 +470,43 @@ class ConvergenceTable:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def check_study(lambda_list, variants, eig_tol, norm_tol):
-    """Cutoffs (nonempty, increasing) and variants as lists; tolerances > 0."""
+def check_study(lambda_list, variants, eig_tol):
+    """Cutoffs (nonempty, increasing) and variants as lists; eig_tol > 0."""
     lams = [float(x) for x in lambda_list]
     variants = [int(v) for v in variants]
     check_variants(variants)
     if not lams or any(not b > a for a, b in zip(lams, lams[1:])):
         raise ValueError("lambda_list must be nonempty, strictly increasing")
-    check_tol(eig_tol=eig_tol, norm_tol=norm_tol)
+    check_tol(eig_tol=eig_tol)
     return lams, variants
 
 
 def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                              lambda_shift: float = 0.0,
-                             eig_tol: float = 1e-9,
-                             norm_tol: float = 1e-4) -> dict:
+                             eig_tol: float = 1e-9) -> dict:
     """Ground energies and Cauchy-style convergence measures over a
     cutoff ladder, one ConvergenceTable per counterterm variant.
 
     For every cutoff the renormalized operator is assembled on the fixed
-    basis.  The resolvent distance ||(H_lam - z)^(-1) - (H_fin - z)^(-1)||
-    at z = RESOLVENT_Z is estimated by power iteration through one
-    parity factor per cutoff (see _ParityFactor): every solve works on
-    the boson-parity Schur complement, in the factor's state order (the
-    start vector is permuted once), and certifies its residual.  The
-    weighted distance of the virtual-boson block (difference weighted
-    by (L+1) to the power -(uv_degree/gamma + T_WEIGHT_EPSILON)) is
-    exact: the largest dense 2-norm over the pattern components of the
-    difference (see _block_norm).  A control column carries the
-    unrenormalized ground energy, whose downward drift is the divergence
-    the counterterm subtracts.
+    basis.  Both distances to the finest cutoff are exact maxima over
+    pattern components: the resolvent distance ||(H_lam - z)^(-1) -
+    (H_fin - z)^(-1)|| at z = RESOLVENT_Z from Feshbach-Schur pieces on
+    the boson-parity classes of H_fin's components (see
+    _resolvent_distances), and the distance of the virtual-boson block
+    weighted by (L+1)^-(uv_degree/gamma + T_WEIGHT_EPSILON) from dense
+    blocks of the difference (see _block_norm).  A control column holds
+    the unrenormalized ground energy, whose downward drift is the
+    divergence the counterterm subtracts.
 
-    The creation matrix of each cutoff is built once (kept on the basis,
-    see ops) and feeds the control Hamiltonian (free + a + a^dagger, no
-    counterterm), the block T (the matrix of assemble_T_cutoff) and every
-    variant's renormalized Hamiltonian.  The control is solved and T
-    built once per cutoff, shared by every table, and the counterterm
-    rows of each (cutoff, variant) serve both its Hamiltonian and its T
-    block.  Ground energies are solved block by block, in real arithmetic
-    when the couplings are real (see lowest_eigenpairs).  A cutoff beyond
-    the boson box (but inside the grid reach) warns once, at the caller.
+    Each cutoff's creation matrix (kept on the basis, see ops) feeds the
+    control (free + a + a^dagger), the block T of assemble_T_cutoff and
+    every variant's Hamiltonian; control and T serve every table, and
+    each (cutoff, variant)'s counterterm rows its Hamiltonian and T
+    block.  The shift is checked before any assembly (T inverts L +
+    lambda_shift); a cutoff beyond the boson box warns once.
     """
-    lams, variants = check_study(lambda_list, variants, eig_tol, norm_tol)
+    lams, variants = check_study(lambda_list, variants, eig_tol)
+    check_shift(lambda_shift, basis.params)
     reach = basis.grid.k_max * np.sqrt(basis.grid.d)
     if max(lams) > reach * (1 + 1e-12):
         raise ValueError("largest cutoff %.6g exceeds the grid reach %.6g"
@@ -501,7 +517,6 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     weight = (basis.free_diagonal + 1.0) ** (
         -(max(exps.uv_degree, 0.0) / params.gamma + T_WEIGHT_EPSILON))
     digest = basis_digest(basis)
-    v0_basis = _seed_vector(basis.total_dim, digest, "study")
     odd = _odd_bosons(basis)
 
     no_counterterm = np.zeros(basis.nuc_dim)
@@ -535,23 +550,11 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
             t_blocks.append(sparse.csr_array(
                 t_op + sparse.diags_array(e_diag, format="csr")))
 
-        fin = _ParityFactor(hams[-1], RESOLVENT_Z, odd)
-        v0 = v0_basis[fin.order]
-        rows = []
-        for k, lam in enumerate(lams):
-            if k == len(lams) - 1:
-                r_diff = 0.0
-                t_diff = 0.0
-            else:
-                cur = _ParityFactor(hams[k], RESOLVENT_Z, odd)
-                r_diff = _power_norm(
-                    lambda x: cur.apply(x) - fin.apply(x),
-                    lambda y: cur.apply_adjoint(y) - fin.apply_adjoint(y),
-                    norm_tol, 500, v0)
-                t_diff = _block_norm(_diag_scaled(
-                    t_blocks[k] - t_blocks[-1], cols=weight))
-            rows.append(ConvergenceRow(lam, grounds[k], controls[k],
-                                       r_diff, t_diff))
+        t_diffs = [_block_norm(_diag_scaled(t - t_blocks[-1], cols=weight))
+                   for t in t_blocks[:-1]] + [0.0]
+        rows = [ConvergenceRow(*row) for row in zip(
+            lams, grounds, controls,
+            _resolvent_distances(hams, RESOLVENT_Z, odd), t_diffs)]
         tables[variant] = ConvergenceTable(rows, variant, digest,
                                            _study_fits(rows))
     return tables

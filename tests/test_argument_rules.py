@@ -30,7 +30,7 @@ P = np.array([0.5, 0.0])
 EXPS = ib.ScalingExponents(nu_exp=0.0, sigma_exp=0.0, r=2.5)
 
 CUTOFF, SHIFT = "lambda_uv", "lambda_shift"
-TOLERANCES = ("tol", "eig_tol", "norm_tol")
+TOLERANCES = ("tol", "eig_tol")
 
 
 @functools.lru_cache(maxsize=None)
@@ -86,7 +86,7 @@ ROWS = {
                                    lambda_shift=0.5),
     "cutoff_convergence_study": lambda: dict(
         basis=basis(), lambda_list=[0.5, 1.0], variants=(1,),
-        lambda_shift=0.5, eig_tol=1e-9, norm_tol=1e-4),
+        lambda_shift=0.5, eig_tol=1e-9),
     "regularity_diagnostic": lambda: dict(
         bases=ladder(), variant=1, eta_list=[0.25], lambda_shift=0.5,
         eig_tol=1e-8),

@@ -146,8 +146,6 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     # a non-finite or non-positive tolerance switches a certificate off
     ("converge", "n_p_samples = 4", "n_p_samples = 4\n    eig_tol = nan"),
     ("converge", "n_p_samples = 4", "n_p_samples = 4\n    eig_tol = inf"),
-    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    norm_tol = -1e-4"),
-    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    norm_tol = nan"),
     ("identity", "n_samples = 4000",
      "n_samples = 4000\n    tol_identity = nan"),
     ("identity", "n_samples = 4000",
@@ -197,6 +195,17 @@ def test_out_of_range_study_values_exit_one(tmp_path, capsys, command, old,
     assert cli.main([command, "--config", path,
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, old, new", [
+    # the study has no norm_tol (its resolvent distance is exact); like
+    # any unknown key it is ignored, whatever its value
+    ("converge", "n_p_samples = 4", "n_p_samples = 4\n    norm_tol = -1e-4"),
+])
+def test_ignored_study_keys_load_and_run(tmp_path, command, old, new):
+    path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
+    assert cli.main([command, "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
@@ -316,8 +325,9 @@ def test_scaling_exponents_are_checked_at_load(tmp_path, exps, message):
 @pytest.mark.parametrize("command", ["identity", "converge", "regularity"])
 def test_massless_shift_zero_exits_two_through_the_assembly(tmp_path, capsys,
                                                            command):
-    # the override passes the gate; the boundary map refuses shift 0 for
-    # massless bosons, and main reports it in one message
+    # the override passes the gate; the boundary map (or the study, before
+    # it assembles) refuses shift 0 for massless bosons, and main reports
+    # it in one message
     path = write_cfg(tmp_path, TINY_GROSS.replace(
         "m_boson = 1.0", "m_boson = 0.0").replace(
         "lambda_shifts = 0, 1", "lambda_shifts = 0"))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.linalg import block_diag
 from scipy.sparse import linalg as spla
 
 from ibcfock import (
@@ -24,12 +25,13 @@ from ibcfock import (
     lowest_eigenpairs,
     regularity_diagnostic,
 )
-from ibcfock.errors import InsufficientPoints, NotConverged, \
+from ibcfock.errors import InsufficientPoints, MasslessWithoutShift, \
     SolveNotConverged
 from ibcfock import ops, spectral
 from ibcfock.ops import SparseOperator, basis_digest
 from ibcfock.spectral import DENSE_DIM_MAX, _block_norm, _certify, \
-    _components, _odd_bosons, _ParityFactor, _power_norm, _seed_vector
+    _components, _odd_bosons, _pattern_components, _resolvent_distances, \
+    _seed_vector
 
 GROSS1 = gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
 
@@ -322,75 +324,70 @@ def test_free_hamiltonian_ground_is_vacuum():
 
 
 # ---------------------------------------------------------------------------
-# resolvent
+# resolvent distances
 
-def resolvent_apply(op, z, v, tol=1e-10):
-    """Solve (H - z) w = v through the study's parity factor, in basis
-    order, and check the full residual against tol times |v|."""
-    h = op.matrix
-    v = np.asarray(v, dtype=complex)
-    factor = _ParityFactor(h, z, _odd_bosons(op.basis))
-    w = np.empty_like(v)
-    w[factor.order] = factor.apply(v[factor.order])
-    assert np.linalg.norm(h @ w - z * w - v) <= tol * np.linalg.norm(v)
-    return w
+def dense_distances(hams, z):
+    """||(H_k - z)^(-1) - (H_last - z)^(-1)|| per rung, from dense
+    inverses of the whole operators."""
+    eye = np.eye(hams[-1].shape[0])
+    inv = [np.linalg.inv(sparse.csr_array(h).toarray() - z * eye)
+           for h in hams]
+    return [np.linalg.norm(r - inv[-1], 2) for r in inv]
 
 
-def test_resolvent_apply_round_trip():
-    basis = small_basis(nax=5)
-    op = assemble_H_direct(basis, 1.0, 1)
-    rng = np.random.default_rng(3)
-    v = rng.standard_normal(basis.total_dim) \
-        + 1j * rng.standard_normal(basis.total_dim)
-    w = resolvent_apply(op, 1.0j, v, tol=1e-11)
-    assert np.linalg.norm(op.matrix @ w - 1.0j * w - v) \
-        <= 1e-10 * np.linalg.norm(v)
-    # Hermitian operator: the resolvent at distance 1 from the real axis
-    # is a contraction
-    assert np.linalg.norm(w) <= np.linalg.norm(v) * (1 + 1e-12)
-
-
-def test_resolvent_apply_diagonal_entrywise():
+def test_resolvent_distance_of_diagonal_operators_is_entrywise():
+    # every component of a diagonal ladder is one state, so the distance
+    # is the largest entrywise difference of the two resolvents, for a
+    # complex and a real z alike
     basis = small_basis()
-    op = assemble_L(basis)
-    lv = np.real(op.matrix.diagonal())
-    rng = np.random.default_rng(4)
-    v = rng.standard_normal(basis.total_dim).astype(complex)
-    w = resolvent_apply(op, -2.0 + 0.0j, v)
-    assert np.allclose(w, v / (lv + 2.0), atol=1e-12)
-    # a real z on a real operator still solves complex right-hand sides
-    assert np.array_equal(resolvent_apply(op, -2.0, v), w)
+    lv = np.real(assemble_L(basis).matrix.diagonal())
+    hams = [sparse.diags_array(lv + s, format="csr") for s in (0.5, 0.0)]
+    want = np.abs(1.0 / (lv + 0.5 + 2.0) - 1.0 / (lv + 2.0)).max()
+    for z in (-2.0 + 0.0j, -2.0):
+        got = _resolvent_distances(hams, z, _odd_bosons(basis))
+        assert got[1] == 0.0
+        assert got[0] == pytest.approx(want, rel=1e-15)
 
 
-def test_resolvent_at_eigenvalue_fails_loudly():
+def test_resolvent_at_a_diagonal_entry_fails_loudly():
+    # every state of a diagonal operator is eliminated, and z meets one
     basis = small_basis()
-    op = assemble_L(basis)
-    z = complex(np.real(op.matrix.diagonal())[0])
+    h = assemble_L(basis).matrix
+    z = complex(np.real(h.diagonal())[0])
     with pytest.raises(SolveNotConverged):
-        resolvent_apply(op, z, np.ones(basis.total_dim, dtype=complex))
+        _resolvent_distances([h, h], z, _odd_bosons(basis))
 
 
-def test_resolvent_apply_rejects_equal_parity_couplings():
+def test_resolvent_distances_reject_equal_parity_couplings():
     # H_ibc stores cancellation residues (~1e-17) between states of
-    # equal boson parity, so the parity factor refuses it
+    # equal boson parity, so the parity-class pieces do not apply
     basis = small_basis(n_max=2)
-    op = assemble_H_ibc(basis, 1.0, 1, 0.5)
+    h = assemble_H_ibc(basis, 1.0, 1, 0.5).matrix
     with pytest.raises(ValueError, match="parity"):
-        resolvent_apply(op, 1.0j, np.ones(basis.total_dim, dtype=complex))
+        _resolvent_distances([h, h], 1.0j, _odd_bosons(basis))
+
+
+def test_resolvent_distances_reject_couplings_the_last_rung_lacks():
+    # the pieces live on the components of the last operator; a rung of
+    # larger cutoff couples states that the last one leaves apart
+    basis = small_basis()
+    hams = [assemble_H_direct(basis, lam, 1).matrix for lam in (1.0, 0.5)]
+    with pytest.raises(ValueError, match="leaves apart"):
+        _resolvent_distances(hams, -1.0j, _odd_bosons(basis))
 
 
 def test_resolvent_without_bosons_divides_the_diagonal():
-    # n_max = 0: no odd-parity states, nothing left to factor
+    # n_max = 0: no odd-parity states, every component is one state
     basis = small_basis(n_max=0)
-    op = assemble_H_direct(basis, 1.0, 1)
-    v = np.arange(basis.total_dim) + 1.0j
-    w = resolvent_apply(op, 1.0j, v)
-    assert np.allclose(w, v / (op.matrix.diagonal() - 1.0j),
-                       rtol=1e-15, atol=0.0)
     tab = cutoff_convergence_study(basis, [0.5, 1.0], (1,))[1]
-    # recorded with a sparse LU of the full H - z
-    assert tab.column("resolvent_diff_to_finest")[0] == pytest.approx(
-        0.20600990515339532, rel=1e-12)
+    d = [assemble_H_direct(basis, lam, 1).matrix.diagonal()
+         - spectral.RESOLVENT_Z for lam in (0.5, 1.0)]
+    got = tab.column("resolvent_diff_to_finest")[0]
+    assert got == np.abs(1.0 / d[0] - 1.0 / d[1]).max()
+    # the estimate recorded with a sparse LU of the full H - z and power
+    # iteration stopped at 1e-4
+    old = 0.20600990515339532
+    assert old * (1 - 1e-12) <= got <= old * (1 + 5e-2)
 
 
 def _bipartite_hermitian(rng, n_small, n_large, density, is_complex):
@@ -417,33 +414,33 @@ def _bipartite_hermitian(rng, n_small, n_large, density, is_complex):
        density=st.floats(0.0, 1.0), is_complex=st.booleans(),
        re_z=st.floats(-6.0, 6.0), im_z=st.floats(0.2, 2.0),
        sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2 ** 32 - 1))
-def test_parity_factor_matches_dense_solve(n_small, extra, density,
-                                           is_complex, re_z, im_z, sign,
-                                           seed):
+def test_resolvent_distances_match_dense_inverses(n_small, extra, density,
+                                                  is_complex, re_z, im_z,
+                                                  sign, seed):
     rng = np.random.default_rng(seed)
     dense, odd = _bipartite_hermitian(rng, n_small, n_small + extra + 1,
                                       density, is_complex)
     n = dense.shape[0]
     z = complex(re_z, sign * im_z)
-    factor = _ParityFactor(sparse.csr_array(dense), z, odd)
-    assert factor.ns == n_small
-    order = factor.order
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    shifted = dense - z * np.eye(n)
-    for got, want in (
-            (factor.apply(v[order]), np.linalg.solve(shifted, v)),
-            (factor.apply_adjoint(v[order]),
-             np.linalg.solve(shifted.conj().T, v))):
-        assert np.linalg.norm(got - want[order]) \
-            <= 1e-12 * np.linalg.norm(want)
+    # a lower rung: some couplings dropped, the diagonal moved
+    lower = dense.copy()
+    drop = np.triu(rng.random((n, n)) < 0.3, 1)
+    lower[drop | drop.T] = 0.0
+    lower[np.arange(n), np.arange(n)] += rng.uniform(-1.0, 1.0, n)
+    hams = [sparse.csr_array(lower), sparse.csr_array(dense)]
+    got = _resolvent_distances(hams, z, odd)
+    want = dense_distances(hams, z)
+    assert got[1] == 0.0
+    # both resolvents are bounded by 1/|Im z|
+    assert abs(got[0] - want[0]) <= 1e-12 * 2.0 / im_z
 
     # a coupling between two states of equal parity is refused
-    i, j = order[n_small], order[-1]
-    if i != j:
+    same = np.flatnonzero(odd == odd[0])
+    if same.size > 1:
         bad = dense.copy()
-        bad[i, j] = bad[j, i] = 0.5
-        with pytest.raises(ValueError):
-            _ParityFactor(sparse.csr_array(bad), z, odd)
+        bad[same[0], same[1]] = bad[same[1], same[0]] = 0.5
+        with pytest.raises(ValueError, match="parity"):
+            _resolvent_distances([sparse.csr_array(bad)] * 2, z, odd)
 
     # a z on the spectrum: cut one state loose and take its energy
     k = int(rng.integers(n))
@@ -451,68 +448,117 @@ def test_parity_factor_matches_dense_solve(n_small, extra, density,
     cut[k, :k] = cut[k, k + 1:] = 0.0
     cut[:k, k] = cut[k + 1:, k] = 0.0
     with pytest.raises(SolveNotConverged):
-        f = _ParityFactor(sparse.csr_array(cut), cut[k, k].real, odd)
-        f.apply(v[f.order])
+        _resolvent_distances([sparse.csr_array(cut)] * 2, cut[k, k].real,
+                             odd)
 
 
-def test_parity_factor_certifies_every_solve(monkeypatch):
-    # with a budget no residual can meet, both directions must refuse
-    # to return their solution
-    basis = small_basis()
-    h = assemble_H_direct(basis, 1.0, 1).matrix
-    factor = _ParityFactor(h, -1.0j, _odd_bosons(basis))
-    v = np.ones(basis.total_dim, dtype=complex)
+def test_resolvent_distances_prune_only_what_the_bound_clears():
+    # ||D_c||^2 can exceed max|Delta_c|^2 + ||XW||^2 when Delta and XW
+    # line up; among slightly moved copies of such a component, a bound
+    # without its 2 ||Delta^H XW|| term would skip the largest norm
+    rng = np.random.default_rng(12)
+    eye, z, found = np.eye(7), -1.0j, 0
+    while found < 3:
+        base, odd = _bipartite_hermitian(rng, 2, 5, 0.6, True)
+        lower = base + np.diag(rng.uniform(-2.0, 2.0, 7))
+        diff = np.linalg.inv(lower - z * eye) - np.linalg.inv(base - z * eye)
+        small = odd if 2 * np.count_nonzero(odd) <= 7 else ~odd
+        delta = np.where(small, 0.0, 1.0 / (np.diag(lower) - z)
+                         - 1.0 / (np.diag(base) - z))
+        if np.linalg.norm(diff, 2) ** 2 <= np.abs(delta).max() ** 2 \
+                + np.linalg.norm(diff - np.diag(delta), 2) ** 2:
+            continue
+        found += 1
+        moves = [np.diag(rng.uniform(-0.05, 0.05, 7)) for _ in range(6)]
+        hams = [sparse.csr_array(block_diag(*[h + m for m in moves]))
+                for h in (lower, base)]
+        got = _resolvent_distances(hams, z, np.tile(odd, 6))
+        assert got[0] == pytest.approx(dense_distances(hams, z)[0],
+                                       rel=1e-12)
+
+
+def test_resolvent_distances_certify_every_schur_inverse(monkeypatch):
+    # with a budget no residual can meet, the inverse of every Schur
+    # complement is refused, also on components with r_c > 1
+    basis = small_basis(n_max=2)
+    hams = [assemble_H_direct(basis, lam, 1).matrix for lam in (0.5, 1.0)]
     monkeypatch.setattr(spectral, "SCHUR_RTOL", -1.0)
-    for solve in (factor.apply, factor.apply_adjoint):
-        with pytest.raises(SolveNotConverged, match="residual"):
-            solve(v)
+    with pytest.raises(SolveNotConverged, match="residual"):
+        _resolvent_distances(hams, -1.0j, _odd_bosons(basis))
 
 
-def test_parity_factor_singular_schur_complement_raises():
+def test_singular_schur_complement_raises():
     # [[1, 1], [1, 1]] at z = 0: Dl - z = 1, S = 1 - 1 = 0 exactly
     h = sparse.csr_array(np.ones((2, 2)))
+    odd = np.array([True, False])
     with pytest.raises(SolveNotConverged):
-        _ParityFactor(h, 0.0, np.array([True, False]))
+        _resolvent_distances([h, h], 0.0, odd)
     # z = 2 makes S = -1 - 1/(-1) = 0 as well (eigenvalue 2)
     with pytest.raises(SolveNotConverged):
-        _ParityFactor(h, 2.0, np.array([True, False]))
+        _resolvent_distances([h, h], 2.0, odd)
 
 
-# ---------------------------------------------------------------------------
-# operator-norm differences
-
-def test_opnorm_diff_rank_one():
-    # a rank-one difference u v* has spectral norm |u||v| exactly
-    basis = small_basis()
-    n = basis.total_dim
-    rng = np.random.default_rng(11)
-    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    a = assemble_L(basis).matrix
-    b = sparse.csr_array(a + np.outer(u, v.conj()))
-    d = (a - b).tocsr()
-    dh = d.conj().T.tocsr()
-    v0 = _seed_vector(n, basis_digest(basis), "opnorm")
-    got = _power_norm(lambda x: d @ x, lambda y: dh @ y, 1e-10, 500, v0)
-    want = np.linalg.norm(u) * np.linalg.norm(v)
-    assert abs(got - want) < 1e-8 * want
+def _gauge(hams, z):
+    # a diagonal unitary U: U H U^H has the resolvent U (H - z)^(-1) U^H
+    n = hams[0].shape[0]
+    u = sparse.diags_array(np.exp(2j * np.pi * np.linspace(0.0, 1.0, n) ** 2))
+    return [(u @ h @ u.conj()).tocsr() for h in hams], z, 1.0
 
 
-def test_power_norm_matches_dense_svd():
-    rng = np.random.default_rng(7)
-    d = rng.standard_normal((200, 200)) + 1j * rng.standard_normal((200, 200))
-    v0 = _seed_vector(200, "ab" * 32, "test")
-    got = _power_norm(lambda x: d @ x, lambda y: d.conj().T @ y,
-                      1e-8, 2000, v0)
-    want = np.linalg.svd(d, compute_uv=False)[0]
-    assert abs(got - want) < 1e-2 * want
+# maps (hams, z) -> (hams', z', factor) with every distance of the ladder
+# multiplied by factor
+NORM_SYMMETRIES = {
+    # Hermitian H: (H - conj z)^(-1) is the adjoint of (H - z)^(-1)
+    "conjugate z": lambda hams, z: (hams, np.conj(z), 1.0),
+    "shift": lambda hams, z: (
+        [(h + 0.75 * sparse.eye_array(h.shape[0])).tocsr() for h in hams],
+        z + 0.75, 1.0),
+    "scale": lambda hams, z: ([2.0 * h for h in hams], 2.0 * z, 0.5),
+    "gauge": _gauge,
+}
 
 
-def test_power_norm_budget_exhaustion_raises():
-    d = np.eye(5)
-    v0 = _seed_vector(5, "cd" * 32, "test")
-    with pytest.raises(NotConverged):
-        _power_norm(lambda x: d @ x, lambda y: d @ y, 1e-12, 1, v0)
+@pytest.mark.parametrize("name", list(NORM_SYMMETRIES))
+def test_resolvent_distances_keep_the_norm_symmetries(name):
+    # with two bosons some components have r_c >= 2, and the lower rung
+    # drops couplings of the finest one
+    basis = small_basis(n_max=2)
+    hams = [assemble_H_direct(basis, lam, 1).matrix for lam in (0.5, 1.0)]
+    z = 0.3 - 0.8j
+    got = _resolvent_distances(hams, z, _odd_bosons(basis))
+    assert got[0] > 0.0
+    moved, z2, factor = NORM_SYMMETRIES[name](hams, z)
+    want = _resolvent_distances(moved, z2, _odd_bosons(basis))
+    assert want[1] == 0.0
+    assert want[0] == pytest.approx(factor * got[0], rel=1e-12)
+
+
+def test_resolvent_distances_do_not_depend_on_rung_order():
+    # two operators of one pattern: ||R_a - R_b|| = ||R_b - R_a||
+    basis = small_basis(n_max=2)
+    h = assemble_H_direct(basis, 1.0, 1).matrix
+    shift = np.random.default_rng(6).uniform(-0.5, 0.5, h.shape[0])
+    moved = (h + sparse.diags_array(shift)).tocsr()
+    odd = _odd_bosons(basis)
+    ab = _resolvent_distances([h, moved], -1.0j, odd)[0]
+    ba = _resolvent_distances([moved, h], -1.0j, odd)[0]
+    assert ab > 0.0
+    assert ab == pytest.approx(ba, rel=1e-12)
+    assert ab == pytest.approx(dense_distances([h, moved], -1.0j)[0],
+                               rel=1e-12)
+
+
+def test_resolvent_distances_of_a_ladder_are_those_of_its_pairs():
+    # each rung is bounded and pruned on its own: the distances of one
+    # call on the ladder are those of one call per rung
+    basis = small_basis(n_max=2)
+    hams = [assemble_H_direct(basis, lam, 1).matrix
+            for lam in (0.5, 0.75, 1.0)]
+    odd = _odd_bosons(basis)
+    got = _resolvent_distances(hams, -1.0j, odd)
+    assert got[-1] == 0.0
+    for h, d in zip(hams[:-1], got[:-1]):
+        assert d == _resolvent_distances([h, hams[-1]], -1.0j, odd)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,39 +616,29 @@ def test_convergence_study_variant2_block_cancels_for_single_nucleon(study_basis
                           tab1.column("control_ground_energy"))
 
 
-def test_resolvent_factor_fill_stays_near_operator_size(study_basis):
-    # the parity factor stores the couplings between the parity classes
-    # (for the solve and the adjoint solve) and the L+U of the Schur
-    # complement on the smaller class; together they stay within a small
-    # multiple of H - z
-    h = assemble_H_direct(study_basis, 2.0, 1).matrix
-    shifted = h + 1.0j * sparse.eye_array(h.shape[0])
-    factor = _ParityFactor(h, -1.0j, _odd_bosons(study_basis))
-    assert factor.stored_nnz() <= 3 * shifted.nnz
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(h.shape[0]) + 1j * rng.standard_normal(h.shape[0])
-    w = np.empty_like(v)
-    w[factor.order] = factor.apply(v[factor.order])
-    assert np.linalg.norm(shifted @ w - v) <= 1e-12 * np.linalg.norm(v)
-
-
 # resolvent distances of cutoff_convergence_study(study_basis, [0.5, 1, 2],
-# (1, 2)) computed with a sparse LU of the full H - z, recorded before the
-# parity factor replaced it
+# (1, 2)) computed with a sparse LU of the full H - z and power iteration
+# stopped at 1e-4; a power estimate never exceeds the norm
 _LU_RESOLVENT_COLUMNS = {1: [0.4331693971120596, 0.32764371252727986],
                          2: [0.4341396786998331, 0.33272860924375647]}
+# the exact norms, recorded from dense inverses per pattern component
+_EXACT_RESOLVENT_COLUMNS = {1: [0.43324957554000726, 0.3277089384008532],
+                            2: [0.4342412163341281, 0.33282564973731193]}
 # the weighted-T distances of the same study, then estimated by power
-# iteration stopped at 1e-4; a power estimate never exceeds the norm
+# iteration stopped at 1e-4
 _POWER_T_COLUMNS = {1: [0.10468491065251796, 0.016941263312342737],
                     2: [1.6714741843795896e-15, 1.7221165911319782e-15]}
 
 
-def test_convergence_study_keeps_the_full_lu_resolvent_column(study_basis):
+def test_convergence_study_columns_top_their_power_estimates(study_basis):
     tables = cutoff_convergence_study(study_basis, [0.5, 1.0, 2.0], (1, 2))
     for variant, tab in tables.items():
         got = tab.column("resolvent_diff_to_finest")
         assert got[-1] == 0.0
-        assert np.allclose(got[:-1], _LU_RESOLVENT_COLUMNS[variant],
+        old = np.array(_LU_RESOLVENT_COLUMNS[variant])
+        assert np.all(got[:-1] >= old * (1 - 1e-12))
+        assert np.all(got[:-1] <= old * (1 + 5e-2))
+        assert np.allclose(got[:-1], _EXACT_RESOLVENT_COLUMNS[variant],
                            rtol=1e-12, atol=0.0)
         t = tab.column("opnorm_t_diff")[:-1]
         assert np.all(t >= np.array(_POWER_T_COLUMNS[variant]) * (1 - 1e-12))
@@ -641,27 +677,46 @@ def test_convergence_study_t_column_is_the_exact_norm(shift, monkeypatch):
         assert old * (1 - 1e-12) <= t <= old * (1 + 5e-2)
 
 
+ROOT2_LADDER = [0.5, 1.0, np.sqrt(2.0)]
+
+
 @pytest.mark.filterwarnings("ignore:cutoff radius")
-@pytest.mark.parametrize("params, n_max", [
-    (GROSS1, 1), (GROSS1, 2),
+@pytest.mark.parametrize("params, n_max, lams, shift, top", [
+    (GROSS1, 1, ROOT2_LADDER, 0.0, None),
+    (GROSS1, 2, ROOT2_LADDER, 0.0, None),
     (gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0, m_boson=1.0,
-                 n_nucleons=2), 1)], ids=["n1", "n2", "complex"])
-def test_convergence_study_resolvent_column_bounds_the_exact_norm(params,
-                                                                  n_max):
-    # the power estimate of ||(H_lam - z)^(-1) - (H_fin - z)^(-1)|| never
-    # exceeds the norm beyond rounding, and stopped at 1e-4 it lies
-    # within 1e-2 below it
+                 n_nucleons=2), 1, ROOT2_LADDER, 0.0, None),
+    # massless bosons beyond the finest cutoff leave low one-state
+    # components whose counterterm moves most
+    (gross_model(coupling=4.0, mu=1.0, m_boson=0.0), 1, [0.5, 1.0], 0.5,
+     "one state"),
+    (gross_model(coupling=1.0, mu=1.0, m_boson=1.0, n_nucleons=2), 1,
+     [0.5, 1.0], 0.0, "rank >= 2")],
+    ids=["n1", "n2", "complex", "one-state", "rank"])
+def test_convergence_study_resolvent_column_bounds_the_exact_norm(
+        params, n_max, lams, shift, top):
+    # ||(H_lam - z)^(-1) - (H_fin - z)^(-1)|| to rounding, against dense
+    # inverses of the whole operators
     basis = small_basis(params, n_max=n_max)
-    lams = [0.5, 1.0, np.sqrt(2.0)]
-    tab = cutoff_convergence_study(basis, lams, (1,))[1]
-    eye = np.eye(basis.total_dim)
-    inv = [np.linalg.inv(assemble_H_direct(basis, lam, 1).matrix.toarray()
-                         - spectral.RESOLVENT_Z * eye) for lam in lams]
+    tab = cutoff_convergence_study(basis, lams, (1,), lambda_shift=shift)[1]
+    hams = [assemble_H_direct(basis, lam, 1).matrix for lam in lams]
+    want = dense_distances(hams, spectral.RESOLVENT_Z)
     got = tab.column("resolvent_diff_to_finest")
     assert got[-1] == 0.0
-    for est, r in zip(got[:-1], inv[:-1]):
-        exact = np.linalg.norm(r - inv[-1], 2)
-        assert exact * (1 - 1e-2) <= est <= exact * (1 + 1e-12)
+    assert np.allclose(got[:-1], want[:-1], rtol=1e-12, atol=0.0)
+    if top is not None:
+        # where the largest component norm sits
+        eye = np.eye(basis.total_dim)
+        diff = (np.linalg.inv(hams[0].toarray() - spectral.RESOLVENT_Z * eye)
+                - np.linalg.inv(hams[-1].toarray()
+                                - spectral.RESOLVENT_Z * eye))
+        labels = _pattern_components(hams[-1])[1]
+        norms = [np.linalg.norm(diff[np.ix_(labels == c, labels == c)], 2)
+                 for c in range(labels.max() + 1)]
+        states = labels == int(np.argmax(norms))
+        odd = _odd_bosons(basis)[states]
+        rank = min(np.count_nonzero(odd), np.count_nonzero(~odd))
+        assert (states.sum() == 1) if top == "one state" else rank >= 2
 
 
 def test_convergence_study_reach_warning_names_the_caller():
@@ -676,18 +731,33 @@ def test_convergence_study_reach_warning_names_the_caller():
     assert reach[0].filename == __file__
 
 
-@pytest.mark.parametrize("name", ["eig_tol", "norm_tol"])
-@pytest.mark.parametrize("tol", [np.nan, -1e-4, 0.0])
+def no_assembly(*args):
+    raise AssertionError("assembled before validating")
+
+
+@pytest.mark.parametrize("name", ["eig_tol"])
+@pytest.mark.parametrize("tol", [np.nan, -1e-4, 0.0, np.inf])
 def test_convergence_study_validates_tolerances(study_basis, name, tol,
                                                 monkeypatch):
-    # refused before any assembly, not after 500 power steps
-    def no_assembly(*args):
-        raise AssertionError("assembled before validating")
-
+    # refused before any assembly
     monkeypatch.setattr(spectral, "_creation_matrix", no_assembly)
     with pytest.raises(ValueError, match=name):
         cutoff_convergence_study(study_basis, [0.5, 1.0], (1,),
                                  **{name: tol})
+
+
+@pytest.mark.parametrize("m_boson, shift, error", [
+    (1.0, np.nan, ValueError), (1.0, -1.0, ValueError),
+    (1.0, np.inf, ValueError), (0.0, 0.0, MasslessWithoutShift)])
+def test_convergence_study_checks_the_shift_first(m_boson, shift, error,
+                                                  monkeypatch):
+    # T inverts L + lambda_shift; a shift it cannot take is refused
+    # before any assembly, not after the first control solve
+    basis = small_basis(gross_model(coupling=1.0, mu=1.0, m_boson=m_boson))
+    monkeypatch.setattr(spectral, "_creation_matrix", no_assembly)
+    with pytest.raises(error) as info:
+        cutoff_convergence_study(basis, [0.5, 1.0], (1,), lambda_shift=shift)
+    assert type(info.value) is error
 
 
 def test_convergence_study_validates_ladder(study_basis):
