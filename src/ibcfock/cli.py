@@ -473,11 +473,10 @@ def cmd_check(cfg: RunConfig, manifest: RunManifest, args) -> int:
         "monotone_in_lambda": fit.monotone_in_lambda}
 
     manifest.data["checker_reports"].update(reports)
-    all_hold = all(v["holds"] for v in reports.values())
+    failed = [k for k, v in reports.items() if not v["holds"]]
     _write_json(manifest, "check_report.json",
-                {"reports": reports, "all_hold": all_hold})
-    if not all_hold:
-        failed = [k for k, v in reports.items() if not v["holds"]]
+                {"reports": reports, "all_hold": not failed})
+    if failed:
         print("condition failure: %s" % ", ".join(failed), file=sys.stderr)
         if not args.override_conditions:
             return EXIT_CONDITION
@@ -714,11 +713,10 @@ def cmd_bounds(cfg: RunConfig, manifest: RunManifest, args) -> int:
     _write_csv(manifest, "condition_b_sweep.csv",
                ("p_norm",) + tuple("lam_%g" % l for l in lam_ladder),
                rows)
+    failed = [k for k, v in report.items() if not v["holds"]]
     _write_json(manifest, "bounds_report.json",
-                {"reports": report,
-                 "all_hold": all(v["holds"] for v in report.values())})
-    if not all(v["holds"] for v in report.values()):
-        failed = [k for k, v in report.items() if not v["holds"]]
+                {"reports": report, "all_hold": not failed})
+    if failed:
         print("bound failure: %s" % ", ".join(failed), file=sys.stderr)
         return EXIT_CONDITION
     print("all bounds hold (%d sweeps)" % len(report))

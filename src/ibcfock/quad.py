@@ -22,11 +22,16 @@ Subtracted integrands are always combined into a single expression
 before integration; the two separately divergent pieces never meet a
 quadrature rule on their own.
 
-The operators are built from lattice twins (plain cell sums over a
-MomentumGrid), so that both sides of the operator identity use the exact
-same Riemann sum: counterterm_grid for the counterterm, integral_j_grid
-for J, and resolvent_sum_grid for the unsubtracted resolvent sum, which
-minus counterterm_grid of variant 1 is the twin of I.
+The recoil integrals (counterterm, integral_J, integral_I,
+condition_b_lhs) state their integrands once each, as terms functions of
+|v_p(-k)|^2, theta(k), theta(p-k) and omega(k), evaluated by one front,
+_recoil_integral.  The operators are built from lattice twins (cell sums
+over a MomentumGrid by one body, _lattice_sum), so both sides of the
+operator identity use the same Riemann sum: counterterm_grid and
+integral_j_grid sum the terms of counterterm and integral_J, and
+resolvent_sum_grid the unsubtracted resolvent sum, which minus
+counterterm_grid of variant 1 is the twin of I.  Only the engine,
+axisymmetric_integral, takes tolerances (epsabs, epsrel, n_angular_max).
 
 check_cutoff and check_shift state the cutoff and the shift rule once.
 """
@@ -477,9 +482,45 @@ def check_variants(variants) -> None:
         raise ValueError("variants must be distinct values from {1, 2}")
 
 
+# ---------------------------------------------------------------------------
+# recoil integrals: terms(w, theta(k), theta(p-k), omega(k)), w = |v_p(-k)|^2
+
+def _counterterm_terms(variant: int) -> Callable:
+    """w / (theta(k)+omega) for variant 1, w / (theta(p-k)+omega) for 2."""
+    if variant == 1:
+        return lambda w, th_k, th_pk, om: w / (th_k + om)
+    return lambda w, th_k, th_pk, om: w / (th_pk + om)
+
+
+def _j_terms(w, th_k, th_pk, om):
+    """The two counterterm weights subtracted inside one expression."""
+    d1, d2 = th_k + om, th_pk + om
+    return w * (d2 - d1) / (d1 * d2)
+
+
+def _growth_terms(w, th_k, th_pk, om):
+    return w * np.abs(th_k - th_pk) / ((th_pk + om) * (th_k + om))
+
+
+def _recoil_integral(terms: Callable, p, i_nucleon: int, params: ModelParams,
+                     lo: float, hi: float, **engine) -> QuadResult:
+    """Integral of terms over lo <= |k| <= hi, radially split at the
+    default kinks of |p|, by the engine with settings engine."""
+    p_norm = _norm_of(p)
+
+    def integrand(r, u):
+        rho = _shift_norm(p_norm, r, u)
+        return terms(ff_sq_axial(i_nucleon, p_norm, r, -u, params),
+                     dispersion_nucleon_norm(r, params),
+                     dispersion_nucleon_norm(rho, params),
+                     dispersion_boson_norm(r, params))
+
+    return axisymmetric_integral(integrand, params.d, float(lo), float(hi),
+                                 kinks=_default_kinks(p_norm), **engine)
+
+
 def counterterm(p, lambda_uv: float, variant: int, params: ModelParams,
-                i_nucleon: int = 0, epsabs: float = EPSABS_DEFAULT,
-                epsrel: float = EPSREL_DEFAULT) -> QuadResult:
+                i_nucleon: int = 0) -> QuadResult:
     """Single-nucleon counterterm at cutoff radius lambda_uv.
 
     Integrates |v_{p-k}(k)|^2 / (theta(k)+omega(k)) (variant 1) or with
@@ -491,25 +532,12 @@ def counterterm(p, lambda_uv: float, variant: int, params: ModelParams,
     check_cutoff(lambda_uv)
     if not np.isfinite(lambda_uv):
         raise ValueError("the counterterm diverges at infinite cutoff")
-    p_norm = _norm_of(p)
-
-    def integrand(r, u):
-        w = ff_sq_axial(i_nucleon, p_norm, r, -u, params)
-        if variant == 1:
-            den = dispersion_nucleon_norm(r, params) + dispersion_boson_norm(r, params)
-        else:
-            rho = _shift_norm(p_norm, r, u)
-            den = dispersion_nucleon_norm(rho, params) + dispersion_boson_norm(r, params)
-        return w / den
-
-    return axisymmetric_integral(integrand, params.d, 0.0, float(lambda_uv),
-                                 kinks=_default_kinks(p_norm),
-                                 epsabs=epsabs, epsrel=epsrel)
+    return _recoil_integral(_counterterm_terms(variant), p, i_nucleon, params,
+                            0.0, lambda_uv)
 
 
-def integral_J(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0,
-               epsabs: float = EPSABS_DEFAULT,
-               epsrel: float = EPSREL_DEFAULT) -> QuadResult:
+def integral_J(p, lambda_uv: float, params: ModelParams,
+               i_nucleon: int = 0) -> QuadResult:
     """Dispersion-shift integral: the difference of the two counterterm
     weights combined into one integrand,
 
@@ -520,24 +548,11 @@ def integral_J(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0,
     Equals counterterm(variant=1) - counterterm(variant=2) at equal cutoff.
     """
     check_cutoff(lambda_uv)
-    p_norm = _norm_of(p)
-
-    def integrand(r, u):
-        w = ff_sq_axial(i_nucleon, p_norm, r, -u, params)
-        om = dispersion_boson_norm(r, params)
-        d1 = dispersion_nucleon_norm(r, params) + om
-        rho = _shift_norm(p_norm, r, u)
-        d2 = dispersion_nucleon_norm(rho, params) + om
-        return w * (d2 - d1) / (d1 * d2)
-
-    return axisymmetric_integral(integrand, params.d, 0.0, float(lambda_uv),
-                                 kinks=_default_kinks(p_norm),
-                                 epsabs=epsabs, epsrel=epsrel)
+    return _recoil_integral(_j_terms, p, i_nucleon, params, 0.0, lambda_uv)
 
 
 def integral_I(P, K_hat, lambda_uv: float, ell: int, params: ModelParams,
-               lambda_shift: float = 0.0, epsabs: float = EPSABS_DEFAULT,
-               epsrel: float = EPSREL_DEFAULT) -> QuadResult:
+               lambda_shift: float = 0.0) -> QuadResult:
     """Regularized diagonal integral for one nucleon of a configuration.
 
         I_ell(P, K) = int |v_ell_{p_ell}(-k)|^2 [ 1/(L(P - e_ell k, K+{k})
@@ -557,25 +572,16 @@ def integral_I(P, K_hat, lambda_uv: float, ell: int, params: ModelParams,
     rest = float(np.sum(theta_all) - theta_all[ell]
                  + np.sum(dispersion_boson_norm(np.linalg.norm(K_hat, axis=-1), params))
                  + lambda_shift)
-    p_norm = float(np.linalg.norm(P[ell]))
 
-    def integrand(r, u):
-        w = ff_sq_axial(ell, p_norm, r, -u, params)
-        om = dispersion_boson_norm(r, params)
-        ref = dispersion_nucleon_norm(r, params) + om
-        rho = _shift_norm(p_norm, r, u)
-        shifted = dispersion_nucleon_norm(rho, params) + rest + om
+    def terms(w, th_k, th_pk, om):
+        ref, shifted = th_k + om, th_pk + rest + om
         return w * (ref - shifted) / (shifted * ref)
 
-    return axisymmetric_integral(integrand, params.d, 0.0, float(lambda_uv),
-                                 kinks=_default_kinks(p_norm),
-                                 epsabs=epsabs, epsrel=epsrel)
+    return _recoil_integral(terms, P[ell], ell, params, 0.0, lambda_uv)
 
 
-def condition_b_lhs(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0,
-                    epsabs: float = EPSABS_DEFAULT,
-                    epsrel: float = EPSREL_DEFAULT,
-                    n_angular_max: int = 512) -> QuadResult:
+def condition_b_lhs(p, lambda_uv: float, params: ModelParams,
+                    i_nucleon: int = 0) -> QuadResult:
     """Growth-condition integral with the exterior cutoff 1 - chi_Lambda:
 
         int_{|k| >= lambda_uv} |v_p(-k)|^2 |theta(k) - theta(p-k)|
@@ -583,36 +589,25 @@ def condition_b_lhs(p, lambda_uv: float, params: ModelParams, i_nucleon: int = 0
 
     The absolute value has a radial kink where |k| = |p-k|; the radial
     panels split there, and the angular rule splits where that interface
-    crosses the inner boundary.  The angular budget is larger than the
-    family default because the unsplit remnant of that kink slows the
-    doubling rule in narrow bands of |p|.
+    crosses the inner boundary.  The angular budget (512 nodes) is larger
+    than the engine default because the unsplit remnant of that kink
+    slows the doubling rule in narrow bands of |p|.
     """
     check_cutoff(lambda_uv)
     p_norm = _norm_of(p)
-
-    def integrand(r, u):
-        w = ff_sq_axial(i_nucleon, p_norm, r, -u, params)
-        om = dispersion_boson_norm(r, params)
-        d1 = dispersion_nucleon_norm(r, params)
-        rho = _shift_norm(p_norm, r, u)
-        d2 = dispersion_nucleon_norm(rho, params)
-        return w * np.abs(d1 - d2) / ((d2 + om) * (d1 + om))
-
     u_kinks = [0.0]
     if p_norm > 0.0 and lambda_uv > 0.0 and p_norm / (2.0 * lambda_uv) < 1.0:
         u_kinks.append(p_norm / (2.0 * lambda_uv))
-    return axisymmetric_integral(integrand, params.d, float(lambda_uv), np.inf,
-                                 kinks=_default_kinks(p_norm), u_kinks=u_kinks,
-                                 epsabs=epsabs, epsrel=epsrel,
-                                 n_angular_max=n_angular_max)
+    return _recoil_integral(_growth_terms, p_norm, i_nucleon, params,
+                            lambda_uv, np.inf, u_kinks=u_kinks,
+                            n_angular_max=512)
 
 
 # ---------------------------------------------------------------------------
 # scaling bound
 
 def scaling_lhs(p, omega_shift: float, lambda_uv: float, exps: ScalingExponents,
-                params: ModelParams, epsabs: float = EPSABS_DEFAULT,
-                epsrel: float = EPSREL_DEFAULT) -> QuadResult:
+                params: ModelParams) -> QuadResult:
     """Left-hand side of the scaling bound:
 
         int_{|k| >= lambda_uv} |k|^(-nu) |p-k|^(-sigma)
@@ -637,8 +632,7 @@ def scaling_lhs(p, omega_shift: float, lambda_uv: float, exps: ScalingExponents,
         return num / den
 
     return axisymmetric_integral(integrand, d, float(lambda_uv), np.inf,
-                                 kinks=_default_kinks(p_norm),
-                                 epsabs=epsabs, epsrel=epsrel)
+                                 kinks=_default_kinks(p_norm))
 
 
 @dataclass(frozen=True)
@@ -650,9 +644,7 @@ class ScalingFitReport:
     ratios: tuple
 
 
-def scaling_bound_fit(param_sweep, delta: float = 0.0,
-                      epsabs: float = EPSABS_DEFAULT,
-                      epsrel: float = EPSREL_DEFAULT) -> ScalingFitReport:
+def scaling_bound_fit(param_sweep, delta: float = 0.0) -> ScalingFitReport:
     """Fit the scaling-bound constant over a parameter sweep.
 
     Each sweep point is a mapping with keys p, omega_shift, lambda_uv,
@@ -677,8 +669,7 @@ def scaling_bound_fit(param_sweep, delta: float = 0.0,
         lam = float(point["lambda_uv"])
         if not om > 0:
             raise ValueError("omega_shift must be > 0 in the fit")
-        lhs = scaling_lhs(point["p"], om, lam, exps, params,
-                          epsabs=epsabs, epsrel=epsrel).value
+        lhs = scaling_lhs(point["p"], om, lam, exps, params).value
         d_lam = delta if lam > 1.0 else 0.0
         expo = exps.r - (params.d - exps.nu_exp - exps.sigma_exp) / params.gamma
         ratio = lhs * om ** (expo - d_lam)
@@ -759,38 +750,34 @@ def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
             mask[inverse])
 
 
-def counterterm_grid(p_indices, grid: MomentumGrid, lambda_uv, variant: int,
-                     params: ModelParams, i_nucleon: int = 0) -> np.ndarray:
-    """Lattice counterterm: cell sum over modes q with |q| <= lambda_uv
-    and p-q still on the lattice of
-    h^d |v_{p-q}(q)|^2 / denominator."""
-    check_variants((variant,))
+def _lattice_sum(terms: Callable, p_indices, grid: MomentumGrid, lambda_uv,
+                 params: ModelParams, i_nucleon: int) -> np.ndarray:
+    """Cell sum over the participating modes q of terms(h^d |v_{p-q}(q)|^2,
+    theta(q), theta(p-q), omega(q)) for every p in p_indices, with theta(q)
+    and omega(q) taken from |q|."""
     w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
                                             lambda_uv)
     norms = grid.norms()
-    om = dispersion_boson_norm(norms, params)
-    if variant == 1:
-        den = dispersion_nucleon_norm(norms, params) + om
-    else:
-        den = theta_shift + om
     with np.errstate(invalid="ignore"):
-        terms = np.where(mask, w / den, 0.0)
-    return terms.sum(axis=-1)
+        vals = terms(w, dispersion_nucleon_norm(norms, params), theta_shift,
+                     dispersion_boson_norm(norms, params))
+        return np.where(mask, vals, 0.0).sum(axis=-1)
+
+
+def counterterm_grid(p_indices, grid: MomentumGrid, lambda_uv, variant: int,
+                     params: ModelParams, i_nucleon: int = 0) -> np.ndarray:
+    """Lattice twin of counterterm: the cell sum of its terms over the
+    modes q with |q| <= lambda_uv and p-q still on the lattice."""
+    check_variants((variant,))
+    return _lattice_sum(_counterterm_terms(variant), p_indices, grid,
+                        lambda_uv, params, i_nucleon)
 
 
 def integral_j_grid(p_indices, grid: MomentumGrid, lambda_uv,
                     params: ModelParams, i_nucleon: int = 0) -> np.ndarray:
     """Lattice twin of the dispersion-shift integral; equals the
     difference of the two lattice counterterm variants exactly."""
-    w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv)
-    norms = grid.norms()
-    om = dispersion_boson_norm(norms, params)
-    d1 = dispersion_nucleon_norm(norms, params) + om
-    d2 = theta_shift + om
-    with np.errstate(invalid="ignore"):
-        terms = np.where(mask, w * (d2 - d1) / (d1 * d2), 0.0)
-    return terms.sum(axis=-1)
+    return _lattice_sum(_j_terms, p_indices, grid, lambda_uv, params, i_nucleon)
 
 
 def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
@@ -806,11 +793,8 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
     """
     check_shift(lambda_shift)
     p_indices = np.asarray(p_indices)
-    rest = np.broadcast_to(np.asarray(rest_energies, dtype=float), p_indices.shape)
-    w, theta_shift, mask = _grid_shift_data(p_indices, grid, params, i_nucleon,
-                                            lambda_uv)
-    om = dispersion_boson_norm(grid.norms(), params)
-    den = theta_shift + rest[..., None] + om + lambda_shift
-    with np.errstate(invalid="ignore"):
-        terms = np.where(mask, w / den, 0.0)
-    return terms.sum(axis=-1)
+    rest = np.broadcast_to(np.asarray(rest_energies, dtype=float),
+                           p_indices.shape)[..., None]
+    return _lattice_sum(
+        lambda w, th_q, th_pq, om: w / (th_pq + rest + om + lambda_shift),
+        p_indices, grid, lambda_uv, params, i_nucleon)

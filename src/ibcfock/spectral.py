@@ -317,7 +317,8 @@ def _resolvent_distances(hams, z: complex, odd: np.ndarray) -> list:
     + ||XW||^2 + 2 ||Delta^H XW||, no looser than Weyl's bound.  The
     components are solved in decreasing order of that bound (the largest
     singular value of the dense D_c built from the pieces; Delta alone on
-    one state) until the bound reaches the largest norm found.  A z on
+    one state) until the bound reaches the largest norm found; a rung
+    whose CSR arrays equal the last's is 0.0 before any bound.  A z on
     an eliminated diagonal entry, or an S whose inverse misses
     SCHUR_RTOL (a singular one always does), raises SolveNotConverged.
     """
@@ -391,7 +392,12 @@ def _resolvent_distances(hams, z: complex, odd: np.ndarray) -> list:
         return float(np.linalg.norm(dense, 2))
 
     dists = []
-    for rung in rungs[:-1]:
+    for h, rung in zip(hams, rungs[:-1]):
+        if h.shape == hams[-1].shape and all(
+                np.array_equal(getattr(h, a), getattr(hams[-1], a))
+                for a in ("indptr", "indices", "data")):
+            dists.append(0.0)
+            continue
         delta = 1.0 / rung[1] - 1.0 / rungs[-1][1]
         dmax = np.maximum.reduceat(np.abs(delta), l_start)
         bound = dmax ** 2

@@ -11,7 +11,9 @@ and the valid boundary values (cutoff 0, None on the lattice, inf for J
 and I and for the exterior integrals, shift 0 on massive bosons) must
 still pass.  A scan of the package's public signatures holds that every
 function taking a cutoff or a shift has a row, so a new entry point
-cannot skip the rule.
+cannot skip the rule, and that the quadrature tolerances (epsabs,
+epsrel, n_angular_max) are taken by the engine, axisymmetric_integral,
+alone: the integrals built on it do not re-declare them.
 """
 
 import functools
@@ -156,6 +158,14 @@ def test_every_cutoff_or_shift_taker_has_a_row():
               and {CUTOFF, SHIFT} & set(inspect.signature(obj).parameters)}
     assert takers - set(ROWS) == set()
     assert all(rule_args(name) for name in ROWS)
+
+
+def test_only_the_engine_takes_quadrature_tolerances():
+    engine = {"epsabs", "epsrel", "n_angular_max"}
+    takers = {name for name, obj in vars(ib).items()
+              if callable(obj) and not name.startswith("_")
+              and engine & set(inspect.signature(obj).parameters)}
+    assert takers == {"axisymmetric_integral"}
 
 
 # the massless rule applies only where L + lambda is inverted

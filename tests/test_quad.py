@@ -314,7 +314,15 @@ def test_condition_b_eckmann_converges():
     assert v.abs_error_estimate < 1e-6
 
 
-def test_condition_b_angular_test_clears_radial_noise():
+def tighten_engine(monkeypatch, **engine):
+    """Run every later quadrature of the test with these engine settings:
+    the integrals look axisymmetric_integral up when they are called."""
+    plain = quad.axisymmetric_integral
+    monkeypatch.setattr(quad, "axisymmetric_integral",
+                        lambda *args, **kw: plain(*args, **{**kw, **engine}))
+
+
+def test_condition_b_angular_test_clears_radial_noise(monkeypatch):
     # the first momentum `check` samples for gross at coupling 0.5, seed 0:
     # radial integrals that each met the whole epsabs summed to ~4e-9 of
     # noise, and every angular doubling up to n = 512 differed by
@@ -322,8 +330,9 @@ def test_condition_b_angular_test_clears_radial_noise():
     params = ib.gross_model(coupling=0.5)
     p = np.array([0.18859533164008996, -0.19815729493695283])
     res = ib.condition_b_lhs(p, 1.0, params)
-    ref = ib.condition_b_lhs(p, 1.0, params, epsabs=1e-12, epsrel=1e-11,
-                             n_angular_max=2048)
+    tighten_engine(monkeypatch, epsabs=1e-12, epsrel=1e-11,
+                   n_angular_max=2048)
+    ref = ib.condition_b_lhs(p, 1.0, params)
     assert res.abs_error_estimate <= quad.EPSABS_DEFAULT
     assert abs(res.value - ref.value) <= quad.EPSABS_DEFAULT
 
@@ -387,12 +396,12 @@ def test_scaling_window_violation():
                                    exps=FLAT, params=CUSTOM_1D)])
 
 
-def test_scaling_sigma_positive_tolerance_consistency():
+def test_scaling_sigma_positive_tolerance_consistency(monkeypatch):
     exps = ib.ScalingExponents(nu_exp=0.5, sigma_exp=0.6, r=1.5)
     p = np.array([0.5, 0.0])
     loose = ib.scaling_lhs(p, 1.0, 2.0, exps, GROSS)
-    tight = ib.scaling_lhs(p, 1.0, 2.0, exps, GROSS,
-                           epsabs=1e-11, epsrel=1e-10)
+    tighten_engine(monkeypatch, epsabs=1e-11, epsrel=1e-10)
+    tight = ib.scaling_lhs(p, 1.0, 2.0, exps, GROSS)
     assert abs(loose.value - tight.value) <= 1e-7 * abs(tight.value)
 
 
@@ -415,6 +424,36 @@ def test_error_estimate_bounds_every_closed_form_error():
                math.pi / 2.0 - math.atan(lam)) for lam in (1.0, 3.0)]
     for res, exact in cases:
         assert abs(res.value - exact) <= res.abs_error_estimate, (res, exact)
+
+
+FAMILIES = {"gross": GROSS, "eckmann": ib.eckmann_model(delta=0.2),
+            "nelson": ib.nelson_model(mu=1.0)}
+
+
+def improper_integrals(params, p_norm):
+    """The growth integral at exterior cutoffs 0 and 2, and J and I
+    (shift 1) over all of R^d, at momentum |p| = p_norm."""
+    p = np.zeros(params.d)
+    p[0] = p_norm
+    return ([ib.condition_b_lhs(p, lam, params) for lam in (0.0, 2.0)]
+            + [ib.integral_J(p, np.inf, params),
+               ib.integral_I(p, None, np.inf, 0, params, lambda_shift=1.0)])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_error_estimate_covers_improper_integrals(family, monkeypatch):
+    # the power tail and the angular doubling of each family: the reported
+    # estimate covers the distance to the same integral at a far tighter
+    # engine
+    params = FAMILIES[family]
+    for p_norm in (0.5, 2.5):
+        got = improper_integrals(params, p_norm)
+        with monkeypatch.context() as tight:
+            tighten_engine(tight, epsabs=1e-13, epsrel=1e-12,
+                           n_angular_max=2048)
+            ref = improper_integrals(params, p_norm)
+        for g, r in zip(got, ref):
+            assert abs(g.value - r.value) <= g.abs_error_estimate, (g, r)
 
 
 def test_loglog_slope_rejects_nonpositive():

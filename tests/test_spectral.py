@@ -561,6 +561,37 @@ def test_resolvent_distances_of_a_ladder_are_those_of_its_pairs():
         assert d == _resolvent_distances([h, hams[-1]], -1.0j, odd)[0]
 
 
+@pytest.mark.filterwarnings("ignore:cutoff radius")
+def test_resolvent_distance_of_an_equal_rung_is_zero_without_a_bound(
+        monkeypatch):
+    # cutoffs 1.0 and 1.2 select the same modes of this lattice, so their
+    # operators are equal; the bound of that rung carries rounding above
+    # its zero distance and would send every component to a dense 2-norm
+    basis = small_basis(n_max=2)
+    hams = {lam: assemble_H_direct(basis, lam, 1).matrix
+            for lam in (0.5, 1.0, 1.2)}
+    assert all(np.array_equal(getattr(hams[1.0], a), getattr(hams[1.2], a))
+               for a in ("indptr", "indices", "data"))
+    odd, norm, calls = _odd_bosons(basis), np.linalg.norm, []
+
+    def counting(x, ord=None, *args, **kwargs):
+        calls.append(ord == 2)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting)
+
+    def run(lams):
+        calls.clear()
+        got = _resolvent_distances([hams[lam] for lam in lams], -1.0j, odd)
+        return got, sum(calls)
+
+    (three, n_three), (two, n_two), (equal, n_equal) = (
+        run(lams) for lams in ((0.5, 1.0, 1.2), (0.5, 1.2), (1.0, 1.2)))
+    assert n_three == n_two > 0 and n_equal == 0
+    assert three[1] == equal[0] == 0.0
+    assert three[0] == two[0] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # cutoff convergence study
 
