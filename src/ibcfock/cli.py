@@ -72,6 +72,7 @@ from .ops import (
 )
 from .quad import (
     ScalingExponents,
+    _shift_data_kept,
     check_shift,
     condition_b_lhs,
     counterterm,
@@ -558,6 +559,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     return EXIT_OK
 
 
+@_shift_data_kept()
 def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     """Cutoff convergence study per variant plus divergence-rate fits."""
     _apply_gate(cfg, manifest, args.override_conditions)
@@ -595,12 +597,10 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
         diff = (h1.matrix - h2.matrix).tocoo()
         off_diag = float(np.abs(diff.data[diff.row != diff.col]).max()) \
             if np.any(diff.row != diff.col) else 0.0
-        j_rows = np.zeros(basis.nuc_dim)
-        grid = basis.grid
-        table = basis.nucleon_mode_table()
+        j_rows, table = np.zeros(basis.nuc_dim), basis.nucleon_mode_table()
         for ell in range(cfg.params.n_nucleons):
-            j_rows += integral_j_grid(table[:, ell], grid, lam, cfg.params,
-                                      i_nucleon=ell)
+            j_rows += integral_j_grid(table[:, ell], basis.grid, lam,
+                                      cfg.params, i_nucleon=ell)
         j_diag = basis.nucleon_diagonal(j_rows)
         j_dev = float(np.abs(np.real(diff.tocsr().diagonal()) - j_diag).max())
         _write_json(manifest, "variant_difference_check.json",

@@ -56,7 +56,7 @@ from .ops import (
     assemble_H_direct,
     basis_digest,
 )
-from .quad import check_shift, check_variants, loglog_slope
+from .quad import _shift_data_kept, check_shift, check_variants, loglog_slope
 
 DENSE_DIM_MAX = 400          # below this, eigenproblems go dense
 # power steps the Collatz-Wielandt certificate may take (_certify)
@@ -96,25 +96,26 @@ def _pattern_components(h: sparse.csr_array):
     return csgraph.connected_components(pattern, directed=False)
 
 
-def _components(h: sparse.csr_array):
+def _components(h: sparse.csr_array, pattern=None):
     """Decoupled blocks of a Hermitian matrix, with a cheap lower
     spectral bound for each.
 
     Returns the component label of every state (connected components of
-    the stored pattern); per component c, the Weyl bound lower_c =
-    min(Re diag_c) - ||O_c||_F, where O_c is the off-diagonal part of
-    block c; and the exact ||H||_1, the largest column sum of |H|.  By
-    Weyl's inequality and ||O_c||_2 <= ||O_c||_F no eigenvalue of block c
-    lies below lower_c.  One pass over the stored entries.  The bound is
-    loose on large blocks; lowest_eigenpairs uses it only to order the
-    blocks and to pick the few that _certify must then clear.
+    the stored pattern, or the given _pattern_components of a matrix
+    with the same off-diagonal pattern); per component c, the Weyl bound
+    lower_c = min(Re diag_c) - ||O_c||_F, where O_c is the off-diagonal
+    part of block c; and the exact ||H||_1, the largest column sum of
+    |H|.  By Weyl's inequality and ||O_c||_2 <= ||O_c||_F no eigenvalue of
+    block c lies below lower_c.  One pass over the stored entries.  The
+    bound is loose on large blocks; lowest_eigenpairs uses it only to
+    order the blocks and to pick the few that _certify must then clear.
     """
     if not h.has_canonical_format:
         # duplicate entries would be squared apart, not summed first
         h = h.copy()
         h.sum_duplicates()
     n = h.shape[0]
-    n_comp, labels = _pattern_components(h)
+    n_comp, labels = _pattern_components(h) if pattern is None else pattern
     rows = _entry_rows(h)
     off = rows != h.indices
     diag_min = np.full(n_comp, np.inf)
@@ -187,7 +188,8 @@ def check_tol(**tols) -> None:
             raise ValueError("%s must be finite and positive" % name)
 
 
-def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
+def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9, *,
+                      _pattern=None) -> EigenResult:
     """Ground eigenvalue and vector of a Hermitian operator.
 
     The operator is split into the connected components of its stored
@@ -212,14 +214,16 @@ def lowest_eigenpairs(op: SparseOperator, tol: float = 1e-9) -> EigenResult:
     arithmetic: a real symmetric operator runs ARPACK's dsaupd and has
     real eigenvectors, a complex Hermitian one znaupd.  The result holds
     one pair: values (1,), vectors (n, 1).  method is "lanczos" when
-    some block went to ARPACK, "dense" otherwise.
+    some block went to ARPACK, "dense" otherwise.  _pattern, private to
+    the convergence study, hands in the pattern components of an
+    operator with the same off-diagonal pattern, labelled once.
     """
     if not op.hermitian_flag:
         raise ValueError("eigensolver requires a Hermitian-tagged operator")
     check_tol(tol=tol)
     h = op.matrix
     n = h.shape[0]
-    labels, lower, scale = _components(h)
+    labels, lower, scale = _components(h, _pattern)
     v0 = None
     method = "dense"
 
@@ -299,7 +303,42 @@ def _hermitian_blocks(a, b, d) -> np.ndarray:
     return np.block([[a, b], [b.conj().swapaxes(1, 2), d]])
 
 
-def _resolvent_distances(hams, z: complex, odd: np.ndarray) -> list:
+def _parity_layout(pattern, odd: np.ndarray):
+    """The components of a pattern split into their smaller boson-parity
+    class s (r states) and the rest l, for _resolvent_distances: the
+    component of every state, renumbered so that each r is a run of
+    components and each component a run of the s and of the l numbering;
+    the r of every component; the s mask; the states of s and of l in
+    that order and every state's place in its class; the s ends and the
+    l starts and ends of every component; and for every r > 0 its first
+    component with its s and l ranges."""
+    n_comp, labels = pattern
+    sizes = np.bincount(labels, minlength=n_comp)
+    in_s = odd == (2 * np.bincount(labels, weights=odd, minlength=n_comp)
+                   <= sizes)[labels]
+    # components numbered by their r, so that each r is a run of them and
+    # each component a run of the s and of the l numbering
+    rank = np.bincount(labels, weights=in_s, minlength=n_comp)
+    labels = np.argsort(np.argsort(rank, kind="stable"))[labels]
+    sizes, rank = (np.bincount(labels, weights=w, minlength=n_comp)
+                   .astype(int) for w in (None, in_s))
+    s_idx, l_idx = (np.flatnonzero(m)[np.argsort(labels[m], kind="stable")]
+                    for m in (in_s, ~in_s))
+    num = np.empty(labels.size, dtype=int)
+    num[s_idx], num[l_idx] = np.arange(s_idx.size), np.arange(l_idx.size)
+    s_end, l_end = np.cumsum(rank), np.cumsum(sizes - rank)
+    l_start = l_end - sizes + rank
+    groups = {}                  # r -> (first component, s range, l range)
+    for r in np.unique(rank[rank > 0]).tolist():
+        j0, j1 = np.searchsorted(rank, [r, r + 1])
+        groups[r] = (j0, slice(s_end[j0] - r, s_end[j1 - 1]),
+                     slice(l_start[j0], l_end[j1 - 1]))
+    return (labels, rank, in_s, s_idx, l_idx, num, s_end, l_end, l_start,
+            groups)
+
+
+def _resolvent_distances(hams, z: complex, odd: np.ndarray,
+                         layout=None) -> list:
     """Exact ||(H_k - z)^(-1) - (H_last - z)^(-1)|| for each Hermitian H_k
     of a cutoff ladder (0.0 for the last).
 
@@ -321,29 +360,14 @@ def _resolvent_distances(hams, z: complex, odd: np.ndarray) -> list:
     whose CSR arrays equal the last's is 0.0 before any bound.  A z on
     an eliminated diagonal entry, or an S whose inverse misses
     SCHUR_RTOL (a singular one always does), raises SolveNotConverged.
+    layout is the _parity_layout of H_last's pattern components, built
+    here when not given; the convergence study builds it once from its
+    finest control and hands it to every variant's ladder.
     """
-    n_comp, labels = _pattern_components(hams[-1])
-    sizes = np.bincount(labels, minlength=n_comp)
-    in_s = odd == (2 * np.bincount(labels, weights=odd, minlength=n_comp)
-                   <= sizes)[labels]
-    # components numbered by their r, so that each r is a run of them and
-    # each component a run of the s and of the l numbering
-    rank = np.bincount(labels, weights=in_s, minlength=n_comp)
-    labels = np.argsort(np.argsort(rank, kind="stable"))[labels]
-    sizes, rank = (np.bincount(labels, weights=w, minlength=n_comp)
-                   .astype(int) for w in (None, in_s))
-    s_idx, l_idx = (np.flatnonzero(m)[np.argsort(labels[m], kind="stable")]
-                    for m in (in_s, ~in_s))
-    num = np.empty(labels.size, dtype=int)
-    num[s_idx], num[l_idx] = np.arange(s_idx.size), np.arange(l_idx.size)
-    s_end, l_end = np.cumsum(rank), np.cumsum(sizes - rank)
-    l_start = l_end - sizes + rank
-    groups = {}                  # r -> (first component, s range, l range)
-    for r in np.unique(rank[rank > 0]).tolist():
-        j0, j1 = np.searchsorted(rank, [r, r + 1])
-        groups[r] = (j0, slice(s_end[j0] - r, s_end[j1 - 1]),
-                     slice(l_start[j0], l_end[j1 - 1]))
-
+    if layout is None:
+        layout = _parity_layout(_pattern_components(hams[-1]), odd)
+    (labels, rank, in_s, s_idx, l_idx, num, s_end, l_end, l_start,
+     groups) = layout
     rungs = []                   # (C, Dl - z, r -> pieces) per operator
     for h in hams:
         rows, cols = _entry_rows(h), h.indices
@@ -510,6 +534,17 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     each (cutoff, variant)'s counterterm rows its Hamiltonian and T
     block.  The shift is checked before any assembly (T inverts L +
     lambda_shift); a cutoff beyond the boson box warns once.
+
+    Work that the cutoff or the variant does not change is done once.
+    The lattice shift data behind the counterterm rows are built once per
+    nucleon and kept only while those rows are computed (see
+    quad._grid_shift_data).  Each cutoff's pattern components are
+    labelled once, from the control, whose off-diagonal pattern every
+    variant's operator at that cutoff shares.  They serve every ground
+    solve at that cutoff and no other, and the finest cutoff's, with
+    their _parity_layout, every variant's resolvent distances (whose
+    components are H_fin's).  The labels are dropped when the study
+    returns.
     """
     lams, variants = check_study(lambda_list, variants, eig_tol)
     check_shift(lambda_shift, basis.params)
@@ -526,7 +561,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
     odd = _odd_bosons(basis)
 
     no_counterterm = np.zeros(basis.nuc_dim)
-    a_mats, controls, t_ops = [], [], []
+    a_mats, controls, t_ops, patterns = [], [], [], []
     for lam in lams:
         _warn_beyond_reach(basis, lam)
         a_mat = _creation_matrix(basis, lam)
@@ -534,20 +569,29 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
             basis, _direct_matrix(basis, a_mat, no_counterterm),
             {"path": "direct", "lambda_uv": lam, "control": "no-counterterm"},
             True)
-        controls.append(float(lowest_eigenpairs(h_bare, eig_tol).values[0]))
+        patterns.append(_pattern_components(h_bare.matrix))
+        controls.append(float(lowest_eigenpairs(
+            h_bare, eig_tol, _pattern=patterns[-1]).values[0]))
         t_ops.append(_t_cutoff_matrix(basis, lam, lambda_shift))
         a_mats.append(a_mat)
+    layout = _parity_layout(patterns[-1], odd)
+    # the counterterm rows (nuc_dim values each) of every variant and
+    # cutoff, from one build of the lattice shift data per nucleon
+    with _shift_data_kept():
+        counterterms = {(variant, lam): _counterterm_rows(basis, lam, variant)
+                        for variant in variants for lam in lams}
 
     tables = {}
     for variant in variants:
         hams, t_blocks, grounds = [], [], []
-        for lam, a_mat, t_op in zip(lams, a_mats, t_ops):
-            e_rows = _counterterm_rows(basis, lam, variant)
+        for lam, a_mat, t_op, pattern in zip(lams, a_mats, t_ops, patterns):
+            e_rows = counterterms[variant, lam]
             hd = SparseOperator(basis, _direct_matrix(basis, a_mat, e_rows),
                                 {"path": "direct", "lambda_uv": lam,
                                  "variant": variant}, True)
             hams.append(hd.matrix)
-            grounds.append(float(lowest_eigenpairs(hd, eig_tol).values[0]))
+            grounds.append(float(lowest_eigenpairs(
+                hd, eig_tol, _pattern=pattern).values[0]))
             e_diag = basis.nucleon_diagonal(e_rows)
             # the cutoff block lives on sectors below the top (its
             # intermediates carry one extra boson), so the counterterm is
@@ -560,7 +604,7 @@ def cutoff_convergence_study(basis: FockBasis, lambda_list, variants,
                    for t in t_blocks[:-1]] + [0.0]
         rows = [ConvergenceRow(*row) for row in zip(
             lams, grounds, controls,
-            _resolvent_distances(hams, RESOLVENT_Z, odd), t_diffs)]
+            _resolvent_distances(hams, RESOLVENT_Z, odd, layout), t_diffs)]
         tables[variant] = ConvergenceTable(rows, variant, digest,
                                            _study_fits(rows))
     return tables

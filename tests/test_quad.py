@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ibcfock as ib
-from ibcfock import quad
+from ibcfock import ops, quad
 from ibcfock.errors import ExponentWindowViolated, QuadNotConverged
 
 GROSS = ib.gross_model(coupling=1.0, mu=1.0, m_boson=1.0)
@@ -596,3 +596,47 @@ def test_grid_sums_equal_per_index_evaluation():
         singles = np.array([twin(p, r) for p, r in flat]).reshape(ips.shape)
         assert block.shape == ips.shape
         assert np.array_equal(block, singles)
+
+
+def test_kept_shift_data_give_the_sums_built_afresh():
+    # inside a scope (nested here) every twin, at every cutoff, is bit for
+    # bit what it is outside one; the store ends with the outer scope
+    gr = ib.build_grid(2, 2.0, 9)
+    ips = np.array([[7, 40, 40], [0, 80, 13]])
+    rests = np.linspace(0.0, 2.0, ips.size).reshape(ips.shape)
+    twins = [
+        lambda lam: ib.counterterm_grid(ips, gr, lam, 1, ECK),
+        lambda lam: ib.counterterm_grid(ips, gr, lam, 2, ECK),
+        lambda lam: ib.integral_j_grid(ips, gr, lam, ECK),
+        lambda lam: ib.resolvent_sum_grid(ips, rests, gr, lam, ECK,
+                                          lambda_shift=0.3),
+    ]
+    lams = (0.0, 0.7, 1.5, None)
+    fresh = [twin(lam) for twin in twins for lam in lams]
+    with quad._shift_data_kept():
+        with quad._shift_data_kept():
+            kept = [twin(lam) for twin in twins for lam in lams]
+        assert len(quad._KEPT_SHIFTS.get()) == 1
+    assert quad._KEPT_SHIFTS.get() is None
+    for a, b in zip(fresh, kept):
+        assert np.array_equal(a, b)
+
+
+def test_kept_shift_data_are_keyed_by_the_model_object():
+    # equal CUSTOM models may differ in their callables, so two bases on
+    # one grid must each get their own counterterm rows in one scope
+    gr = ib.build_grid(2, 2.0, 9)
+
+    def model(scale):
+        return ib.custom_model(
+            d=2, alpha=0.5, beta=1.0, gamma=1.0, mu=1.0,
+            form_factor_fn=lambda p, k: scale / (1.0 + np.sum(k * k, axis=-1)))
+
+    bases = [ib.enumerate_basis(model(s), gr, 1) for s in (1.0, 2.0)]
+    assert bases[0].params == bases[1].params
+    fresh = [ops._counterterm_rows(b, 1.5, 1) for b in bases]
+    assert not np.array_equal(*fresh)
+    with quad._shift_data_kept():
+        kept = [ops._counterterm_rows(b, 1.5, 1) for b in bases]
+    for a, b in zip(fresh, kept):
+        assert np.array_equal(a, b)

@@ -1,5 +1,6 @@
 """Tests for eigen/resolvent plumbing and the three numerical studies."""
 
+import dataclasses
 import warnings
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import block_diag
+from scipy.sparse import csgraph
 from scipy.sparse import linalg as spla
 
 from ibcfock import (
@@ -27,7 +29,7 @@ from ibcfock import (
 )
 from ibcfock.errors import InsufficientPoints, MasslessWithoutShift, \
     SolveNotConverged
-from ibcfock import ops, spectral
+from ibcfock import ops, quad, spectral
 from ibcfock.ops import SparseOperator, basis_digest
 from ibcfock.spectral import DENSE_DIM_MAX, _block_norm, _certify, \
     _components, _odd_bosons, _pattern_components, _resolvent_distances, \
@@ -808,6 +810,87 @@ def test_convergence_study_validates_ladder(study_basis):
     for variants in ((1, 1), (3,), (1, 2, 2)):
         with pytest.raises(ValueError, match="variants"):
             cutoff_convergence_study(study_basis, [0.5, 1.0], variants)
+
+
+# every column of cutoff_convergence_study(basis, ladder, (1, 2)) per
+# variant, one (lambda_uv, ground_energy, control_ground_energy,
+# resolvent_diff_to_finest, opnorm_t_diff) row per cutoff, recorded before
+# the study kept its shift data and pattern labels; bit for bit
+_STUDY_COLUMNS = {
+    1: [(0.5, 0.8930116551436129, 0.3680116551436131, 0.43324957554000737,
+         0.10473931968834592),
+        (1.0, 1.0336996596068877, -0.07463367372644823, 0.3277089384008532,
+         0.016943234433274505),
+        (2.0, 1.4959380249819147, -0.9059115961373215, 0.0, 0.0)],
+    2: [(0.5, 0.8887636353780616, 0.3680116551436131, 0.43424121633412816,
+         1.671476107874596e-15),
+        (1.0, 1.0158759779819588, -0.07463367372644823, 0.3328256497373119,
+         1.7221268990223108e-15),
+        (2.0, 1.4418584681351512, -0.9059115961373215, 0.0, 0.0)]}
+_COMPLEX_COLUMNS = {
+    1: [(0.5, 1.6568780458118608, 0.8968780458118603, 0.28814448155820294,
+         0.8689598764783824),
+        (1.0, 2.240985332557482, 0.026286320116503403, 0.12226233455456192,
+         0.36402884028752963),
+        (1.4142135623730951, 2.5786960651968145, -0.45364466340545745, 0.0,
+         0.0)],
+    2: [(0.5, 1.6568780458118608, 0.8968780458118603, 0.288491998944201,
+         0.8755049174525968),
+        (1.0, 2.209276094434225, 0.026286320116503403, 0.1245796232705119,
+         0.3792353525003469),
+        (1.4142135623730951, 2.5351054076772574, -0.45364466340545745, 0.0,
+         0.0)]}
+GROSS2_COMPLEX = gross_model(coupling=(1.0, 0.4 + 0.6j), mu=1.0,
+                             m_boson=1.0, n_nucleons=2)
+
+
+@pytest.mark.filterwarnings("ignore:cutoff radius")
+@pytest.mark.parametrize("case", ["study", "complex"])
+def test_convergence_study_golden_columns(case, study_basis):
+    if case == "study":
+        basis, lams, shift, want = (study_basis, [0.5, 1.0, 2.0], 0.0,
+                                    _STUDY_COLUMNS)
+    else:
+        basis, lams, shift, want = (small_basis(GROSS2_COMPLEX), ROOT2_LADDER,
+                                    0.5, _COMPLEX_COLUMNS)
+    tables = cutoff_convergence_study(basis, lams, (1, 2), lambda_shift=shift)
+    assert list(tables) == [1, 2]
+    for variant, tab in tables.items():
+        got = [dataclasses.astuple(row) for row in tab.rows]
+        assert got == want[variant]
+
+
+@pytest.mark.filterwarnings("ignore:cutoff radius")
+def test_convergence_study_builds_shift_data_and_labels_once(monkeypatch):
+    # two nucleons, three cutoffs, two variants: the lattice shift data
+    # are built once per nucleon (both read the whole lattice), and the
+    # patterns are labelled once per cutoff, apart from the components of
+    # the T differences that _block_norm takes
+    basis = small_basis(GROSS2_COMPLEX)
+    shifts, labelled, blocks = [], [], []
+    translate = quad.translate_indices
+    components = csgraph.connected_components
+
+    def counting_shift(*args, **kwargs):
+        shifts.append(1)
+        return translate(*args, **kwargs)
+
+    def counting_labels(*args, **kwargs):
+        labelled.append(1)
+        return components(*args, **kwargs)
+
+    def counting_block_norm(d):
+        blocks.append(d.nnz > 0)
+        return _block_norm(d)
+
+    monkeypatch.setattr(quad, "translate_indices", counting_shift)
+    monkeypatch.setattr(csgraph, "connected_components", counting_labels)
+    monkeypatch.setattr(spectral, "_block_norm", counting_block_norm)
+    cutoff_convergence_study(basis, ROOT2_LADDER, (1, 2))
+    assert len(shifts) == GROSS2_COMPLEX.n_nucleons
+    assert len(blocks) == 4
+    assert len(labelled) == len(ROOT2_LADDER) + sum(blocks)
+    assert quad._KEPT_SHIFTS.get() is None
 
 
 # ---------------------------------------------------------------------------
