@@ -137,17 +137,26 @@ class SparseOperator:
         return self.matrix.toarray()
 
 
+def _index_dtype(dim: int, n_entries: int) -> type:
+    """int32 when the dimension and the entry count both fit it, so that
+    every column index and indptr entry does, int64 otherwise."""
+    fits = max(dim, n_entries) <= np.iinfo(np.int32).max
+    return np.int32 if fits else np.int64
+
+
 def _csr(rows, cols, vals, dim) -> sparse.csr_array:
-    """Sum (row, col, value) pieces; float64 unless some value is complex."""
+    """Sum (row, col, value) pieces; float64 unless some value is complex,
+    indices of _index_dtype(dim, number of pieces' entries)."""
     if not rows:
         return sparse.csr_array((dim, dim))
     v = np.concatenate(vals)
     if not np.any(np.imag(v)):
         v = np.real(v)
-    m = sparse.coo_array((v, (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim, dim)).tocsr()
-    m.sum_duplicates()
-    return m
+    idx = _index_dtype(dim, v.size)
+    rc = tuple(np.concatenate(part, dtype=idx, casting="same_kind")
+               for part in (rows, cols))
+    # coo -> csr sums the duplicates, in the order the pieces are listed
+    return sparse.coo_array((v, rc), shape=(dim, dim)).tocsr()
 
 
 def _diag_op(basis, values, tags, hermitian=True) -> SparseOperator:
@@ -706,11 +715,14 @@ def export_triplets(op: SparseOperator, path) -> None:
 
 
 def load_triplets(path):
-    """Read back an exported operator: (header dict, csr matrix)."""
+    """Read back an exported operator: (header dict, csr matrix), with the
+    exported matrix's data bytes, signed zeros included, and index type."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         table = np.array(fh.read().split(), dtype=float).reshape(-1, 4)
     idx = table[:, :2].astype(np.int64)
-    m = _csr([idx[:, 0]], [idx[:, 1]], [table[:, 2] + 1j * table[:, 3]],
-             header["shape"][0])
+    # (re, im) pairs are complex128's own layout: re + 1j*im would turn
+    # a -0.0 part into +0.0
+    vals = np.ascontiguousarray(table[:, 2:]).view(np.complex128)[:, 0]
+    m = _csr([idx[:, 0]], [idx[:, 1]], [vals], header["shape"][0])
     return header, m

@@ -508,6 +508,25 @@ def test_identity_corrupt_hook_exits_three(tmp_path):
     assert payload["worst_rel_diff"] > 1e-6
 
 
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_identity_control_matrix_keeps_int32_indices(tmp_path, monkeypatch,
+                                                     n_max):
+    # one boson sector leaves T_od empty, so the control flips every
+    # off-diagonal entry; two sectors flip T_od
+    seen = []
+    verify = cli.verify_identity
+    monkeypatch.setattr(cli, "verify_identity", lambda a, b, **kw: (
+        seen.extend((a.matrix, b.matrix)) or verify(a, b, **kw)))
+    path = write_cfg(tmp_path, TINY_GROSS.replace("n_max = 1",
+                                                  "n_max = %d" % n_max))
+    assert cli.main(["identity", "--config", path, "--out",
+                     str(tmp_path / "out"), "--corrupt-offdiag-sign"]
+                    ) == cli.EXIT_IDENTITY
+    assert len(seen) == 24
+    assert {(m.indices.dtype, m.indptr.dtype) for m in seen} == {
+        (np.dtype(np.int32), np.dtype(np.int32))}
+
+
 @pytest.mark.parametrize("command, config", [
     ("identity", TINY_GROSS), ("converge", TINY_GROSS),
     ("regularity", TINY_REGULARITY)], ids=["identity", "converge",

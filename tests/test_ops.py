@@ -1134,6 +1134,22 @@ def test_triplet_export_exact_text(tmp_path):
     assert np.array_equal(mc.toarray(), hc.to_dense())
 
 
+def test_triplet_round_trip_is_bitwise(tmp_path):
+    # the loaded matrix has the operator's index values and index type
+    # and its data bytes: the adjoint pieces of a complex coupling store
+    # -0.0 imaginary parts, which must come back negative
+    real, cb = small_basis(GROSS2), MEMO_PANEL["two-complex"][0]()
+    panel = [assemble_H_direct(real, 1.0, 1),
+             assemble_H_ibc(real, 1.0, 2, 0.5), assemble_creation(real, 0.0),
+             assemble_annihilation(cb, 1.0), assemble_H_direct(cb, 1.0, 2),
+             assemble_H_ibc(cb, 1.0, 1, 0.5)]
+    assert np.signbit(panel[3].matrix.data.imag).any()
+    for k, op in enumerate(panel):
+        path = tmp_path / ("%d.triplets" % k)
+        export_triplets(op, path)
+        assert _bitwise(load_triplets(path)[1], op.matrix), op.tags
+
+
 def test_operator_dtype_follows_couplings():
     # real couplings and a real form factor: every builder stores float64
     basis = small_basis(GROSS2)

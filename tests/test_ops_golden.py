@@ -1,4 +1,4 @@
-"""Golden panel of the assembled operators.
+"""Golden panel of the assembled operators, and their one index type.
 
 Every builder's matrix on four bases is reduced to a digest: its scalar
 dtype, its shape, and the sha256 of its data bytes and of its indices
@@ -12,6 +12,9 @@ Bases: the `gross` preset at cutoff 4 with shifts {0, 1} and variants
 two-nucleon basis whose second coupling is complex, at cutoff 1 and
 shift 0.5 (the only panel with the nucleon-exchange piece theta); and
 cutoff 0, where the creation matrix stores nothing.
+
+Every operator of a basis stores one index type, int32 unless the basis
+dimension or an operator's entry count exceeds 2**31 - 1 (ops._csr).
 """
 
 import hashlib
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 
 import ibcfock as ib
+from ibcfock import ops
 from ibcfock.cli import load_config
 
 GOLDEN = Path(__file__).with_name("ops_golden.json")
@@ -109,3 +113,25 @@ def test_operators_match_the_golden_digests(name):
     for label in want:
         assert got[label] == want[label], label
 
+
+@pytest.mark.parametrize("name", sorted(PANELS))
+def test_every_operator_of_a_basis_stores_int32_indices(name):
+    # the diagonal L and a row and column scaling of the creation matrix
+    # (the step from which G, T_cutoff and H_ibc start) included
+    make, *args = PANELS[name]
+    basis = make()
+    mats = [build().matrix for _, build in builders(basis, *args)]
+    scale = basis.free_diagonal + 1.0
+    mats += [ib.assemble_L(basis).matrix,
+             ops._diag_scaled(mats[0], rows=scale, cols=scale)]
+    assert {(m.indices.dtype, m.indptr.dtype) for m in mats} == {
+        (np.dtype(np.int32), np.dtype(np.int32))}
+
+
+def test_index_type_rule_at_the_int32_limit():
+    # on plain numbers: a matrix of 2**31 rows would need 16 GiB of indptr
+    top = 2**31 - 1
+    assert ops._index_dtype(top, top) is np.int32
+    assert ops._index_dtype(top + 1, 0) is np.int64
+    assert ops._index_dtype(1, top + 1) is np.int64
+    assert ops._index_dtype(top + 1, top + 1) is np.int64
