@@ -60,10 +60,15 @@ energies from nucleon_energy and boson_energy.  Builders loop over the
 states that FockBasis.sector_states lists and never see the state
 layout or a boson multiset.
 
-The scalar type is decided in one place, _csr: values with no nonzero
-imaginary part are stored as float64, others as complex128.  Every other
-builder follows numpy promotion, so real couplings and a real form
-factor give real operators throughout.
+The scalar type and the index type are decided in one place, _csr:
+values with no nonzero imaginary part are stored as float64, others as
+complex128; indices and indptr are int32 when the basis dimension and
+the entry count both fit it, int64 otherwise (_index_dtype).  Every
+other builder follows numpy promotion and scipy's own index rule, so
+real couplings and a real form factor give real operators throughout,
+and every operator of a basis stores one index type: the diagonals are
+int32 too, and the sparse sums and products keep int32 unless a result
+outgrows it.
 
 Assembly is vectorized over states per boson mode, and tau over the
 created mode too, so its Python loop runs once per removed mode (pure
@@ -100,7 +105,8 @@ class SparseOperator:
     hermitian_flag records that the assembly route guarantees (up to
     rounding) a Hermitian matrix; it is verified by tests, not imposed.
     The matrix is float64 unless some entry has a nonzero imaginary
-    part, in which case it is complex128 (see _csr).
+    part, in which case it is complex128, and its index arrays are int32
+    unless the basis or the operator outgrows them (see _csr).
     """
 
     basis: FockBasis
@@ -148,6 +154,7 @@ def _csr(rows, cols, vals, dim) -> sparse.csr_array:
     """Sum (row, col, value) pieces; float64 unless some value is complex,
     indices of _index_dtype(dim, number of pieces' entries)."""
     if not rows:
+        # scipy's index rule for an empty matrix is the same
         return sparse.csr_array((dim, dim))
     v = np.concatenate(vals)
     if not np.any(np.imag(v)):
@@ -155,7 +162,7 @@ def _csr(rows, cols, vals, dim) -> sparse.csr_array:
     idx = _index_dtype(dim, v.size)
     rc = tuple(np.concatenate(part, dtype=idx, casting="same_kind")
                for part in (rows, cols))
-    # coo -> csr sums the duplicates, in the order the pieces are listed
+    # tocsr sums duplicate coordinates
     return sparse.coo_array((v, rc), shape=(dim, dim)).tocsr()
 
 
