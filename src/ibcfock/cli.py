@@ -9,10 +9,13 @@ Subcommands wire the library into reproducible verification suites:
 * regularity  ground-state regularity ladder across box refinements
 * bounds      kinematic/scaling/growth bound sweeps with fitted constants
 
-Configs are flat INI text ([model]/[grid]/[study]/[output] sections);
-the packaged presets (gross, gross_converge, gross_regularity, eckmann,
-nelson) can be named in place of a path.  Every run writes a manifest
-with the config hash, and every data file embeds that hash.  Numerical
+Configs are flat INI text ([model]/[grid]/[study]/[output] sections),
+one key per value (the nucleon count is `m`, the couplings `coupling`),
+other keys ignored; the packaged presets (gross, gross_converge,
+gross_regularity, eckmann, nelson) can be named in place of a path.  The
+identity gate is verify_identity's default tolerance, not a setting.
+Every table is written as CSV and JSON, every run writes a manifest with
+the config hash, and every data file embeds that hash.  Numerical
 outputs are byte-deterministic for a fixed config and seed.
 
 Exit codes, mapped once in main: 0 success; 1 configuration error (a
@@ -27,6 +30,7 @@ import configparser
 import dataclasses
 import datetime
 import hashlib
+import inspect
 import json
 import sys
 from importlib import resources
@@ -96,6 +100,9 @@ EXIT_CONDITION = 2
 EXIT_IDENTITY = 3
 EXIT_NUMERIC = 4
 
+# the identity gate: verify_identity's default, never a setting
+_IDENTITY_TOL = inspect.signature(verify_identity).parameters["tol"].default
+
 
 class CommandError(Exception):
     """Carries the process exit code alongside the message."""
@@ -124,12 +131,10 @@ class RunConfig:
     ladder_k_max: tuple
     fit_lambda_list: tuple
     scaling_exponents: ScalingExponents
-    tol_identity: float
     eig_tol: float
     seed: int
     n_samples: int
     n_p_samples: int
-    formats: tuple
     dump_operators: bool
     config_sha256: str
 
@@ -153,8 +158,8 @@ def _preset_path(name: str):
 def _build_model(raw: dict) -> ModelParams:
     sect = raw["model"]
     kind = sect.get("kind", "").strip().lower()
-    m = int(sect.get("m", sect.get("n_nucleons", "1")))
-    couplings = _complexes(sect.get("couplings", sect.get("coupling", "1.0")))
+    m = int(sect.get("m", "1"))
+    couplings = _complexes(sect.get("coupling", "1.0"))
     if len(couplings) == 1 and m > 1:
         couplings = couplings * m
     mu = float(sect.get("mu", "1.0"))
@@ -178,7 +183,7 @@ def _build_model(raw: dict) -> ModelParams:
     raise KeyError("unknown model kind %r" % kind)
 
 
-def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
+def load_config(path: str, seed_override=None) -> RunConfig:
     """Parse and validate a config file (or packaged preset name).
 
     Malformed input, or a value that a library rule refuses, is a
@@ -216,17 +221,12 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             k_max, 2 * k_max, 4 * k_max)
         fit_lambdas = _floats(study.get("fit_lambda_list", "8, 16, 32, 64"))
         scaling = _floats(study.get("scaling_exponents", ""))
-        tol_identity = float(study.get("tol_identity", "1e-10"))
-        if tol_override is not None:
-            tol_identity = float(tol_override)
         eig_tol = float(study.get("eig_tol", "1e-9"))
         seed = int(study.get("seed", "0"))
         if seed_override is not None:
             seed = int(seed_override)
         n_samples = int(float(study.get("n_samples", "20000")))
         n_p_samples = int(study.get("n_p_samples", "20"))
-        formats = tuple(output.get("formats", "csv, json")
-                        .replace(",", " ").split())
         dump_ops = output.get("dump_operators", "false").strip().lower() \
             in ("1", "true", "yes")
         if "model" not in raw:
@@ -249,13 +249,12 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
             raise ValueError("seed (or --seed) must be >= 0")
         if n_samples < 1 or n_p_samples < 1:
             raise ValueError("n_samples and n_p_samples must be >= 1")
-        if not 0 <= tol_identity < np.inf:
-            raise ValueError("tol_identity (or --tol) must be finite and >= 0")
     except (KeyError, ValueError, EvenAxisCount, InsufficientPoints) as exc:
         raise CommandError(EXIT_CONFIG, "invalid config: %s" % exc)
 
+    # hashed with the config and seed: a different gate is a different run
     digest_src = json.dumps({"raw": raw, "seed": seed,
-                             "tol_identity": tol_identity}, sort_keys=True)
+                             "tol_identity": _IDENTITY_TOL}, sort_keys=True)
     sha = hashlib.sha256(digest_src.encode()).hexdigest()
 
     try:
@@ -283,11 +282,9 @@ def load_config(path: str, seed_override=None, tol_override=None) -> RunConfig:
                      lambda_list=lambda_list, variants=variants,
                      lambda_shifts=lambda_shifts, eta_list=eta_list,
                      ladder_k_max=ladder, fit_lambda_list=fit_lambdas,
-                     scaling_exponents=exps, tol_identity=tol_identity,
-                     eig_tol=eig_tol, seed=seed,
+                     scaling_exponents=exps, eig_tol=eig_tol, seed=seed,
                      n_samples=n_samples, n_p_samples=n_p_samples,
-                     formats=formats, dump_operators=dump_ops,
-                     config_sha256=sha)
+                     dump_operators=dump_ops, config_sha256=sha)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +301,7 @@ class RunManifest:
             "config_sha256": cfg.config_sha256,
             "tool_version": __version__,
             "seed": cfg.seed,
-            "tol_identity": cfg.tol_identity,
+            "tol_identity": _IDENTITY_TOL,
             "override_conditions": override_conditions,
             "started_at": datetime.datetime.now(
                 datetime.timezone.utc).isoformat(),
@@ -348,16 +345,14 @@ def _write_csv(manifest: RunManifest, name: str, columns, rows,
     manifest.register(name)
 
 
-def _write_table(manifest: RunManifest, formats, stem: str, columns, rows,
+def _write_table(manifest: RunManifest, stem: str, columns, rows,
                  meta: dict, **json_only):
-    """stem.csv and stem.json in the configured formats: the metadata,
-    the rows, and in the JSON also the json_only entries."""
-    if "csv" in formats:
-        _write_csv(manifest, stem + ".csv", columns, rows, meta)
-    if "json" in formats:
-        _write_json(manifest, stem + ".json",
-                    {**meta, **json_only,
-                     "rows": [dict(zip(columns, r)) for r in rows]})
+    """stem.csv and stem.json: the metadata, the rows, and in the JSON
+    also the json_only entries."""
+    _write_csv(manifest, stem + ".csv", columns, rows, meta)
+    _write_json(manifest, stem + ".json",
+                {**meta, **json_only,
+                 "rows": [dict(zip(columns, r)) for r in rows]})
 
 
 def _make_basis(cfg: RunConfig) -> FockBasis:
@@ -521,7 +516,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                                 format="csr")
                         bad = (2 * dg - ibc.matrix).tocsr()
                     ibc = dataclasses.replace(ibc, matrix=bad)
-                rep = verify_identity(direct[j], ibc, tol=cfg.tol_identity)
+                rep = verify_identity(direct[j], ibc)
                 lam_rows[j].append(("direct-vs-ibc", lam, variant, shift,
                                     rep.max_abs_diff, rep.max_rel_diff,
                                     rep.opnorm_diff_bound, rep.passed))
@@ -530,8 +525,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                 if baseline[j] is None:
                     baseline[j] = ibc
                 else:
-                    rep2 = verify_identity(baseline[j], ibc,
-                                           tol=cfg.tol_identity)
+                    rep2 = verify_identity(baseline[j], ibc)
                     lam_rows[j].append(("shift-invariance", lam, variant,
                                         shift, rep2.max_abs_diff,
                                         rep2.max_rel_diff,
@@ -539,12 +533,11 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                     all_pass &= rep2.passed
                 del ibc         # not alive while the next one is built
         rows += [row for block in lam_rows for row in block]
-    _write_table(manifest, cfg.formats, "identity_report",
+    _write_table(manifest, "identity_report",
                  ("kind", "lambda_uv", "variant", "lambda_shift",
                   "max_abs_diff", "max_rel_diff", "opnorm_diff_bound",
                   "passed"), rows,
-                 {"basis_sha256": basis_digest(basis),
-                  "tol": cfg.tol_identity},
+                 {"basis_sha256": basis_digest(basis), "tol": _IDENTITY_TOL},
                  worst_rel_diff=worst, all_pass=all_pass)
     if cfg.dump_operators:
         op = assemble_H_direct(basis, max(cfg.lambda_list), cfg.variants[0])
@@ -552,7 +545,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
         manifest.register("hamiltonian_direct.triplets")
     if not all_pass:
         print("identity failure: worst relative deviation %.3e (tol %.1e)"
-              % (worst, cfg.tol_identity), file=sys.stderr)
+              % (worst, _IDENTITY_TOL), file=sys.stderr)
         return EXIT_IDENTITY
     print("all identities hold: worst relative deviation %.3e over %d rows"
           % (worst, len(rows)))
@@ -573,7 +566,7 @@ def cmd_converge(cfg: RunConfig, manifest: RunManifest, args) -> int:
     except ValueError as exc:
         raise CommandError(EXIT_CONFIG, "cutoff ladder: %s" % exc)
     for variant, tab in tables.items():
-        _write_table(manifest, cfg.formats, "converge_v%d" % variant,
+        _write_table(manifest, "converge_v%d" % variant,
                      [f.name for f in dataclasses.fields(ConvergenceRow)],
                      [dataclasses.astuple(r) for r in tab.rows],
                      {"variant": variant, "basis_sha256": tab.basis_sha256,
@@ -647,7 +640,7 @@ def cmd_regularity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     rep = regularity_diagnostic(bases, cfg.variants[0], cfg.eta_list,
                                 lambda_shift=cfg.lambda_shifts[0],
                                 eig_tol=cfg.eig_tol)
-    _write_table(manifest, cfg.formats, "regularity",
+    _write_table(manifest, "regularity",
                  [f.name for f in dataclasses.fields(RegularityRow)],
                  [dataclasses.astuple(r) for r in rep.rows],
                  {"threshold": rep.threshold, "variant": rep.variant,
@@ -787,8 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default runs/<command>-<hash>)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the sampling seed")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the identity tolerance")
         p.add_argument("--override-conditions", action="store_true",
                        help="run assembly commands even if the condition "
                             "gate fails (recorded in the manifest)")
@@ -803,8 +794,7 @@ def main(argv=None) -> int:
     import warnings
     try:
         args = build_parser().parse_args(argv)
-        cfg = load_config(args.config, seed_override=args.seed,
-                          tol_override=args.tol)
+        cfg = load_config(args.config, seed_override=args.seed)
         out_dir = pathlib.Path(args.out) if args.out else pathlib.Path(
             "runs") / ("%s-%s" % (args.command, cfg.config_sha256[:8]))
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -84,15 +84,23 @@ def test_unknown_preset_name_is_config_error():
     assert err.value.code == cli.EXIT_CONFIG
 
 
-def test_seed_and_tol_overrides_change_hash(tmp_path):
+def test_seed_override_changes_hash(tmp_path):
     path = write_cfg(tmp_path, TINY_GROSS)
     base = cli.load_config(path)
     reseeded = cli.load_config(path, seed_override=7)
-    retol = cli.load_config(path, tol_override=1e-8)
     assert base.config_sha256 != reseeded.config_sha256
-    assert base.config_sha256 != retol.config_sha256
     assert reseeded.seed == 7
-    assert retol.tol_identity == 1e-8
+
+
+def test_model_keys_have_one_spelling(tmp_path):
+    # n_nucleons and couplings are not spellings of m and coupling: like
+    # any key the front end does not read, they are ignored
+    path = write_cfg(tmp_path, TINY_GROSS.replace(
+        "coupling = 1.0", "coupling = 0.5\n    couplings = 2.0\n"
+        "    n_nucleons = 2"))
+    cfg = cli.load_config(path)
+    assert cfg.params.n_nucleons == 1
+    assert cfg.params.couplings == (0.5,)
 
 
 def test_invalid_variant_is_config_error(tmp_path):
@@ -146,10 +154,6 @@ def test_fractional_or_repeated_variant_is_config_error(tmp_path, variants):
     # a non-finite or non-positive tolerance switches a certificate off
     ("converge", "n_p_samples = 4", "n_p_samples = 4\n    eig_tol = nan"),
     ("converge", "n_p_samples = 4", "n_p_samples = 4\n    eig_tol = inf"),
-    ("identity", "n_samples = 4000",
-     "n_samples = 4000\n    tol_identity = nan"),
-    ("identity", "n_samples = 4000",
-     "n_samples = 4000\n    tol_identity = -1e-10"),
     # a non-finite or non-positive cutoff would select no mode, or every
     # mode, without saying so
     ("identity", "lambda_list = 1, 2", "lambda_list = nan, 2"),
@@ -201,6 +205,11 @@ def test_out_of_range_study_values_exit_one(tmp_path, capsys, command, old,
     # the study has no norm_tol (its resolvent distance is exact); like
     # any unknown key it is ignored, whatever its value
     ("converge", "n_p_samples = 4", "n_p_samples = 4\n    norm_tol = -1e-4"),
+    # the identity gate is not a setting, so tol_identity is ignored too
+    ("identity", "n_samples = 4000",
+     "n_samples = 4000\n    tol_identity = nan"),
+    ("identity", "n_samples = 4000",
+     "n_samples = 4000\n    tol_identity = -1e-10"),
 ])
 def test_ignored_study_keys_load_and_run(tmp_path, command, old, new):
     path = write_cfg(tmp_path, TINY_GROSS.replace(old, new))
@@ -208,11 +217,13 @@ def test_ignored_study_keys_load_and_run(tmp_path, command, old, new):
                      "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-10"])
-def test_out_of_range_tol_flag_exits_one(tmp_path, tol):
+def test_tol_flag_is_unrecognized_and_exits_one(tmp_path, capsys):
+    # the identity gate has no flag, not even for a value in range
     path = write_cfg(tmp_path, TINY_GROSS)
-    assert cli.main(["identity", "--config", path, "--tol=" + tol,
+    assert cli.main(["identity", "--config", path, "--tol", "1e-8",
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["check", "bounds", "identity"])
@@ -506,6 +517,24 @@ def test_identity_corrupt_hook_exits_three(tmp_path):
     payload = json.loads((out / "identity_report.json").read_text())
     assert payload["all_pass"] is False
     assert payload["worst_rel_diff"] > 1e-6
+
+
+def test_negative_control_cannot_be_configured_away(tmp_path):
+    # a config that sets tol_identity (or formats) changes neither the
+    # gate nor the tables written: the control still fails at
+    # verify_identity's default tolerance, and both formats appear
+    path = write_cfg(tmp_path, TINY_GROSS.replace(
+        "n_samples = 4000", "n_samples = 4000\n    tol_identity = 10"
+    ).replace("formats = csv, json", "formats = csv"))
+    out = tmp_path / "out"
+    assert cli.main(["identity", "--config", path, "--out", str(out),
+                     "--corrupt-offdiag-sign"]) == cli.EXIT_IDENTITY
+    payload = json.loads((out / "identity_report.json").read_text())
+    assert payload["tol"] == 1e-10
+    assert payload["all_pass"] is False
+    assert (out / "identity_report.csv").is_file()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tol_identity"] == 1e-10
 
 
 @pytest.mark.parametrize("n_max", [1, 2])
