@@ -482,6 +482,7 @@ def cmd_check(cfg: RunConfig, manifest: RunManifest, args) -> int:
     return EXIT_OK
 
 
+@_shift_data_kept()
 def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
     """Direct-vs-decomposed assembly agreement over the configured
     cutoff/variant/shift matrix, plus shift invariance rows."""
@@ -530,6 +531,7 @@ def cmd_identity(cfg: RunConfig, manifest: RunManifest, args) -> int:
                                         shift, rep2.max_abs_diff,
                                         rep2.max_rel_diff,
                                         rep2.opnorm_diff_bound, rep2.passed))
+                    worst = max(worst, rep2.max_rel_diff)
                     all_pass &= rep2.passed
                 del ibc         # not alive while the next one is built
         rows += [row for block in lam_rows for row in block]

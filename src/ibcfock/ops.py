@@ -32,10 +32,20 @@ the counterterm diagonal comes from _counterterm_rows, the resolvent
 sums of T_d from _subtract_resolvent_sums, the creation matrix from
 _creation_matrix, the direct-route sum from _direct_matrix, and both
 exchange families start from _exchange_tables.  _kept keeps the last
-value of two builders on the basis instance, as free_diagonal is, never
-shared by equal bases: the creation matrix, which every builder takes,
-and _ibc_base, the boundary route without the counterterm diagonal,
-together with the positions of its diagonal entries.
+value of three builders on the basis instance, as free_diagonal is,
+never shared by equal bases: the creation matrix, which every builder
+takes; _exchange_kept, the active modes of a cutoff and the shift-free
+terms of each exchange piece built at it; and _ibc_base, the boundary
+route without the counterterm diagonal, together with the positions of
+its diagonal entries.
+
+The shift-free terms of one exchange piece (theta or tau, per nucleon
+pair) are its entries' rows, columns, numerators, denominators theta_z
++ omega_b and boson energies omega(q2), in emission order.  Only the
+denominator depends on the shift, so _exchange_piece builds the terms
+once per cutoff and forms each shift's piece as num / (den0 + (omega +
+lambda)), the order in which the denominators were always formed, and
+sums it with _csr.
 
 Diagonal factors and diagonal sums of the boundary route are worked on
 the CSR data arrays, with the floating-point operations of the sparse
@@ -177,7 +187,9 @@ def _diag_op(basis, values, tags, hermitian=True) -> SparseOperator:
 def _kept(build):
     """Keep build(basis, *key)'s last value read-only in that basis's own
     __dict__; a new key drops it first.  The value is a CSR matrix or a
-    tuple of a CSR matrix and arrays.  Builds call kept.__wrapped__."""
+    tuple of CSR matrices, arrays and dicts; a dict is left to its
+    caller, which fills it with read-only values.  Builds call
+    kept.__wrapped__."""
     slot = "_kept_" + build.__name__
 
     @functools.wraps(build)
@@ -188,7 +200,8 @@ def _kept(build):
             value = kept.__wrapped__(basis, *key)
             for part in value if isinstance(value, tuple) else (value,):
                 arrays = ((part.data, part.indices, part.indptr)
-                          if sparse.issparse(part) else (part,))
+                          if sparse.issparse(part) else
+                          () if isinstance(part, dict) else (part,))
                 for arr in arrays:
                     arr.flags.writeable = False
             store[slot] = (key, value)
@@ -220,7 +233,9 @@ def _diag_scaled(m: sparse.csr_array, rows=None,
     The index arrays are m's own, shared."""
     data = m.data
     if rows is not None:
-        data = data * rows[_entry_rows(m)]
+        # repeated per row, not gathered: numpy gathers slowly through
+        # the int32 row index that _entry_rows gives
+        data = data * np.repeat(rows, np.diff(m.indptr))
     if cols is not None:
         data = data * cols[m.indices]
     return sparse.csr_array((data, m.indices, m.indptr), shape=m.shape)
@@ -422,38 +437,59 @@ def assemble_Td(basis: FockBasis, lambda_uv, variant: int,
 # ---------------------------------------------------------------------------
 # off-diagonal exchange pieces
 
-def _exchange_tables(basis: FockBasis, i: int, ell: int, lambda_uv,
-                     lambda_shift: float):
-    """Lattice tables both exchange families share, for a validated
-    nucleon pair and shift: the active boson modes, the configuration
+@_kept
+def _exchange_kept(basis: FockBasis, lambda_uv):
+    """The active boson modes at the cutoff, and a dict that
+    _exchange_piece fills with the read-only terms of each piece."""
+    return (np.flatnonzero(grid_mode_mask(basis.grid, lambda_uv,
+                                          basis.params)), {})
+
+
+def _exchange_piece(basis: FockBasis, build, i: int, ell: int, lambda_uv,
+                    lambda_shift: float) -> sparse.csr_array:
+    """One exchange piece at a shift.  Its shift-free terms, the rows,
+    columns, numerators, theta_z + omega_b and omega(q2) of every entry
+    in emission order, are made by build (_theta_terms or _tau_terms)
+    once per cutoff and kept with _exchange_kept; each entry is then
+    num / (den0 + (omega + lambda)), summed by _csr."""
+    m_nuc = basis.params.n_nucleons
+    if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
+        raise IndexError("nucleon index out of range")
+    check_shift(lambda_shift)
+    active, pieces = _exchange_kept(basis, lambda_uv)
+    key = (build.__name__, i, ell)
+    if key not in pieces:
+        terms = tuple(np.concatenate(col)
+                      for col in zip(*build(basis, i, ell, active)))
+        for arr in terms:
+            arr.flags.writeable = False
+        pieces[key] = terms
+    if not pieces[key]:
+        return _csr([], [], [], basis.total_dim)
+    rows, cols, num, den0, om = pieces[key]
+    return _csr([rows], [cols], [num / (den0 + (om + lambda_shift))],
+                basis.total_dim)
+
+
+def _exchange_tables(basis: FockBasis, i: int, ell: int):
+    """Lattice tables both exchange families share: the configuration
     shift tables of nucleon i emitting and nucleon ell absorbing, the
     nucleon dispersion per lattice point and per configuration, and the
     boson dispersion per mode."""
     params = basis.params
-    m_nuc = params.n_nucleons
-    if not (0 <= i < m_nuc and 0 <= ell < m_nuc):
-        raise IndexError("nucleon index out of range")
-    check_shift(lambda_shift)
     theta_pt = dispersion_nucleon(basis.grid.points, params)
-    return (np.flatnonzero(grid_mode_mask(basis.grid, lambda_uv, params)),
-            basis.nucleon_shift(i, -1), basis.nucleon_shift(ell, 1), theta_pt,
+    return (basis.nucleon_shift(i, -1), basis.nucleon_shift(ell, 1), theta_pt,
             basis.nucleon_energy(),
             dispersion_boson_norm(basis.grid.norms(), params))
 
 
-def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
-                   lambda_shift: float = 0.0) -> SparseOperator:
-    """Nucleon-exchange piece: the virtual boson is emitted by nucleon i
-    and reabsorbed by nucleon ell (i != ell), the boson content of the
-    state unchanged.
-    """
-    if i == ell:
-        raise IndexError("theta needs two distinct nucleon indices")
-    active, emit, absorb, theta_pt, theta_state, om = _exchange_tables(
-        basis, i, ell, lambda_uv, lambda_shift)
+def _theta_terms(basis: FockBasis, i: int, ell: int, active) -> list:
+    """Per-block terms of the nucleon-exchange piece (i emits, ell
+    absorbs), one block per (sector, active mode)."""
+    emit, absorb, theta_pt, theta_state, om = _exchange_tables(basis, i, ell)
     nuc_table = basis.nucleon_mode_table()
     ff_i, ff_ell = (_form_factors(basis, j, active) for j in (i, ell))
-    rows, cols, vals = [], [], []
+    blocks = []
     for n in range(basis.n_max):           # intermediates live in sector n+1
         cfg, rank = basis.sector_states(n)
         start = basis.sector_slice(n).start
@@ -469,29 +505,20 @@ def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
             wgt = (np.conj(ff_ell[a, nuc_table[c, ell]]) * ff_i[a, z_i]
                    * basis.grid.cell_weight)
             theta_z = theta_state[c] - theta_pt[nuc_table[c, i]] + theta_pt[z_i]
-            den = theta_z + omega_b[r] + (om[q] + lambda_shift)
-            rows.append(basis.state_index(n, x, r))
-            cols.append(start + src)
-            vals.append(wgt / den)
-    m = _csr(rows, cols, vals, basis.total_dim)
-    return SparseOperator(basis, m, {"path": "ibc", "kind": "theta",
-                                     "i": i, "ell": ell,
-                                     "lambda_uv": lambda_uv,
-                                     "lambda_shift": lambda_shift}, False)
+            blocks.append((basis.state_index(n, x, r), start + src, wgt,
+                           theta_z + omega_b[r], np.full(src.size, om[q])))
+    return blocks
 
 
-def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
-                 lambda_shift: float = 0.0) -> SparseOperator:
-    """Boson-exchange piece: nucleon i emits a boson while nucleon ell
-    absorbs one already present (i = ell allowed).  Vanishes on the
-    vacuum sector and on the top sector (no room for the intermediate).
-    """
-    active, emit, absorb, theta_pt, theta_state, om = _exchange_tables(
-        basis, i, ell, lambda_uv, lambda_shift)
+def _tau_terms(basis: FockBasis, i: int, ell: int, active) -> list:
+    """Per-block terms of the boson-exchange piece (i emits, ell absorbs
+    a boson already present), one block per (sector, removed mode, block
+    of created modes)."""
+    emit, absorb, theta_pt, theta_state, om = _exchange_tables(basis, i, ell)
     nuc_table = basis.nucleon_mode_table()
     ff_i = _form_factors(basis, i, active)
     ff_ell = ff_i if i == ell else _form_factors(basis, ell, active)
-    rows, cols, vals = [], [], []
+    blocks = []
     for n in range(1, basis.n_max):        # intermediates live in sector n+1
         cfg, rank = basis.sector_states(n)
         start = basis.sector_slice(n).start
@@ -525,12 +552,36 @@ def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
                        * basis.grid.cell_weight)
                 theta_z = (theta_state[c[s]] - theta_pt[nuc_table[c[s], i]]
                            + theta_pt[zi])
-                den = theta_z + omega_b[rs] + (om[q2s] + lambda_shift)
-                rows.append(basis.state_index(n, x[k2, s],
-                                              add[remove[rs, q], q2s]))
-                cols.append(start + src[s])
-                vals.append(wgt * bf / den)
-    m = _csr(rows, cols, vals, basis.total_dim)
+                blocks.append((
+                    basis.state_index(n, x[k2, s], add[remove[rs, q], q2s]),
+                    start + src[s], wgt * bf, theta_z + omega_b[rs],
+                    om[q2s]))
+    return blocks
+
+
+def assemble_theta(basis: FockBasis, i: int, ell: int, lambda_uv,
+                   lambda_shift: float = 0.0) -> SparseOperator:
+    """Nucleon-exchange piece: the virtual boson is emitted by nucleon i
+    and reabsorbed by nucleon ell (i != ell), the boson content of the
+    state unchanged.  Its shift-free terms are kept per cutoff.
+    """
+    if i == ell:
+        raise IndexError("theta needs two distinct nucleon indices")
+    m = _exchange_piece(basis, _theta_terms, i, ell, lambda_uv, lambda_shift)
+    return SparseOperator(basis, m, {"path": "ibc", "kind": "theta",
+                                     "i": i, "ell": ell,
+                                     "lambda_uv": lambda_uv,
+                                     "lambda_shift": lambda_shift}, False)
+
+
+def assemble_tau(basis: FockBasis, i: int, ell: int, lambda_uv,
+                 lambda_shift: float = 0.0) -> SparseOperator:
+    """Boson-exchange piece: nucleon i emits a boson while nucleon ell
+    absorbs one already present (i = ell allowed).  Vanishes on the
+    vacuum sector and on the top sector (no room for the intermediate).
+    Its shift-free terms are kept per cutoff.
+    """
+    m = _exchange_piece(basis, _tau_terms, i, ell, lambda_uv, lambda_shift)
     return SparseOperator(basis, m, {"path": "ibc", "kind": "tau",
                                      "i": i, "ell": ell,
                                      "lambda_uv": lambda_uv,
@@ -601,7 +652,7 @@ def _ibc_base(basis: FockBasis, lambda_uv, lambda_shift: float):
         sparse.eye_array(basis.total_dim, format="csr") - g)
     # a CSR product sums every entry over k in ascending order, as the
     # CSC product of the adjoint view would; only its rows come unordered
-    prod = one_minus_g.conj().T.tocsr() @ _diag_scaled(
+    prod = one_minus_g.conj(copy=False).T.tocsr() @ _diag_scaled(
         one_minus_g, rows=basis.free_diagonal + lambda_shift)
     prod.sort_indices()
     tod = assemble_T_od(basis, lambda_uv, lambda_shift=lambda_shift).matrix

@@ -30,10 +30,11 @@ over a MomentumGrid by one body, _lattice_sum), so both sides of the
 operator identity use the same Riemann sum: counterterm_grid and
 integral_j_grid sum the terms of counterterm and integral_J, and
 resolvent_sum_grid the unsubtracted resolvent sum, which minus
-counterterm_grid of variant 1 is the twin of I.  Inside a
-_shift_data_kept scope (the convergence study's counterterm rows, the
-converge command) the cutoff-free shift data of each p set are built
-once.  Only the engine, axisymmetric_integral, takes tolerances (epsabs,
+counterterm_grid of variant 1 is the twin of I, evaluated once per
+distinct (p, rest energy) pair.  Inside a _shift_data_kept scope (the
+convergence study's counterterm rows, the converge and identity
+commands) the cutoff-free shift data of each p set are built once.
+Only the engine, axisymmetric_integral, takes tolerances (epsabs,
 epsrel, n_angular_max).
 
 check_cutoff and check_shift state the cutoff and the shift rule once.
@@ -763,10 +764,13 @@ def _grid_shift_data(p_indices, grid: MomentumGrid, params: ModelParams,
     evaluated once per distinct index and gathered into the shape
     p_indices.shape + (modes,); repeated indices get identical values.
     Only the cutoff mask depends on lambda_uv: inside a _shift_data_kept
-    scope the (distinct p x modes) arrays before it are kept per grid
-    and params object (by identity: equal CUSTOM models may differ in
-    their callables), nucleon and set of distinct p, until the scope
-    ends; outside one they are built on every call."""
+    scope (the converge and identity commands hold one for their whole
+    run) the (distinct p x modes) arrays before it are kept per grid and
+    params object (by identity: equal CUSTOM models may differ in their
+    callables), nucleon and set of distinct p, until the scope ends;
+    outside one they are built on every call.  resolvent_sum_grid passes
+    the p of each distinct (p, rest) pair, whose distinct p are those of
+    its states, so its key is theirs."""
     p_indices = np.asarray(p_indices)
     flat, inverse = np.unique(p_indices, return_inverse=True)
     mode_mask = grid_mode_mask(grid, lambda_uv, params)
@@ -831,11 +835,26 @@ def resolvent_sum_grid(p_indices, rest_energies, grid: MomentumGrid, lambda_uv,
     This is the raw quantity mediated by one virtual boson; minus the
     lattice counterterm of variant 1 it is the cell sum of the
     regularized diagonal integral integral_I.
+
+    The sum depends on a state only through its (p index, rest) pair, so
+    it is evaluated once per distinct pair and gathered into the shape
+    p_indices.shape.  Pairs are told apart by the bit pattern of rest:
+    signed zeros and NaNs are never merged.
     """
     check_shift(lambda_shift)
     p_indices = np.asarray(p_indices)
     rest = np.broadcast_to(np.asarray(rest_energies, dtype=float),
-                           p_indices.shape)[..., None]
-    return _lattice_sum(
-        lambda w, th_q, th_pq, om: w / (th_pq + rest + om + lambda_shift),
-        p_indices, grid, lambda_uv, params, i_nucleon)
+                           p_indices.shape)
+    # pair number p * (distinct rests) + rank of rest; an empty input
+    # has no rest, and no pair
+    bits, rest_of = np.unique(rest.ravel().view(np.int64), return_inverse=True)
+    n_rest = max(bits.size, 1)
+    pairs, inverse = np.unique(
+        p_indices.ravel().astype(np.int64) * n_rest + rest_of.ravel(),
+        return_inverse=True)
+    p_u, rest_u = np.divmod(pairs, n_rest)
+    rest_u = bits.view(float)[rest_u][:, None]
+    sums = _lattice_sum(
+        lambda w, th_q, th_pq, om: w / (th_pq + rest_u + om + lambda_shift),
+        p_u, grid, lambda_uv, params, i_nucleon)
+    return sums[inverse.ravel()].reshape(p_indices.shape)

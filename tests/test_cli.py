@@ -1,18 +1,23 @@
 """End-to-end tests of the command-line front end: exit codes, output
 files, manifests, determinism."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ibcfock import cli, errors, ops
+from ibcfock import cli, errors, ops, quad
 from ibcfock.model import ModelKind
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -506,6 +511,104 @@ def test_identity_builds_one_creation_matrix_per_cutoff(tmp_path,
     assert cli.main(["identity", "--config", "nelson",
                      "--out", str(tmp_path / "o")]) == cli.EXIT_OK
     assert builds == [1.0, 2.0]
+
+
+# two nucleons and two boson sectors, so both exchange families appear;
+# at shift 10 a shift-invariance row deviates more than any direct row
+TINY_TWO_NUCLEON = """\
+    [model]
+    kind = gross
+    mu = 1.0
+    m_boson = 1.0
+    coupling = 1.0, 0.5
+    m = 2
+
+    [grid]
+    k_max = 1.0
+    n_per_axis = 3
+    n_max = 2
+
+    [study]
+    lambda_list = 1
+    variants = 1, 2
+    lambda_shifts = 0, 1, 10
+    """
+
+
+def test_identity_worst_covers_every_row(tmp_path, capsys):
+    # stdout and worst_rel_diff give the largest max_rel_diff of the
+    # report, here a shift-invariance row
+    path = write_cfg(tmp_path, TINY_TWO_NUCLEON)
+    out = tmp_path / "out"
+    assert cli.main(["identity", "--config", path, "--out", str(out)]) == 0
+    payload = json.loads((out / "identity_report.json").read_text())
+    worst = max(r["max_rel_diff"] for r in payload["rows"])
+    assert worst > max(r["max_rel_diff"] for r in payload["rows"]
+                       if r["kind"] == "direct-vs-ibc")
+    assert payload["worst_rel_diff"] == worst
+    assert "deviation %.3e over 10 rows" % worst in capsys.readouterr().out
+
+
+def test_identity_builds_the_shift_data_once_per_nucleon(tmp_path,
+                                                         monkeypatch):
+    # the counterterm rows of both routes and the resolvent sums of every
+    # (cutoff, shift) read one p set per nucleon, whose lattice shift
+    # data the command keeps for its whole run
+    calls = []
+    translate = quad.translate_indices
+    monkeypatch.setattr(quad, "translate_indices", lambda *a, **kw: (
+        calls.append(1), translate(*a, **kw))[1])
+    path = write_cfg(tmp_path, TINY_TWO_NUCLEON)
+    assert cli.main(["identity", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert len(calls) == 2
+    assert quad._KEPT_SHIFTS.get() is None
+
+
+#: calls per traced function in one identity run on TINY_TWO_NUCLEON
+IDENTITY_SPAN_CALLS = {
+    "cli.main": 1, "fockgrid.enumerate_basis": 1,
+    "model.check_condition_a": 1, "ops.assemble_H_direct": 2,
+    "ops.assemble_H_ibc": 6, "ops.assemble_T_od": 3, "ops.assemble_tau": 12,
+    "ops.verify_identity": 10, "quad.counterterm_grid": 16,
+    "quad.resolvent_sum_grid": 12}
+
+
+def _count_traced_calls(monkeypatch) -> Counter:
+    """Wrap every binding of each function in perfbench/spans.py TRACED
+    inside the package, as the benchmark tracer does, with a counter."""
+    tree = ast.parse(SPANS.read_text())
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED"
+                          for t in node.targets))
+    counts = Counter()
+    modules = [m for k, m in sys.modules.items()
+               if k == "ibcfock" or k.startswith("ibcfock.")]
+    for layer, names in traced.items():
+        for fn_name in names:
+            original = getattr(sys.modules["ibcfock." + layer], fn_name)
+
+            def counted(*a, _name="%s.%s" % (layer, fn_name),
+                        _fn=original, **kw):
+                counts[_name] += 1
+                return _fn(*a, **kw)
+
+            for mod in modules:
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_identity_keeps_the_traced_call_counts(tmp_path, monkeypatch):
+    # the benchmark's per-layer spans stay comparable across changes: no
+    # refactor may route around a traced name or call it more often
+    counts = _count_traced_calls(monkeypatch)
+    path = write_cfg(tmp_path, TINY_TWO_NUCLEON)
+    assert cli.main(["identity", "--config", path,
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert dict(counts) == IDENTITY_SPAN_CALLS
 
 
 def test_identity_corrupt_hook_exits_three(tmp_path):

@@ -515,6 +515,43 @@ def test_ibc_memo_is_not_exposed_to_writes(name):
         assert _same_csr(build(basis).matrix, build(fresh).matrix)
 
 
+def test_exchange_terms_are_built_once_per_cutoff(monkeypatch):
+    # every theta and tau piece builds its shift-free terms at the first
+    # shift of a cutoff; at every shift each piece is bit for bit a fresh
+    # build on a new basis, and the kept terms are read-only
+    make, lam = MEMO_PANEL["two-complex"]
+    basis = make()
+    pieces = [(build, i, ell) for i in range(2) for ell in range(2)
+              for build in ((assemble_theta, assemble_tau) if i != ell
+                            else (assemble_tau,))]
+    shifts = (0.0, 0.5, 3.0)
+    builds = []
+    form_factors = ops._form_factors
+    monkeypatch.setattr(ops, "_form_factors",
+                        lambda *a: builds.append(a) or form_factors(*a))
+    kept = {s: [build(basis, i, ell, lam, s).matrix
+                for build, i, ell in pieces] for s in shifts}
+    # two tables per theta and per mixed tau piece, one per i = ell tau
+    assert len(builds) == 10
+    assert {m.dtype for m in kept[0.5]} == {np.dtype(float),
+                                            np.dtype(complex)}
+    for s in shifts:
+        fresh = [build(make(), i, ell, lam, s).matrix
+                 for build, i, ell in pieces]
+        for k, m in enumerate(kept[s]):
+            assert _bitwise(m, fresh[k]), (s, pieces[k])
+    terms = ops._exchange_kept(basis, lam)[1]
+    assert len(terms) == len(pieces)
+    for arr in (a for piece in terms.values() for a in piece):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:1] = 0
+    # a new cutoff drops the kept terms of the last one
+    del builds[:]
+    assemble_tau(basis, 0, 0, 0.5)
+    assemble_tau(basis, 0, 0, lam)
+    assert len(builds) == 2
+
+
 # ---------------------------------------------------------------------------
 # diagonal and disjoint-pattern algebra on the CSR arrays, bit for bit the
 # sparse expressions (merges and diagonal products) it replaces

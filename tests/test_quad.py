@@ -577,25 +577,74 @@ def test_grid_sums_vectorize():
     assert iv[0] == 0.0 and iv[1] < 0.0
 
 
+def two_nucleon_rests(n):
+    """(p index of nucleon 0, rest energy) of every sector-n state of a
+    two-nucleon basis, as ops._subtract_resolvent_sums forms them."""
+    basis = ib.enumerate_basis(
+        ib.gross_model(coupling=(1.0, 0.5), mu=1.0, m_boson=1.0,
+                       n_nucleons=2), ib.build_grid(2, 1.0, 3), n_max=2)
+    table = basis.nucleon_mode_table()
+    theta_pt = ib.dispersion_nucleon(basis.grid.points, basis.params)
+    cfg, rank = basis.sector_states(n)
+    rest = ((basis.nucleon_energy() - theta_pt[table[:, 0]])[cfg]
+            + basis.boson_energy(n)[rank])
+    return basis.grid, table[:, 0][cfg], rest
+
+
 def test_grid_sums_equal_per_index_evaluation():
-    # the twins evaluate once per distinct lattice index; a repeated,
-    # unsorted 2-D index array must give exactly the per-index values
+    # the twins evaluate once per distinct lattice index, the resolvent
+    # sum once per distinct (index, rest) pair; a repeated, unsorted 2-D
+    # array must give exactly the per-pair values, signed zeros included
     gr = ib.build_grid(3, 2.0, 5)
     ips = np.array([[7, 124, 62, 7], [0, 62, 124, 31], [31, 7, 0, 7]])
-    rests = np.linspace(0.0, 2.0, ips.size).reshape(ips.shape)
-    flat = list(zip(ips.ravel().tolist(), rests.ravel().tolist()))
+    rest_cases = [np.linspace(0.0, 2.0, ips.size).reshape(ips.shape),
+                  np.array([[0.5, 0.0, -0.0, 0.5], [-0.0, 0.0, 0.0, 1.25],
+                            [1.25, -0.0, -0.0, 0.5]])]
     twins = [
         lambda p, r: ib.counterterm_grid(p, gr, 1.5, 1, ECK),
         lambda p, r: ib.counterterm_grid(p, gr, 1.5, 2, ECK),
         lambda p, r: ib.integral_j_grid(p, gr, None, ECK),
         lambda p, r: ib.resolvent_sum_grid(p, r, gr, 1.5, ECK,
                                            lambda_shift=0.3),
+        lambda p, r: ib.resolvent_sum_grid(p, r, gr, None, ECK),
     ]
-    for twin in twins:
-        block = twin(ips, rests)
-        singles = np.array([twin(p, r) for p, r in flat]).reshape(ips.shape)
-        assert block.shape == ips.shape
+    for rests in rest_cases:
+        flat = list(zip(ips.ravel().tolist(), rests.ravel().tolist()))
+        for twin in twins:
+            block = twin(ips, rests)
+            singles = np.array([twin(p, r) for p, r in flat]
+                               ).reshape(ips.shape)
+            assert block.shape == ips.shape
+            assert np.array_equal(block, singles)
+            assert block.tobytes() == singles.tobytes()
+    # the states of a two-nucleon basis: 81 one-boson states share 9
+    # nucleon momenta and a few rest energies
+    gr2, p_idx, rest = two_nucleon_rests(1)
+    for lam in (1.0, None):
+        block = ib.resolvent_sum_grid(p_idx, rest, gr2, lam, GROSS,
+                                      lambda_shift=0.5)
+        singles = np.array([ib.resolvent_sum_grid(p, r, gr2, lam, GROSS,
+                                                  lambda_shift=0.5)
+                            for p, r in zip(p_idx, rest)])
         assert np.array_equal(block, singles)
+
+
+def test_resolvent_sum_runs_once_per_distinct_pair(monkeypatch):
+    # the lattice sum sees one row per distinct (p index, rest bits)
+    # pair: +0.0 and -0.0 are two pairs, a repeated pair is one
+    rows = []
+    lattice_sum = quad._lattice_sum
+    monkeypatch.setattr(quad, "_lattice_sum", lambda terms, p, *a: (
+        rows.append(np.shape(p)), lattice_sum(terms, p, *a))[1])
+    gr = ib.build_grid(2, 1.0, 3)
+    ib.resolvent_sum_grid([4, 4, 4, 4, 0], [0.0, -0.0, 0.0, 1.0, 0.0], gr,
+                          1.0, GROSS)
+    assert rows == [(4,)]
+    gr2, p_idx, rest = two_nucleon_rests(1)
+    pairs = {(p, r.tobytes()) for p, r in zip(p_idx.tolist(), rest)}
+    ib.resolvent_sum_grid(p_idx, rest, gr2, 1.0, GROSS)
+    assert rows[1] == (len(pairs),)
+    assert len(pairs) < p_idx.size
 
 
 def test_kept_shift_data_give_the_sums_built_afresh():
